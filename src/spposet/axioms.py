@@ -381,19 +381,16 @@ SYSTEMS = {
 }
 
 
-def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
-                 reading: str = "existential") -> AxiomReport:
-    """Decide one axiom system against a concrete (poset, operation) pair."""
+def require_system(p: Poset, system: str, sel: LocalSelection | None = None) -> dict:
+    """The SYSTEMS entry of a known system whose structure p has and whose selection is given.
+
+    Raises StructureMismatch for an unknown system or a poset without the
+    needed semilattice or lattice structure, and MissingSelection when the
+    system needs a local selection and none is given.
+    """
     if system not in SYSTEMS:
         raise StructureMismatch(f"unknown axiom system {system!r}")
     info = SYSTEMS[system]
-    want_partial = info["kind"] == "partial"
-    if want_partial and not isinstance(op, PartialTable):
-        raise StructureMismatch(f"system {system} needs a partial table")
-    if not want_partial and not isinstance(op, TotalTable):
-        raise StructureMismatch(f"system {system} needs a total table")
-    if op.owner != p:
-        raise StructureMismatch("table does not belong to the given poset")
     struct = info.get("structure")
     if struct:
         rep = p.classify()
@@ -403,6 +400,20 @@ def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
             raise StructureMismatch(f"system {system} needs a {struct} structure")
     if info.get("selection") and sel is None:
         raise MissingSelection(f"system {system} needs a local selection")
+    return info
+
+
+def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
+                 reading: str = "existential") -> AxiomReport:
+    """Decide one axiom system against a concrete (poset, operation) pair."""
+    info = require_system(p, system, sel)
+    want_partial = info["kind"] == "partial"
+    if want_partial and not isinstance(op, PartialTable):
+        raise StructureMismatch(f"system {system} needs a partial table")
+    if not want_partial and not isinstance(op, TotalTable):
+        raise StructureMismatch(f"system {system} needs a total table")
+    if op.owner != p:
+        raise StructureMismatch("table does not belong to the given poset")
     if reading not in ("existential", "both-defined", "one-defined"):
         raise ValueError(f"unknown reading {reading!r}")
 

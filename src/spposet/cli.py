@@ -3,17 +3,23 @@
 Exit codes are the machine contract: 0 means success / holds / verified,
 1 means a mathematical negative (an axiom fails, an extension is undefined
 somewhere, a counterexample was found) with the witness printed on stdout,
-and 2 means a usage or input error (diagnostics on stderr).
+2 means a usage or input error (diagnostics on stderr), and 3 means an
+internal error: two computations that must agree did not, which is a bug in
+the toolkit (traceback on stderr).  When the reader of stdout goes away
+early (`spposet hunt ... | head -1`), the command ends quietly with 141,
+the status a shell reports for a writer stopped by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 
 from . import enumeration, extensions, fileformat, pseudo
 from .axioms import SYSTEMS, check_system, verify_lemma_suite
-from .errors import SpposetError
+from .errors import InternalDisagreement, SpposetError
 from .pseudo import MissingWitness, PartialTable, TotalTable
 
 METHODS = ("pure", "natural", "natural-min", "normal", "i-natural", "i-min", "dual-j", "m", "mlb")
@@ -271,7 +277,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the signal module docs advise: point stdout at devnull so the
+        # interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except InternalDisagreement:
+        traceback.print_exc()
+        return 3
     except SpposetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,21 @@
 """Exhaustive generation of small posets and operation tables, and sweeps that
 verify the toolkit's theorems or hunt for counterexamples.
 
-Labeled enumeration is the default for verification: posets on {0..n-1} are
-produced by extending each (n-1)-poset with one new greatest-index element in
-every consistent way, which yields every labeled poset exactly once.  An
-independent naive oracle (filter all n*n-bit relations through the three order
-laws, one-point-extended once for n = 5) re-derives the counts 1, 3, 19, 219,
-4231 so the generator never has to be taken on faith.
+Labeled posets on {0..n-1} are produced by extending each (n-1)-poset with
+one new greatest-index element in every consistent way, which yields every
+labeled poset exactly once.  An independent naive oracle (filter all n*n-bit
+relations through the three order laws, one-point-extended once for n = 5)
+re-derives the counts 1, 3, 19, 219, 4231 so the generator never has to be
+taken on faith.  Isomorphism classes are built level by level: the one-point
+extensions of the (n-1)-representatives, deduplicated by canonical key.
+
+Every theorem and hunted property is a statement about order structure, so
+the sweeps check one representative per isomorphism class and weight it by
+its orbit size n!/|Aut(P)|; the per-n counts are still those of all labeled
+posets.  At the first n where a claim fails, that n is rescanned in labeled
+order with the same loop, so a reported counterexample, its P<n>-<k> name and
+the partial counts are those of a labeled sweep, and a class failure that the
+rescan does not confirm is an InternalDisagreement.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -18,10 +27,11 @@ solution sets instead of enumerating the full table space.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
-from .axioms import check_system, implicativity, is_esp, is_normal, is_strong
+from .axioms import check_system, implicativity, is_esp, is_normal, is_strong, require_system
 from .errors import InternalDisagreement, SizeCap, UnknownPredicate, UnknownTheorem
 from .extensions import (
     LocalSelection,
@@ -46,6 +56,14 @@ _NAMES = tuple(str(i) for i in range(ISO_CAP))
 # -- generation ---------------------------------------------------------------
 
 
+def _downs(masks) -> list[int]:
+    downs = [0] * len(masks)
+    for i in range(len(masks)):
+        for j in bits(masks[i]):
+            downs[j] |= 1 << i
+    return downs
+
+
 def _one_point_extensions(base: tuple[int, ...]):
     """All posets obtained from base by adding one new greatest-index element.
 
@@ -56,10 +74,7 @@ def _one_point_extensions(base: tuple[int, ...]):
     """
     m = len(base)
     newbit = 1 << m
-    downs = [0] * m
-    for i in range(m):
-        for j in bits(base[i]):
-            downs[j] |= 1 << i
+    downs = _downs(base)
     down_sets = [s for s in range(newbit) if all(downs[i] & ~s == 0 for i in bits(s))]
     up_sets = [s for s in range(newbit) if all(base[i] & ~s == 0 for i in bits(s))]
     for d in down_sets:
@@ -82,36 +97,29 @@ def _labeled_masks(n: int):
         yield from _one_point_extensions(base)
 
 
-def _iso_class_masks(n: int) -> list[tuple[int, ...]]:
-    """One representative per isomorphism class, by extending representatives.
+def _iso_levels(max_n: int):
+    """One representative per isomorphism class for n = 1..max_n, level by level.
 
     Removing the last-placed element of any n-poset leaves a poset isomorphic
     to some (n-1)-representative, so extending just the representatives and
-    deduplicating by canonical key reaches every class.
+    deduplicating by canonical key reaches every class.  Each level is built
+    once, from the level before it, starting from the empty poset.
     """
-    if n == 1:
-        return [(1,)]
-    seen: dict[int, tuple[int, ...]] = {}
-    for base in _iso_class_masks(n - 1):
-        for masks in _one_point_extensions(base):
-            key = canonical_key(masks)
-            if key not in seen:
-                seen[key] = masks
-    return list(seen.values())
+    level: list[tuple[int, ...]] = [()]
+    for _ in range(max_n):
+        seen: dict[int, tuple[int, ...]] = {}
+        for base in level:
+            for masks in _one_point_extensions(base):
+                key = canonical_key(masks)
+                if key not in seen:
+                    seen[key] = masks
+        level = list(seen.values())
+        yield level
 
 
-def canonical_key(masks) -> int:
-    """Isomorphism-invariant integer key: the minimal relabeled relation matrix.
-
-    Elements are first partitioned by an iterated neighborhood invariant; the
-    minimum is then taken over the relabelings that respect the partition,
-    which always include every isomorphism's image.
-    """
+def _refine(masks, downs) -> list[int]:
+    """Iterated neighborhood invariant: element ranks that every isomorphism preserves."""
     n = len(masks)
-    downs = [0] * n
-    for i in range(n):
-        for j in bits(masks[i]):
-            downs[j] |= 1 << i
     inv = [0] * n
     while True:
         sig = [
@@ -123,8 +131,19 @@ def canonical_key(masks) -> int:
         ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
         new = [ranks[sig[i]] for i in range(n)]
         if new == inv:
-            break
+            return inv
         inv = new
+
+
+def canonical_key(masks) -> int:
+    """Isomorphism-invariant integer key: the minimal relabeled relation matrix.
+
+    Elements are first partitioned by an iterated neighborhood invariant; the
+    minimum is then taken over the relabelings that respect the partition,
+    which always include every isomorphism's image.
+    """
+    n = len(masks)
+    inv = _refine(masks, _downs(masks))
     blocks: dict[int, list[int]] = {}
     for i in range(n):
         blocks.setdefault(inv[i], []).append(i)
@@ -149,6 +168,36 @@ def canonical_key(masks) -> int:
     return best
 
 
+def automorphism_count(masks) -> int:
+    """|Aut(P)| for the poset with these up-masks.
+
+    Backtracks over images element by element, each drawn from the element's
+    block of the invariant partition that canonical_key uses and checked
+    against the images already placed, so only partial automorphisms are
+    ever extended.
+    """
+    n = len(masks)
+    downs = _downs(masks)
+    inv = _refine(masks, downs)
+    choices = [[v for v in range(n) if inv[v] == inv[i]] for i in range(n)]
+    image = [0] * n
+
+    def count(i, used):
+        if i == n:
+            return 1
+        total = 0
+        for v in choices[i]:
+            if used >> v & 1:
+                continue
+            if all((masks[i] >> j & 1) == (masks[v] >> image[j] & 1)
+                   and (downs[i] >> j & 1) == (downs[v] >> image[j] & 1) for j in range(i)):
+                image[i] = v
+                total += count(i + 1, used | 1 << v)
+        return total
+
+    return count(0, 0)
+
+
 def are_isomorphic(p: Poset, q: Poset) -> bool:
     if p.n != q.n:
         return False
@@ -167,7 +216,8 @@ def enumerate_posets(n: int, dedup: str = "labeled"):
         for k, masks in enumerate(_labeled_masks(n)):
             yield Poset(f"P{n}-{k}", names, masks)
     else:
-        for k, masks in enumerate(_iso_class_masks(n)):
+        *_, level = _iso_levels(n)
+        for k, masks in enumerate(level):
             yield Poset(f"Q{n}-{k}", names, masks)
 
 
@@ -371,8 +421,13 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
     full model set is the cartesian product of the returned lists.  For the SP
     system the column domain is the rows weakly above the column element; all
     other systems are total.  With `forced`, sectioned cells are pinned to the
-    given star table (extension enumeration).
+    given star table (extension enumeration).  The poset must have the
+    structure and the selection the system needs, as in check_system.
     """
+    if system != "NRMW":
+        # the solver has no NRMW constraints yet: it yields every extension,
+        # on any poset, and the generate benchmark pins those streams
+        require_system(p, system, sel)
     n = p.n
     cand = _cell_candidates(p, system, sel)
     pair = _pair_check(p, system)
@@ -434,7 +489,8 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
 
     Streamed deterministically: column assignments vary rightmost-column
     fastest.  Raises SizeCap when the number of free (non-sectioned) cells
-    exceeds the budget.
+    exceeds the budget, and StructureMismatch or MissingSelection when the
+    poset lacks the structure or the selection the system needs.
     """
     p = s.owner
     free = sum(1 for x in range(p.n) for y in range(p.n) if not p.leq_ix(y, x))
@@ -526,27 +582,85 @@ def _serialize(p: Poset, tables: dict | None = None) -> str:
     return emit(Document(tuple(sections)))
 
 
-def _sweep(theorem: str, max_n: int, hypothesis, check) -> VerificationReport:
-    start = time.perf_counter()
+def _class_levels(max_n: int):
+    """Per n, each isomorphism class as (representative masks, orbit size n!/|Aut|)."""
+    for n, level in enumerate(_iso_levels(max_n), 1):
+        yield [(masks, math.factorial(n) // automorphism_count(masks)) for masks in level]
+
+
+def _scan(weighted_posets, hypothesis, check, stop: bool):
+    """Visit (poset, weight) pairs in order.
+
+    Returns the weighted (poset, instance) counts and, per failing variant,
+    the first counterexample met; with `stop`, ends at the first failure.
+    """
+    posets = instances = 0
+    first: dict[str, Counterexample] = {}
+    for p, weight in weighted_posets:
+        posets += weight
+        ctx = _Ctx(p)
+        if not hypothesis(ctx):
+            continue
+        instances += weight
+        for variant, ce in check(ctx).items():
+            first.setdefault(variant, ce)
+        if stop and first:
+            break
+    return (posets, instances), first
+
+
+def _sweep(max_n: int, hypothesis, check, stop: bool):
+    """Check every poset with up to max_n elements, one isomorphism class at a time.
+
+    `check(ctx)` maps each claim variant the poset violates to its
+    counterexample.  Hypotheses and claims are order-invariant, so each class
+    representative stands for its whole orbit and counts n!/|Aut| labeled
+    posets.  At the first n where some variant fails, that n is rescanned in
+    labeled order (P<n>-0, P<n>-1, ...), so the first counterexample, its name
+    and the partial counts are those of a labeled sweep; the class pass and
+    the rescan must agree on which variants fail.  With `stop`, the sweep ends
+    at the first counterexample.  Returns posets_per_n, instances_per_n and
+    the first counterexample per failing variant.
+    """
+    if max_n > LABELED_CAP:
+        raise SizeCap(f"labeled enumeration supports 1 <= n <= {LABELED_CAP}, got {max_n}")
     posets_per_n: dict[int, int] = {}
     instances_per_n: dict[int, int] = {}
-    for n in range(1, max_n + 1):
-        posets_per_n[n] = 0
-        instances_per_n[n] = 0
-        for p in enumerate_posets(n):
-            posets_per_n[n] += 1
-            ctx = _Ctx(p)
-            if not hypothesis(ctx):
-                continue
-            instances_per_n[n] += 1
-            ce = check(ctx)
-            if ce is not None:
-                return VerificationReport(
-                    theorem, max_n, posets_per_n, instances_per_n,
-                    "counterexample", ce, time.perf_counter() - start)
+    found: dict[str, Counterexample] = {}
+    for n, level in enumerate(_class_levels(max_n), 1):
+        names = _NAMES[:n]
+        classes = ((Poset(f"Q{n}-{k}", names, masks), orbit)
+                   for k, (masks, orbit) in enumerate(level))
+        counts, first = _scan(classes, hypothesis, check, stop)
+        if first.keys() - found.keys():
+            labeled = ((p, 1) for p in enumerate_posets(n))
+            labeled_counts, labeled_first = _scan(labeled, hypothesis, check, stop)
+            if labeled_first.keys() != first.keys() or not stop and labeled_counts != counts:
+                raise InternalDisagreement(
+                    f"at n={n} the class sweep and the labeled rescan disagree: failing "
+                    f"{sorted(first)} vs {sorted(labeled_first)}, counts {counts} vs {labeled_counts}")
+            counts, first = labeled_counts, labeled_first
+        posets_per_n[n], instances_per_n[n] = counts
+        for variant, ce in first.items():
+            found.setdefault(variant, ce)
+        if stop and found:
+            break
+    return posets_per_n, instances_per_n, found
+
+
+def _report(claim: str, max_n: int, hypothesis, check) -> VerificationReport:
+    """Sweep for a single-variant claim whose check returns a Counterexample or None."""
+    start = time.perf_counter()
+
+    def variants(ctx):
+        ce = check(ctx)
+        return {} if ce is None else {claim: ce}
+
+    posets_per_n, instances_per_n, found = _sweep(max_n, hypothesis, variants, stop=True)
+    ce = found.get(claim)
     return VerificationReport(
-        theorem, max_n, posets_per_n, instances_per_n,
-        "verified", None, time.perf_counter() - start)
+        claim, max_n, posets_per_n, instances_per_n,
+        "verified" if ce is None else "counterexample", ce, time.perf_counter() - start)
 
 
 # -- individual theorem checks -----------------------------------------------------
@@ -768,6 +882,20 @@ def _check_right_impl(ctx: _Ctx):
     return None
 
 
+def _iso_variants(ctx: _Ctx):
+    p = ctx.p
+    nat = natural_extension(ctx.star)
+    fnat = i_natural_extension(p, selection_frink(p))
+    if fnat.is_total and fnat.table == nat:
+        return {}
+    ce = Counterexample(
+        _serialize(p, {"natural": nat}),
+        "natural table is not the Frink-natural table")
+    if is_strong(p, nat).holds:
+        return {"up-directed": ce, "up-directed+strong": ce}
+    return {"up-directed": ce}
+
+
 def _verify_iso(max_n: int) -> VerificationReport:
     """Selection-monotonicity corollary, tested under both hypothesis readings.
 
@@ -777,29 +905,8 @@ def _verify_iso(max_n: int) -> VerificationReport:
     strong variant; both verdicts are recorded in details.
     """
     start = time.perf_counter()
-    posets_per_n: dict[int, int] = {}
-    instances_per_n: dict[int, int] = {}
-    found: dict[str, Counterexample] = {}
-    for n in range(1, max_n + 1):
-        posets_per_n[n] = 0
-        instances_per_n[n] = 0
-        for p in enumerate_posets(n):
-            posets_per_n[n] += 1
-            ctx = _Ctx(p)
-            if not ctx.is_sp or not ctx.rep.is_up_directed:
-                continue
-            instances_per_n[n] += 1
-            nat = natural_extension(ctx.star)
-            fnat = i_natural_extension(p, selection_frink(p))
-            agrees = fnat.is_total and fnat.table == nat
-            if agrees:
-                continue
-            ce = Counterexample(
-                _serialize(p, {"natural": nat}),
-                "natural table is not the Frink-natural table")
-            found.setdefault("up-directed", ce)
-            if is_strong(p, nat).holds:
-                found.setdefault("up-directed+strong", ce)
+    posets_per_n, instances_per_n, found = _sweep(
+        max_n, lambda ctx: ctx.is_sp and ctx.rep.is_up_directed, _iso_variants, stop=False)
     elapsed = time.perf_counter() - start
     details = {
         "up-directed": "counterexample" if "up-directed" in found else "verified",
@@ -848,14 +955,20 @@ THEOREMS = {
 
 
 def verify_theorem(theorem: str, max_n: int) -> VerificationReport:
-    """Sweep all labeled posets up to max_n and check one built-in claim."""
+    """Check one built-in claim on every poset with up to max_n elements.
+
+    The sweep visits one representative per isomorphism class and weights it
+    by its orbit size, so the counts are those of all labeled posets; a
+    failing n is rescanned in labeled order, so a counterexample is the first
+    labeled one.
+    """
     if theorem == "T-ISO":
         return _verify_iso(max_n)
     if theorem not in THEOREMS:
         known = ", ".join(sorted(THEOREMS) + ["T-ISO"])
         raise UnknownTheorem(f"unknown theorem {theorem!r}; known: {known}")
     _, hyp, check = THEOREMS[theorem]
-    return _sweep(theorem, max_n, hyp, check)
+    return _report(theorem, max_n, hyp, check)
 
 
 def theorem_ids() -> tuple[str, ...]:
@@ -1030,12 +1143,16 @@ def normalize_predicate(predicate: str) -> str:
 
 
 def find_counterexample(predicate: str, max_n: int) -> VerificationReport:
-    """First instance, in enumeration order, violating a built-in property."""
+    """First instance, in labeled enumeration order, violating a built-in property.
+
+    Isomorphism classes find the smallest failing n; only that n is scanned
+    in labeled order, up to its first counterexample.
+    """
     key = normalize_predicate(predicate)
     _, hyp, check, cap = PREDICATES[key]
     if max_n > cap:
         raise SizeCap(f"predicate {key} supports max_n <= {cap}")
-    return _sweep(key, max_n, hyp, check)
+    return _report(key, max_n, hyp, check)
 
 
 def predicate_ids() -> tuple[str, ...]:

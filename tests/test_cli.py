@@ -273,3 +273,35 @@ def test_hunt_verified_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["extend", "nowhere.sp"]) == 2  # missing required options
     assert main(["no-such-command"]) == 2
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from spposet import enumeration
+    from spposet.errors import InternalDisagreement
+
+    def broken(theorem, max_n):
+        raise InternalDisagreement("two formulas disagree")
+
+    monkeypatch.setattr(enumeration, "verify_theorem", broken)
+    code, out, err = run(capsys, "verify", "--theorem", "T-GLB", "--max-n", "1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert "InternalDisagreement: two formulas disagree" in err
+
+
+def test_closed_stdout_ends_quietly():
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spposet", "hunt",
+                               "--predicate", "ESP=>J", "--max-n", "3"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

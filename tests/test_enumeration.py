@@ -1,4 +1,10 @@
+import dataclasses
+import itertools
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tables_data as td
 from conftest import rows_in_order
@@ -13,25 +19,35 @@ from spposet import (
     star_table,
     wrp_complement,
 )
+from spposet import enumeration
 from spposet.enumeration import (
     LABELED_CAP,
     are_isomorphic,
+    automorphism_count,
     canonical_key,
     count_posets_naive,
     enumerate_extensions,
     enumerate_posets,
     find_counterexample,
     normalize_predicate,
+    predicate_ids,
     probe_sinat_variants,
     products_equal,
     system_column_solutions,
     theorem_ids,
     verify_theorem,
 )
-from spposet.errors import SizeCap, UnknownPredicate, UnknownTheorem
+from spposet.errors import (
+    InternalDisagreement,
+    MissingSelection,
+    SizeCap,
+    StructureMismatch,
+    UnknownPredicate,
+    UnknownTheorem,
+)
 from spposet.fileformat import parse
 
-LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
+LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
 ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 
 
@@ -114,6 +130,20 @@ def test_enumerate_extensions_nrm_hexagon_empty(hexagon, hexagon_star):
 def test_enumerate_extensions_budget(hexagon, hexagon_star):
     with pytest.raises(SizeCap):
         list(enumerate_extensions(hexagon_star, "ESP", max_free_cells=5))
+
+
+@pytest.mark.parametrize("system", ["ESPW", "JWV", "JWV2"])
+@pytest.mark.parametrize("poset", ["hexagon", "twochains"])
+def test_enumerate_extensions_needs_structure(poset, system, request):
+    # neither poset is a lower or an upper semilattice
+    p = request.getfixturevalue(poset)
+    with pytest.raises(StructureMismatch, match=f"system {system} needs a"):
+        next(enumerate_extensions(star_table(p), system, max_free_cells=40))
+
+
+def test_enumerate_extensions_needs_selection(hexagon_star):
+    with pytest.raises(MissingSelection):
+        next(enumerate_extensions(hexagon_star, "NATI"))
 
 
 def test_enumerate_extensions_all_satisfy_system(twochains):
@@ -245,3 +275,72 @@ def test_products_equal_empty_care():
     assert products_equal([[(0,)], []], [[], [(1,)]])
     assert not products_equal([[(0,)]], [[(1,)]])
     assert products_equal([[(0,)], [(1,)]], [[(0,)], [(1,)]])
+
+
+# -- the class sweep against the labeled oracle ------------------------------------
+
+
+def _labeled_sweep(max_n, hypothesis, check, stop):
+    """Every labeled poset in enumeration order, each counted once: the sweep
+    the class sweep must reproduce."""
+    posets_per_n, instances_per_n, found = {}, {}, {}
+    for n in range(1, max_n + 1):
+        labeled = ((p, 1) for p in enumerate_posets(n))
+        (posets_per_n[n], instances_per_n[n]), first = enumeration._scan(
+            labeled, hypothesis, check, stop)
+        for variant, ce in first.items():
+            found.setdefault(variant, ce)
+        if stop and found:
+            break
+    return posets_per_n, instances_per_n, found
+
+
+CLAIMS = [("verify", t) for t in theorem_ids()] + [("hunt", p) for p in predicate_ids()]
+
+
+@pytest.mark.parametrize("max_n", [4, 5])
+@pytest.mark.parametrize("kind, claim", CLAIMS)
+def test_class_sweep_matches_labeled_sweep(kind, claim, max_n, monkeypatch):
+    run = verify_theorem if kind == "verify" else find_counterexample
+    by_class = run(claim, max_n)
+    monkeypatch.setattr(enumeration, "_sweep", _labeled_sweep)
+    labeled = run(claim, max_n)
+    assert dataclasses.replace(by_class, elapsed=0.0) == dataclasses.replace(labeled, elapsed=0.0)
+
+
+def test_orbit_sizes_sum_to_labeled_counts():
+    for n, level in enumerate(enumeration._class_levels(6), 1):
+        assert len(level) == ISO_COUNTS[n]
+        assert sum(orbit for _, orbit in level) == LABELED_COUNTS[n]
+        assert all(orbit * automorphism_count(masks) == math.factorial(n) for masks, orbit in level)
+
+
+@st.composite
+def relabeled_posets(draw, max_n=6):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    perm = draw(st.permutations(range(n)))
+    pairs = []
+    for j in range(1, n):
+        below = draw(st.sets(st.integers(min_value=0, max_value=j - 1), max_size=j))
+        pairs.extend((str(perm[i]), str(perm[j])) for i in below)
+    return build_poset("r", [str(i) for i in range(n)], pairs)
+
+
+@given(relabeled_posets())
+def test_automorphism_count_matches_brute_force(p):
+    rel = {(i, j) for i in range(p.n) for j in range(p.n) if p.leq_ix(i, j)}
+    brute = sum(1 for perm in itertools.permutations(range(p.n))
+                if {(perm[i], perm[j]) for i, j in rel} == rel)
+    assert automorphism_count(p.ups) == brute
+
+
+def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
+    # a check that looks at the label, not the order, fails on every class
+    # representative and on no labeled poset
+    def by_name(ctx):
+        return {"x": "bogus"} if ctx.p.name.startswith("Q") else {}
+
+    with pytest.raises(InternalDisagreement, match="at n=1"):
+        enumeration._sweep(3, lambda ctx: True, by_name, stop=True)
+    with pytest.raises(InternalDisagreement, match="at n=1"):
+        enumeration._sweep(3, lambda ctx: True, by_name, stop=False)
