@@ -7,7 +7,13 @@ labeled poset exactly once.  An independent naive oracle (filter all n*n-bit
 relations through the three order laws, one-point-extended once for n = 5)
 re-derives the counts 1, 3, 19, 219, 4231 so the generator never has to be
 taken on faith.  Isomorphism classes are built level by level: the one-point
-extensions of the (n-1)-representatives, deduplicated by canonical key.
+extensions of the (n-1)-representatives, deduplicated by canonical key.  The
+key comes from an individualization-refinement search: equitable refinement
+of an ordered partition of the elements, one element of the first cell that
+is not a set of twins (incomparable elements with the same strict up- and
+down-sets) individualized at each branch, and children skipped when an
+automorphism found at two equal leaves maps a searched child onto them.  The same search yields |Aut(P)|, so the cost follows the search tree,
+not the factorial of the symmetric blocks.
 
 Every theorem and hunted property is a statement about order structure, so
 the sweeps check one representative per isomorphism class and weight it by
@@ -58,9 +64,11 @@ _NAMES = tuple(str(i) for i in range(ISO_CAP))
 
 def _downs(masks) -> list[int]:
     downs = [0] * len(masks)
-    for i in range(len(masks)):
-        for j in bits(masks[i]):
-            downs[j] |= 1 << i
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            m ^= low
+            downs[low.bit_length() - 1] |= 1 << i
     return downs
 
 
@@ -75,17 +83,26 @@ def _one_point_extensions(base: tuple[int, ...]):
     m = len(base)
     newbit = 1 << m
     downs = _downs(base)
-    down_sets = [s for s in range(newbit) if all(downs[i] & ~s == 0 for i in bits(s))]
-    up_sets = [s for s in range(newbit) if all(base[i] & ~s == 0 for i in bits(s))]
-    for d in down_sets:
+    # a set is a down-set (up-set) when it contains the down-set (up-set) of
+    # each member; below[s] and above[s] are those closures, built over s
+    below = [0] * newbit
+    above = [0] * newbit
+    for s in range(1, newbit):
+        low = s & -s
+        i = low.bit_length() - 1
+        below[s] = below[s ^ low] | downs[i]
+        above[s] = above[s ^ low] | base[i]
+    up_sets = [s for s in range(newbit) if above[s] == s]
+    for d in range(newbit):
+        if below[d] != d:
+            continue
         allowed = newbit - 1
         for i in bits(d):
             allowed &= base[i]
+        ups = tuple(base[i] | newbit if d >> i & 1 else base[i] for i in range(m))
         for u in up_sets:
-            if u & d or u & ~allowed:
-                continue
-            ups = tuple(base[i] | newbit if d >> i & 1 else base[i] for i in range(m))
-            yield ups + (u | newbit,)
+            if not (u & d or u & ~allowed):
+                yield ups + (u | newbit,)
 
 
 def _labeled_masks(n: int):
@@ -97,108 +114,255 @@ def _labeled_masks(n: int):
         yield from _one_point_extensions(base)
 
 
+class _Lazy:
+    """A sequence produced on demand: iteration streams and keeps the items of
+    `source`, and len() finishes it."""
+
+    __slots__ = ("_source", "_items")
+
+    def __init__(self, source):
+        self._source = iter(source)
+        self._items: list = []
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self._items):
+                item = next(self._source, self)
+                if item is self:
+                    return
+                self._items.append(item)
+            yield self._items[i]
+            i += 1
+
+    def __len__(self) -> int:
+        self._items.extend(self._source)
+        return len(self._items)
+
+
+def _new_classes(level):
+    """The one-point extensions of `level` that start a new class, in order."""
+    seen: set[int] = set()
+    for base in level:
+        for masks in _one_point_extensions(base):
+            key = canonical_key(masks)
+            if key not in seen:
+                seen.add(key)
+                yield masks
+
+
 def _iso_levels(max_n: int):
     """One representative per isomorphism class for n = 1..max_n, level by level.
 
     Removing the last-placed element of any n-poset leaves a poset isomorphic
     to some (n-1)-representative, so extending just the representatives and
     deduplicating by canonical key reaches every class.  Each level is built
-    once, from the level before it, starting from the empty poset.
+    once, from the level before it, starting from the empty poset, and only
+    as far as its consumer reads it: a sweep that stops at its first failing
+    class never builds the rest of that level.
     """
-    level: list[tuple[int, ...]] = [()]
+    level = _Lazy([()])
     for _ in range(max_n):
-        seen: dict[int, tuple[int, ...]] = {}
-        for base in level:
-            for masks in _one_point_extensions(base):
-                key = canonical_key(masks)
-                if key not in seen:
-                    seen[key] = masks
-        level = list(seen.values())
+        level = _Lazy(_new_classes(level))
         yield level
 
 
-def _refine(masks, downs) -> list[int]:
-    """Iterated neighborhood invariant: element ranks that every isomorphism preserves."""
-    n = len(masks)
-    inv = [0] * n
-    while True:
-        sig = [
-            (inv[i],
-             tuple(sorted(inv[j] for j in bits(masks[i]))),
-             tuple(sorted(inv[j] for j in bits(downs[i]))))
-            for i in range(n)
-        ]
-        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
-        new = [ranks[sig[i]] for i in range(n)]
-        if new == inv:
-            return inv
-        inv = new
+def _refine(cells: list[int], splitters: list[int], ups, downs) -> list[int]:
+    """Split the ordered partition `cells` (bitmasks) until it is equitable.
 
-
-def canonical_key(masks) -> int:
-    """Isomorphism-invariant integer key: the minimal relabeled relation matrix.
-
-    Elements are first partitioned by an iterated neighborhood invariant; the
-    minimum is then taken over the relabelings that respect the partition,
-    which always include every isomorphism's image.
+    Each splitter W divides every cell by the counts |ups[v] & W| and
+    |downs[v] & W| of its members v, and the parts replace the cell in
+    increasing order of those counts.  All parts but the first largest become
+    splitters: counts into the largest are those into the cell minus those
+    into the others.  Every step depends on counts and cell positions, never
+    on labels, so refining a relabeled poset gives the relabeled partition.
     """
-    n = len(masks)
-    inv = _refine(masks, _downs(masks))
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(inv[i], []).append(i)
-    offsets = {}
-    pos = 0
-    for r in sorted(blocks):
-        offsets[r] = pos
-        pos += len(blocks[r])
-    best = None
-    for perms in itertools.product(*(itertools.permutations(blocks[r]) for r in sorted(blocks))):
-        place = [0] * n
-        for r, perm in zip(sorted(blocks), perms):
-            for k, i in enumerate(perm):
-                place[i] = offsets[r] + k
-        key = 0
-        for i in range(n):
-            row = place[i] * n
-            for j in bits(masks[i]):
-                key |= 1 << (row + place[j])
-        if best is None or key < best:
-            best = key
-    return best
+    n = len(ups)
+    k = 0
+    while k < len(splitters) and len(cells) < n:
+        w = splitters[k]
+        k += 1
+        out = []
+        for c in cells:
+            if c & (c - 1):
+                counted: dict[int, int] = {}
+                m = c
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    s = (ups[v] & w).bit_count() << 16 | (downs[v] & w).bit_count()
+                    counted[s] = counted.get(s, 0) | low
+                if len(counted) > 1:
+                    parts = [counted[s] for s in sorted(counted)]
+                    out += parts
+                    largest = max(parts, key=int.bit_count)
+                    splitters += [p for p in parts if p is not largest]
+                    continue
+            out.append(c)
+        cells = out
+    return cells
 
 
-def automorphism_count(masks) -> int:
-    """|Aut(P)| for the poset with these up-masks.
+def _relabeled(order: list[int], ups) -> int:
+    """Relation matrix of the poset with element order[p] relabeled p, one row per n bits."""
+    n = len(ups)
+    place = [0] * n
+    for p, v in enumerate(order):
+        place[v] = 1 << p
+    key = 0
+    for v in order:
+        row = 0
+        m = ups[v]
+        while m:
+            low = m & -m
+            m ^= low
+            row |= place[low.bit_length() - 1]
+        key = key << n | row
+    return key
 
-    Backtracks over images element by element, each drawn from the element's
-    block of the invariant partition that canonical_key uses and checked
-    against the images already placed, so only partial automorphisms are
-    ever extended.
+
+def _orbit_roots(gens: list[list[int]], fixed: list[int], n: int) -> list[int]:
+    """Smallest element of every element's orbit under the group generated by
+    the generators that fix every element of `fixed`."""
+    root = list(range(n))
+    for g in gens:
+        if all(g[x] == x for x in fixed):
+            for x, y in enumerate(g):
+                while root[x] != x:
+                    x = root[x]
+                while root[y] != y:
+                    y = root[y]
+                if x < y:
+                    root[y] = x
+                elif y < x:
+                    root[x] = y
+    for x in range(n):  # root[x] <= x, so root[root[x]] is already final
+        root[x] = root[root[x]]
+    return root
+
+
+def _search(masks) -> tuple[int, int]:
+    """Canonical key and |Aut(P)| from one individualization-refinement search.
+
+    Twins are incomparable elements with the same strict up- and down-sets;
+    any permutation of twins is an automorphism.  The root of the search is
+    the equitable refinement of the unit partition.  A node with a cell that
+    is not a set of twins has one child per member v of its first such cell:
+    v is individualized into a cell of its own, just before the rest of the
+    cell, and the partition is refined again.  Every other node is a leaf,
+    whose order (cells in turn, each in increasing label order) is a
+    relabeling; all orders within its cells give the same matrix.  The key
+    is the smallest relabeled relation matrix over the leaves.  Two leaves
+    with the same matrix differ by an automorphism; it is recorded, the
+    search returns to the two leaves' deepest common node (the abandoned
+    subtree is the automorphism's image of one already searched), and at
+    every node a child is skipped when a recorded automorphism that fixes
+    the node's individualized elements maps an already searched child onto
+    it (McKay & Piperno, "Practical graph isomorphism, II", J. Symb. Comput.
+    60, 2014).  |Aut(P)| follows by orbit-stabilizer along the first path:
+    the product of the orbit sizes of its choices under the recorded
+    automorphisms that fix the choices before them, times the permutations
+    of the first leaf's cells.
     """
     n = len(masks)
     downs = _downs(masks)
-    inv = _refine(masks, downs)
-    choices = [[v for v in range(n) if inv[v] == inv[i]] for i in range(n)]
-    image = [0] * n
+    full = (1 << n) - 1
+    root = _refine([full] if n else [], [full], masks, downs)
+    if len(root) == n:
+        return _relabeled([c.bit_length() - 1 for c in root], masks), 1
+    strict = [(masks[v] ^ 1 << v, downs[v] ^ 1 << v) for v in range(n)]
+    same: dict[tuple[int, int], int] = {}
+    for v, s in enumerate(strict):
+        same[s] = same.get(s, 0) | 1 << v
+    twins = [same[s] for s in strict]
+    gens: list[list[int]] = []
+    leaves: list[tuple[int, list[int], list[int]]] = []  # (key, order, path): first, best
+    aut = 1
 
-    def count(i, used):
-        if i == n:
-            return 1
-        total = 0
-        for v in choices[i]:
-            if used >> v & 1:
+    def leaf(cells, path) -> int:
+        nonlocal aut
+        order = [v for c in cells for v in bits(c)]
+        key = _relabeled(order, masks)
+        if not leaves:
+            leaves.extend([(key, order, path[:])] * 2)
+            for c in cells:
+                aut *= math.factorial(c.bit_count())
+            return len(path)
+        for known, known_order, known_path in leaves:
+            if key == known:
+                image = [0] * n
+                for a, b in zip(known_order, order):
+                    image[a] = b
+                gens.append(image)
+                d = 0
+                while path[d] == known_path[d]:
+                    d += 1
+                return d
+        if key < leaves[1][0]:
+            leaves[1] = (key, order, path[:])
+        return len(path)
+
+    def visit(cells, path, first_path) -> int:
+        """Search below a node; returns the depth of the node to resume at."""
+        nonlocal aut
+        depth = len(path)
+        for t, cell in enumerate(cells):
+            if cell & ~twins[cell.bit_length() - 1]:
+                break
+        else:
+            return leaf(cells, path)
+        done: list[int] = []
+        orbits, seen_gens = None, 0
+        m = cell
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if done and seen_gens != len(gens):
+                orbits, seen_gens = _orbit_roots(gens, path, n), len(gens)
+            if orbits and any(orbits[v] == orbits[u] for u in done):
                 continue
-            if all((masks[i] >> j & 1) == (masks[v] >> image[j] & 1)
-                   and (downs[i] >> j & 1) == (downs[v] >> image[j] & 1) for j in range(i)):
-                image[i] = v
-                total += count(i + 1, used | 1 << v)
-        return total
+            child = _refine(cells[:t] + [low, cell ^ low] + cells[t + 1:], [low], masks, downs)
+            path.append(v)
+            resume = visit(child, path, first_path and not done)
+            path.pop()
+            done.append(v)
+            if resume < depth:
+                return resume
+        if first_path and gens:
+            if seen_gens != len(gens):
+                orbits = _orbit_roots(gens, path, n)
+            aut *= orbits.count(orbits[done[0]])
+        return depth
 
-    return count(0, 0)
+    visit(root, [], True)
+    return leaves[1][0], aut
+
+
+def canonical_key(masks) -> int:
+    """Isomorphism-invariant integer key: two posets on the same number of
+    elements are isomorphic exactly when their keys are equal.
+
+    It is the smallest relabeled relation matrix over the leaves of the
+    individualization-refinement search of `_search`, which prunes children
+    that automorphisms found on the way map onto searched ones.
+    """
+    return _search(masks)[0]
+
+
+def automorphism_count(masks) -> int:
+    """|Aut(P)| for the poset with these up-masks, read off the same search as
+    canonical_key: the product of the orbit sizes along its first path."""
+    return _search(masks)[1]
 
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:
+    """Whether p and q are isomorphic: the same size and the same canonical key.
+
+    Each key is one pruned individualization-refinement search, so even a
+    16-element antichain is settled without trying its 16! relabelings.
+    """
     if p.n != q.n:
         return False
     return canonical_key(p.ups) == canonical_key(q.ups)
@@ -583,9 +747,10 @@ def _serialize(p: Poset, tables: dict | None = None) -> str:
 
 
 def _class_levels(max_n: int):
-    """Per n, each isomorphism class as (representative masks, orbit size n!/|Aut|)."""
+    """Per n, each isomorphism class as (representative masks, orbit size n!/|Aut|),
+    found as the level is read."""
     for n, level in enumerate(_iso_levels(max_n), 1):
-        yield [(masks, math.factorial(n) // automorphism_count(masks)) for masks in level]
+        yield _Lazy((masks, math.factorial(n) // automorphism_count(masks)) for masks in level)
 
 
 def _scan(weighted_posets, hypothesis, check, stop: bool):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given
@@ -46,9 +48,10 @@ from spposet.errors import (
     UnknownTheorem,
 )
 from spposet.fileformat import parse
+from spposet.poset import bits
 
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
-ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
+ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -57,7 +60,7 @@ def test_labeled_counts_match_naive_oracle(n):
     assert sum(1 for _ in enumerate_posets(n)) == LABELED_COUNTS[n]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_iso_counts(n):
     assert sum(1 for _ in enumerate_posets(n, "up-to-iso")) == ISO_COUNTS[n]
 
@@ -344,3 +347,151 @@ def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
         enumeration._sweep(3, lambda ctx: True, by_name, stop=True)
     with pytest.raises(InternalDisagreement, match="at n=1"):
         enumeration._sweep(3, lambda ctx: True, by_name, stop=False)
+
+
+def test_failing_hunt_stops_inside_the_class_level(monkeypatch):
+    # J=>ESP first fails at n = 5; the class pass stops at its first failing
+    # class, so the level-5 classes after it are never generated
+    inputs_at_five = sum(1 for p in enumerate_posets(4, "up-to-iso")
+                         for _ in enumeration._one_point_extensions(p.ups))
+    calls = []
+
+    def counting(masks):
+        calls.append(len(masks))
+        return canonical_key(masks)
+
+    monkeypatch.setattr(enumeration, "canonical_key", counting)
+    assert find_counterexample("J⇒ESP", 5).outcome == "counterexample"
+    assert 0 < calls.count(5) < inputs_at_five
+
+
+# -- the canonical form against the factorial oracle -------------------------------
+
+
+def _oracle_refine(masks, downs):
+    """Iterated neighborhood invariant: element ranks that every isomorphism preserves."""
+    n = len(masks)
+    inv = [0] * n
+    while True:
+        sig = [
+            (inv[i],
+             tuple(sorted(inv[j] for j in bits(masks[i]))),
+             tuple(sorted(inv[j] for j in bits(downs[i]))))
+            for i in range(n)
+        ]
+        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+        new = [ranks[sig[i]] for i in range(n)]
+        if new == inv:
+            return inv
+        inv = new
+
+
+def _oracle_key(masks):
+    """The minimal relation matrix over every relabeling that keeps each element
+    inside its invariant block: factorial in the block sizes."""
+    n = len(masks)
+    inv = _oracle_refine(masks, enumeration._downs(masks))
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(inv[i], []).append(i)
+    offsets = {}
+    pos = 0
+    for r in sorted(blocks):
+        offsets[r] = pos
+        pos += len(blocks[r])
+    best = None
+    for perms in itertools.product(*(itertools.permutations(blocks[r]) for r in sorted(blocks))):
+        place = [0] * n
+        for r, perm in zip(sorted(blocks), perms):
+            for k, i in enumerate(perm):
+                place[i] = offsets[r] + k
+        key = 0
+        for i in range(n):
+            row = place[i] * n
+            for j in bits(masks[i]):
+                key |= 1 << (row + place[j])
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def test_canonical_key_partitions_class_generation_like_the_oracle(monkeypatch):
+    inputs = []
+
+    def recording(masks):
+        inputs.append(masks)
+        return canonical_key(masks)
+
+    monkeypatch.setattr(enumeration, "canonical_key", recording)
+    for level in enumeration._iso_levels(7):
+        len(level)
+    assert len(inputs) == 18710
+    for n in range(1, 8):
+        pairs = {(canonical_key(m), _oracle_key(m)) for m in inputs if len(m) == n}
+        assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) == len(pairs)
+
+
+def _relabel(p, perm):
+    names = p.elements
+    return build_poset("relabeled", names, [(names[perm[i]], names[perm[j]])
+                                            for i in range(p.n) for j in bits(p.ups[i])])
+
+
+@given(relabeled_posets(max_n=16), st.data())
+def test_canonical_key_is_invariant_under_relabeling(p, data):
+    q = _relabel(p, data.draw(st.permutations(range(p.n))))
+    assert canonical_key(q.ups) == canonical_key(p.ups)
+    assert automorphism_count(q.ups) == automorphism_count(p.ups)
+
+
+def _boolean_lattice(k):
+    return [(a, b) for a in range(1 << k) for b in range(1 << k) if a != b and a & b == a]
+
+
+# (number of elements, strict order pairs, |Aut|)
+SYMMETRIC = {
+    "antichain-16": (16, [], math.factorial(16)),
+    # a 2-chain has no automorphism of its own, so only the chains permute
+    "eight-2-chains": (16, [(2 * i, 2 * i + 1) for i in range(8)], math.factorial(8)),
+    # each V (one element under two) swaps its tops: the wreath product
+    "five-vees": (15, [(3 * i, 3 * i + d) for i in range(5) for d in (1, 2)],
+                  2 ** 5 * math.factorial(5)),
+    "boolean-2^4": (16, _boolean_lattice(4), math.factorial(4)),
+}
+
+
+def _from_pairs(n, pairs):
+    names = [f"e{i}" for i in range(n)]
+    return build_poset("p", names, [(names[i], names[j]) for i, j in pairs])
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_large_symmetric_posets(name):
+    n, pairs, aut = SYMMETRIC[name]
+    p = _from_pairs(n, pairs)
+    q = _relabel(p, random.Random(name).sample(range(n), n))
+    start = time.perf_counter()
+    assert are_isomorphic(p, q)
+    assert time.perf_counter() - start < 1.0
+    assert automorphism_count(p.ups) == automorphism_count(q.ups) == aut
+
+
+def test_random_sixteen_element_poset():
+    rng = random.Random(16)
+    n = 16
+    up = [0] * n
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if rng.random() < 0.1:
+                up[i] |= 1 << j | up[j]
+    pairs = [(i, j) for i in range(n) for j in bits(up[i])]
+    p = _from_pairs(n, pairs)
+    covers = [(i, j) for i, j in pairs if not any(up[i] >> k & 1 and up[k] >> j & 1 for k in range(n))]
+    dropped = _from_pairs(n, [pr for pr in covers if pr != covers[len(covers) // 2]])
+    perm = rng.sample(range(n), n)
+    for q, same in ((_relabel(p, perm), True), (_relabel(dropped, perm), False)):
+        start = time.perf_counter()
+        assert are_isomorphic(p, q) is same
+        assert time.perf_counter() - start < 1.0
+    # two incomparable elements with the same strict up- and down-sets swap
+    assert automorphism_count(p.ups) == automorphism_count(_relabel(p, perm).ups) == 2
