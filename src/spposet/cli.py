@@ -4,8 +4,10 @@ Exit codes are the machine contract: 0 means success / holds / verified,
 1 means a mathematical negative (an axiom fails, an extension is undefined
 somewhere, a counterexample was found) with the witness printed on stdout,
 2 means a usage or input error (diagnostics on stderr), and 3 means an
-internal error: two computations that must agree did not, which is a bug in
-the toolkit (traceback on stderr).  When the reader of stdout goes away
+internal error, a bug in the toolkit: two computations that must agree did
+not, or any other exception escaped (traceback on stderr).  Only a
+SpposetError, such as a missing poset, table or selection name, or an
+OSError is a usage or input error.  When the reader of stdout goes away
 early (`spposet hunt ... | head -1`), the command ends quietly with 141,
 the status a shell reports for a writer stopped by SIGPIPE.
 """
@@ -191,8 +193,7 @@ def cmd_props(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify(args) -> int:
-    report = enumeration.verify_theorem(args.theorem, args.max_n)
+def _print_report(report) -> int:
     for line in report.summary_lines():
         print(line)
     if report.outcome == "verified":
@@ -200,17 +201,14 @@ def cmd_verify(args) -> int:
     print(report.counterexample.witness)
     sys.stdout.write(report.counterexample.serialized)
     return 1
+
+
+def cmd_verify(args) -> int:
+    return _print_report(enumeration.verify_theorem(args.theorem, args.max_n))
 
 
 def cmd_hunt(args) -> int:
-    report = enumeration.find_counterexample(args.predicate, args.max_n)
-    for line in report.summary_lines():
-        print(line)
-    if report.outcome == "verified":
-        return 0
-    print(report.counterexample.witness)
-    sys.stdout.write(report.counterexample.serialized)
-    return 1
+    return _print_report(enumeration.find_counterexample(args.predicate, args.max_n))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,12 +288,13 @@ def main(argv=None) -> int:
     except InternalDisagreement:
         traceback.print_exc()
         return 3
-    except SpposetError as exc:
+    except (SpposetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        # a stray KeyError, ValueError, ... is a bug, not a user error
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -647,27 +647,46 @@ def table_as_columns(t, rows_per_col=None) -> list[list[tuple]]:
     return out
 
 
+def _tables_from_columns(p: Poset, cols: list[list[tuple]]):
+    """The total tables that pick one solution per column, rightmost column
+    fastest: the cartesian product of the column solutions, each pick
+    transposed into rows.
+
+    Every solution must hold n ints in range(n); that is checked once per
+    column solution, before the first table, so the tables themselves are
+    built unchecked.  When some column has no solution there are no tables
+    and nothing is checked.
+    """
+    n = p.n
+    if all(cols):
+        if len(cols) != n or any(len(sol) != n for sols in cols for sol in sols):
+            raise ValueError(f"table must be {n}x{n}")
+        for sols in cols:
+            for sol in sols:
+                for v in sol:
+                    if not isinstance(v, int) or not 0 <= v < n:
+                        raise ValueError("total table must map every pair to an element")
+    make = TotalTable._from_checked_rows
+    for pick in itertools.product(*cols):
+        yield make(p, tuple(zip(*pick)))
+
+
 def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | None = None,
                          max_free_cells: int = 25):
     """All total tables extending the star table s that satisfy the given system.
 
     Streamed deterministically: column assignments vary rightmost-column
-    fastest.  Raises SizeCap when the number of free (non-sectioned) cells
-    exceeds the budget, and StructureMismatch or MissingSelection when the
-    poset lacks the structure or the selection the system needs.
+    fastest.  The values are checked once per column solution, not once per
+    table cell, and a bad solution raises ValueError before the first table.
+    Raises SizeCap when the number of free (non-sectioned) cells exceeds the
+    budget, and StructureMismatch or MissingSelection when the poset lacks
+    the structure or the selection the system needs.
     """
     p = s.owner
     free = sum(1 for x in range(p.n) for y in range(p.n) if not p.leq_ix(y, x))
     if free > max_free_cells:
         raise SizeCap(f"{free} free cells exceed the budget of {max_free_cells}")
-    cols = system_column_solutions(p, system, sel=sel, forced=s)
-    n = p.n
-    for pick in itertools.product(*cols):
-        cells = [[0] * n for _ in range(n)]
-        for c in range(n):
-            for r in range(n):
-                cells[r][c] = pick[c][r]
-        yield TotalTable(p, cells)
+    yield from _tables_from_columns(p, system_column_solutions(p, system, sel=sel, forced=s))
 
 
 # -- verification reports ---------------------------------------------------------
@@ -1349,20 +1368,11 @@ def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
             if out["plain"] == "verified" and not products_equal(sols, expected):
                 out["plain"] = f"counterexample at n={n}: {p.name}"
             if out["strong"] == "verified":
-                strong_sols = set()
-                empty = any(not c for c in sols)
-                size = 1
-                for c in sols:
-                    size *= max(len(c), 1)
+                size = math.prod(max(len(c), 1) for c in sols)
                 if size > 100_000:
                     out["strong"] = f"inconclusive at n={n}: {p.name} ({size} models)"
                     continue
-                if not empty:
-                    for pick in itertools.product(*sols):
-                        cells = [[pick[c][r] for c in range(p.n)] for r in range(p.n)]
-                        t = TotalTable(p, cells)
-                        if is_strong(p, t).holds:
-                            strong_sols.add(t)
+                strong_sols = {t for t in _tables_from_columns(p, sols) if is_strong(p, t).holds}
                 want = {ext.table} if ext.is_total and is_strong(p, ext.table).holds else set()
                 if strong_sols != want:
                     out["strong"] = f"counterexample at n={n}: {p.name}"

@@ -68,6 +68,10 @@ class UnknownPredicate(SpposetError):
     pass
 
 
+class UnknownSection(SpposetError):
+    """A document has no poset, table or selection of the requested name."""
+
+
 class ParseError(SpposetError):
     def __init__(self, message, line=None):
         self.line = line

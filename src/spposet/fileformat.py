@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, SpposetError
+from .errors import ParseError, SpposetError, UnknownSection
 from .extensions import LocalSelection, selection_custom
 from .poset import Poset, build_poset
 from .pseudo import PartialTable, TotalTable
@@ -52,7 +52,7 @@ class Document:
         for s in self.sections:
             if s.name == name and s.kind in kinds:
                 return s.obj
-        raise KeyError(f"no {' or '.join(kinds)} named {name!r}")
+        raise UnknownSection(f"no {' or '.join(kinds)} named {name!r}")
 
     def poset(self, name: str) -> Poset:
         return self._get(name, ("poset",))
@@ -191,7 +191,11 @@ def parse(text: str) -> Document:
 
 def parse_path(path) -> Document:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse(text)
 
 
 def _emit_poset(p: Poset) -> list[str]:

@@ -98,7 +98,11 @@ class PartialTable:
 
 
 class TotalTable:
-    """A binary operation defined on all pairs, cells[x][y] holding value indices."""
+    """A binary operation defined on all pairs, cells[x][y] holding value indices.
+
+    The constructor validates every cell.  `_from_checked_rows` is the
+    trusted constructor for rows that are already known to be valid.
+    """
 
     __slots__ = ("owner", "cells")
 
@@ -112,6 +116,16 @@ class TotalTable:
             for v in row:
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise ValueError("total table must map every pair to an element")
+
+    @classmethod
+    def _from_checked_rows(cls, owner: Poset, rows: tuple) -> "TotalTable":
+        """A table over rows that the caller has already checked: a tuple of
+        owner.n tuples, each holding owner.n ints in range(owner.n).  Nothing
+        is checked or copied here."""
+        t = object.__new__(cls)
+        t.owner = owner
+        t.cells = rows
+        return t
 
     @classmethod
     def from_ids(cls, owner: Poset, rows) -> "TotalTable":

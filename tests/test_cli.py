@@ -305,3 +305,48 @@ def test_closed_stdout_ends_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+def test_missing_poset_name(capsys):
+    code, out, err = run(capsys, "analyze", corpus_path("hexagon.sp"), "--poset", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no poset named 'nope'\n"
+
+
+def test_missing_table_name(capsys):
+    code, out, err = run(capsys, "check", corpus_path("hexagon-rp.sp"),
+                         "--table", "nope", "--system", "ESP")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no optable named 'nope'\n"
+
+
+def test_missing_selection_name(capsys):
+    code, out, err = run(capsys, "check", corpus_path("hexagon-fnat.sp"),
+                         "--table", "i-natural-frink", "--system", "NATI", "--selection", "nope")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no selection named 'nope'\n"
+
+
+def test_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.sp"
+    bad.write_bytes(b"poset p\nelements \xff\nend\n")
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+def test_stray_key_error_is_internal(capsys, monkeypatch):
+    from spposet import enumeration
+
+    def broken(theorem, max_n):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(enumeration, "verify_theorem", broken)
+    code, out, err = run(capsys, "verify", "--theorem", "T-GLB", "--max-n", "1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err
+    assert "KeyError: 'lost'" in err

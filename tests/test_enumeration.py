@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.resources
 import itertools
 import math
 import random
@@ -18,10 +19,13 @@ from spposet import (
     is_esp,
     natural_extension,
     restrict,
+    selection_frink,
+    selection_union,
     star_table,
     wrp_complement,
 )
 from spposet import enumeration
+from spposet.axioms import SYSTEMS
 from spposet.enumeration import (
     LABELED_CAP,
     are_isomorphic,
@@ -43,6 +47,7 @@ from spposet.errors import (
     InternalDisagreement,
     MissingSelection,
     SizeCap,
+    SpposetError,
     StructureMismatch,
     UnknownPredicate,
     UnknownTheorem,
@@ -155,6 +160,94 @@ def test_enumerate_extensions_all_satisfy_system(twochains):
         assert check_system(twochains, t, "NAT").holds
         assert restrict(t) == st
     assert list(enumerate_extensions(st, "NAT")) == [natural_extension(st)]
+
+
+# -- the extension stream against the cell-by-cell reference ------------------------
+
+
+def _reference_extensions(s, system, sel=None):
+    """The extension stream as first written: each product pick transposed
+    cell by cell into the public, validating TotalTable constructor."""
+    p = s.owner
+    n = p.n
+    cols = system_column_solutions(p, system, sel=sel, forced=s)
+    for pick in itertools.product(*cols):
+        cells = [[0] * n for _ in range(n)]
+        for c in range(n):
+            for r in range(n):
+                cells[r][c] = pick[c][r]
+        yield TotalTable(p, cells)
+
+
+def _assert_same_stream(s, system, sel, cap):
+    """Equal tables in equal order, or the same SpposetError from both."""
+    try:
+        want = list(itertools.islice(_reference_extensions(s, system, sel), cap))
+    except SpposetError as exc:
+        with pytest.raises(type(exc)):
+            next(enumerate_extensions(s, system, sel=sel, max_free_cells=40))
+        return 0
+    got = list(itertools.islice(enumerate_extensions(s, system, sel=sel, max_free_cells=40), cap))
+    assert [t.cells for t in got] == [t.cells for t in want]
+    assert all(t.owner is s.owner for t in got)
+    return len(got)
+
+
+def _corpus_posets():
+    out = {}
+    for res in sorted(importlib.resources.files("spposet.corpus").iterdir(), key=lambda r: r.name):
+        if res.name.endswith(".sp"):
+            for section in parse(res.read_text("utf-8")).sections:
+                if section.kind == "poset":
+                    out.setdefault(section.name, section.obj)
+    return [out[name] for name in sorted(out)]
+
+
+def test_enumerate_extensions_matches_reference_on_corpus():
+    streamed = 0
+    for p in _corpus_posets():
+        st = star_table(p)
+        for system in sorted(set(SYSTEMS) - {"SP"}):
+            sels = [selection_frink(p), selection_union(p)] if system == "NATI" else [None]
+            for sel in sels:
+                streamed += _assert_same_stream(st, system, sel, 3000)
+        # SP is the partial-table system: its column solutions hold one value
+        # per section row only, so they make no total table
+        with pytest.raises(ValueError, match="table must be"):
+            next(enumerate_extensions(st, "SP", max_free_cells=40))
+    assert streamed > 5 * 3000
+
+
+def test_enumerate_extensions_matches_reference_on_small_posets():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            st = star_table(p)
+            if isinstance(st, MissingWitness):
+                continue
+            for system in ("ESP", "NAT", "NRM", "J"):
+                _assert_same_stream(st, system, None, 1000)
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (1, "1"), (1,)],
+                         ids=["out-of-range", "not-an-int", "short"])
+def test_enumerate_extensions_rejects_bad_column_solution(bad, monkeypatch):
+    chain = build_poset("c2", ["0", "1"], [("0", "1")])
+    # the bad solution comes second, after a good one: a per-table check
+    # would yield a table before it fails
+    cols = [[(0, 1)], [(1, 1), bad]]
+    monkeypatch.setattr(enumeration, "system_column_solutions", lambda *a, **k: cols)
+    yielded = []
+    with pytest.raises(ValueError):
+        for t in enumerate_extensions(star_table(chain), "ESP"):
+            yielded.append(t)
+    assert yielded == []
+
+
+def test_enumerate_extensions_empty_column_checks_nothing(monkeypatch):
+    chain = build_poset("c2", ["0", "1"], [("0", "1")])
+    monkeypatch.setattr(enumeration, "system_column_solutions",
+                        lambda *a, **k: [[], [(1, 2)]])
+    assert list(enumerate_extensions(star_table(chain), "ESP")) == []
 
 
 def test_unknown_ids():
@@ -272,6 +365,10 @@ def test_probe_sinat_variants():
     out = probe_sinat_variants(4)
     assert out["plain"].startswith("counterexample at n=3")
     assert out["strong"] == "verified"
+
+
+def test_probe_sinat_variants_union():
+    assert probe_sinat_variants(4, "union") == {"plain": "verified", "strong": "verified"}
 
 
 def test_products_equal_empty_care():
