@@ -20,7 +20,6 @@ from .pseudo import (
     PartialTable,
     PropertyReport,
     TotalTable,
-    restrict,
     star_table,
 )
 from .poset import Poset, bits
@@ -186,14 +185,12 @@ def _sweep_nati(p: Poset, t: TotalTable, sel: LocalSelection):
     base = _sweep_nat(p, t)
 
     def nati3():
+        disjoint, rows = p.disjoint_over_masks(), sel.rows
         for x in range(n):
             for y in range(n):
-                for z in range(n):
-                    if not p.leq_ix(z, x):
-                        continue
-                    if all(p.disjoint_over_ix(x, w, z) for w in bits(sel.mask_ix(y, z))):
-                        if not p.leq_ix(x, c[y][z]):
-                            return els[x], els[y], els[z]
+                for z in bits(p.downs[x]):
+                    if rows[y][z] & ~disjoint[x][z] == 0 and not p.leq_ix(x, c[y][z]):
+                        return els[x], els[y], els[z]
 
     return [base[0], base[1], ("natI3", nati3)]
 
@@ -454,10 +451,10 @@ def is_esp(p: Poset, t: TotalTable) -> Verdict:
     st = star_table(p)
     if isinstance(st, MissingWitness):
         return Verdict(False, (st.x, st.y))
-    r = restrict(t)
     for x in range(p.n):
         for y in range(p.n):
-            if st.cells[x][y] is not None and st.cells[x][y] != r.cells[x][y]:
+            v = st.cells[x][y]
+            if v is not None and v != t.cells[x][y]:
                 return Verdict(False, (p.elements[x], p.elements[y]))
     return Verdict(True)
 
@@ -670,25 +667,30 @@ def _suite_inat_prop(p: Poset, t: TotalTable):
 
 
 def _suite_simpl_i(p: Poset, sel: LocalSelection):
-    n, els = p.n, p.elements
+    # Each right-hand side quantifies a pointwise predicate over the z in
+    # I(x, y), read from a mask of the z that satisfy it; it is never derived
+    # from the left-hand side, or the lemma would hold by construction.
+    n, els, rows = p.n, p.elements, sel.rows
 
     def item_a():
+        disjoint = p.disjoint_over_masks()
         for u in range(n):
             for x in range(n):
                 for y in range(n):
-                    im = sel.mask_ix(x, y)
+                    im = rows[x][y]
                     lhs = p.downs[u] & im & p.ups[y] & ~(1 << y) == 0
-                    rhs = all(p.disjoint_over_ix(u, z, y) for z in bits(im))
+                    rhs = im & ~disjoint[u][y] == 0
                     if lhs != rhs:
                         return els[u], els[x], els[y]
 
     def item_b():
+        meets = p.meet_over_masks()
         for u in range(n):
             for x in range(n):
                 for y in range(n):
-                    im = sel.mask_ix(x, y)
+                    im = rows[x][y]
                     lhs = p.downs[u] & im & p.ups[y] == 1 << y
-                    rhs = all(p.meet_over_ix(u, z, y) == y for z in bits(im & p.ups[y]))
+                    rhs = im & p.ups[y] & ~meets[u][y] == 0
                     if lhs != rhs:
                         return els[u], els[x], els[y]
 

@@ -10,11 +10,16 @@ SpposetError, such as a missing poset, table or selection name, or an
 OSError is a usage or input error.  When the reader of stdout goes away
 early (`spposet hunt ... | head -1`), the command ends quietly with 141,
 the status a shell reports for a writer stopped by SIGPIPE.
+
+The argument parser is built on the first call of `main` and reused by every
+later call in the same process; each call still parses into a fresh
+namespace, so no option value carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -268,10 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -37,8 +37,22 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .axioms import check_system, implicativity, is_esp, is_normal, is_strong, require_system
-from .errors import InternalDisagreement, SizeCap, UnknownPredicate, UnknownTheorem
+from .axioms import (
+    SYSTEMS,
+    check_system,
+    implicativity,
+    is_esp,
+    is_normal,
+    is_strong,
+    require_system,
+)
+from .errors import (
+    InternalDisagreement,
+    SizeCap,
+    StructureMismatch,
+    UnknownPredicate,
+    UnknownTheorem,
+)
 from .extensions import (
     LocalSelection,
     i_natural_cell,
@@ -141,14 +155,15 @@ class _Lazy:
 
 
 def _new_classes(level):
-    """The one-point extensions of `level` that start a new class, in order."""
+    """The one-point extensions of the representatives in `level` that start
+    a new class, in order, each as (masks, |Aut|) from its one search."""
     seen: set[int] = set()
-    for base in level:
+    for base, _ in level:
         for masks in _one_point_extensions(base):
-            key = canonical_key(masks)
+            key, aut = _search(masks)
             if key not in seen:
                 seen.add(key)
-                yield masks
+                yield masks, aut
 
 
 def _iso_levels(max_n: int):
@@ -159,9 +174,10 @@ def _iso_levels(max_n: int):
     deduplicating by canonical key reaches every class.  Each level is built
     once, from the level before it, starting from the empty poset, and only
     as far as its consumer reads it: a sweep that stops at its first failing
-    class never builds the rest of that level.
+    class never builds the rest of that level.  Each representative comes
+    as (masks, |Aut|).
     """
-    level = _Lazy([()])
+    level = _Lazy([((), 1)])
     for _ in range(max_n):
         level = _Lazy(_new_classes(level))
         yield level
@@ -381,7 +397,7 @@ def enumerate_posets(n: int, dedup: str = "labeled"):
             yield Poset(f"P{n}-{k}", names, masks)
     else:
         *_, level = _iso_levels(n)
-        for k, masks in enumerate(level):
+        for k, (masks, _) in enumerate(level):
             yield Poset(f"Q{n}-{k}", names, masks)
 
 
@@ -495,12 +511,13 @@ def _cell_candidates(p: Poset, system: str, sel: LocalSelection | None):
                         need[y][z] |= 1 << x
         restrict_ge(need)
     if system == "NATI":
+        disjoint = p.disjoint_over_masks()
         need = [[0] * n for _ in range(n)]
         for y in range(n):
             for z in range(n):
-                im = sel.mask_ix(y, z)
+                im = sel.rows[y][z]
                 for x in bits(p.ups[z]):
-                    if all(p.disjoint_over_ix(x, w, z) for w in bits(im)):
+                    if im & ~disjoint[x][z] == 0:
                         need[y][z] |= 1 << x
         restrict_ge(need)
     if system == "J":
@@ -679,9 +696,12 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
     fastest.  The values are checked once per column solution, not once per
     table cell, and a bad solution raises ValueError before the first table.
     Raises SizeCap when the number of free (non-sectioned) cells exceeds the
-    budget, and StructureMismatch or MissingSelection when the poset lacks
-    the structure or the selection the system needs.
+    budget, StructureMismatch for the partial-table system SP or when the
+    poset lacks the structure the system needs, and MissingSelection when
+    the system needs a selection and none is given.
     """
+    if SYSTEMS.get(system, {}).get("kind") == "partial":
+        raise StructureMismatch(f"system {system} needs a partial table; extensions are total")
     p = s.owner
     free = sum(1 for x in range(p.n) for y in range(p.n) if not p.leq_ix(y, x))
     if free > max_free_cells:
@@ -769,7 +789,7 @@ def _class_levels(max_n: int):
     """Per n, each isomorphism class as (representative masks, orbit size n!/|Aut|),
     found as the level is read."""
     for n, level in enumerate(_iso_levels(max_n), 1):
-        yield _Lazy((masks, math.factorial(n) // automorphism_count(masks)) for masks in level)
+        yield _Lazy((masks, math.factorial(n) // aut) for masks, aut in level)
 
 
 def _scan(weighted_posets, hypothesis, check, stop: bool):

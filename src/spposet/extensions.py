@@ -173,18 +173,21 @@ class LocalSelection:
     when y <= x; and I(x, y) grows when either argument grows.  The derived
     consequences (I(x, y) inside (z] for every common upper bound z, and the
     sandwich (x] u (y] <= I(x, y) <= every such (z]) are re-checked as well.
+    ``rows[i][j]`` is the mask of I(i, j), for both orders of every pair.
     """
 
-    __slots__ = ("owner", "kind", "_masks")
+    __slots__ = ("owner", "kind", "_masks", "rows")
 
     def __init__(self, owner: Poset, kind: str, masks: dict):
         self.owner = owner
         self.kind = kind
         self._masks = masks  # keyed by (min(i,j), max(i,j))
+        r = range(owner.n)
+        self.rows = tuple(tuple(masks[(i, j) if i <= j else (j, i)] for j in r) for i in r)
         self._validate()
 
     def mask_ix(self, i: int, j: int) -> int:
-        return self._masks[(i, j) if i <= j else (j, i)]
+        return self.rows[i][j]
 
     def choose(self, x: str, y: str) -> ElementSet:
         return self.owner.set_of(self.mask_ix(self.owner.index(x), self.owner.index(y)))
@@ -202,9 +205,10 @@ class LocalSelection:
     def _validate(self):
         p = self.owner
         els = p.elements
+        rows = self.rows
         for i in range(p.n):
             for j in range(i, p.n):
-                m = self.mask_ix(i, j)
+                m = rows[i][j]
                 for u in bits(m):
                     if p.downs[u] & ~m:
                         raise SelectionAxiomViolation("down-set", (els[i], els[j], els[u]))
@@ -217,9 +221,9 @@ class LocalSelection:
         # I3 with its derived consequences I4 / I5
         for i in range(p.n):
             for j in range(p.n):
-                m = self.mask_ix(i, j)
+                m = rows[i][j]
                 for i2 in bits(p.ups[i]):
-                    if m & ~self.mask_ix(i2, j):
+                    if m & ~rows[i2][j]:
                         raise SelectionAxiomViolation("I3", (els[i], els[j], els[i2]))
                 for z in bits(p.ups[i] & p.ups[j]):
                     if m & ~p.downs[z]:

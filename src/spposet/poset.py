@@ -26,13 +26,11 @@ def size_cap() -> int:
 
 
 def bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    i = 0
+    """Indices of the set bits of mask, ascending, one lowest bit at a time."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Poset:
@@ -152,6 +150,48 @@ class Poset:
         if z is None or self.ups[b] & self.downs[z] != m:
             return None
         return z
+
+    def disjoint_over_masks(self) -> list[list[int]]:
+        """masks[u][b]: the z with disjoint_over_ix(u, z, b), as a bitmask.
+
+        Each z is tested on its own, with the factors of the test that do not
+        depend on z taken out, so a law over a whole set of z is one mask test.
+        """
+        n, ups, downs, full = self.n, self.ups, self.downs, self.full
+        out = []
+        for u in range(n):
+            row = []
+            for b in range(n):
+                between = ups[b] & downs[u] & ~(1 << b)
+                m = full
+                if between:
+                    for z in range(n):
+                        if downs[z] & between:
+                            m ^= 1 << z
+                row.append(m)
+            out.append(row)
+        return out
+
+    def meet_over_masks(self) -> list[list[int]]:
+        """masks[u][b]: the z with meet_over_ix(u, z, b) == b, as a bitmask.
+
+        That meet is b exactly when [b,u] n [b,z] = {b}; each z is tested on
+        its own, as in disjoint_over_masks.
+        """
+        n, ups, downs = self.n, self.ups, self.downs
+        out = []
+        for u in range(n):
+            row = []
+            for b in range(n):
+                between, only = ups[b] & downs[u], 1 << b
+                m = 0
+                if between & only:
+                    for z in range(n):
+                        if downs[z] & between == only:
+                            m |= 1 << z
+                row.append(m)
+            out.append(row)
+        return out
 
     def meet(self, x: str, y: str) -> str | None:
         z = self.greatest_of(self.downs[self.index(x)] & self.downs[self.index(y)])

@@ -350,3 +350,28 @@ def test_stray_key_error_is_internal(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert "KeyError: 'lost'" in err
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    from spposet import cli
+
+    fnat = corpus_path("hexagon-fnat.sp")
+    requests = [
+        ("extend", "nowhere.sp"),  # usage error: missing required options
+        ("check", fnat, "--table", "i-natural-frink", "--system", "NATI", "--selection", "frink"),
+        ("check", fnat, "--table", "i-natural-frink", "--system", "NATI"),
+        ("--help",),
+        ("extend", corpus_path("hexagon.sp"), "--poset", "hex", "--method", "pure"),
+    ]
+    cli._parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in requests]
+    fresh = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 2, 0, 0]
+    # the --selection of the request before is not inherited
+    assert reused[2][2] == "error: system NATI needs a local selection\n"
+    assert reused[3][1].startswith("usage: spposet ")
+    assert reused[4][1] == corpus_bytes("hexagon-pure.sp")

@@ -211,9 +211,8 @@ def test_enumerate_extensions_matches_reference_on_corpus():
             sels = [selection_frink(p), selection_union(p)] if system == "NATI" else [None]
             for sel in sels:
                 streamed += _assert_same_stream(st, system, sel, 3000)
-        # SP is the partial-table system: its column solutions hold one value
-        # per section row only, so they make no total table
-        with pytest.raises(ValueError, match="table must be"):
+        # SP is the partial-table system, so it has no total extensions
+        with pytest.raises(StructureMismatch, match="system SP needs a partial table"):
             next(enumerate_extensions(st, "SP", max_free_cells=40))
     assert streamed > 5 * 3000
 
@@ -415,6 +414,24 @@ def test_orbit_sizes_sum_to_labeled_counts():
         assert all(orbit * automorphism_count(masks) == math.factorial(n) for masks, orbit in level)
 
 
+def test_class_generation_searches_each_input_once(monkeypatch):
+    # the 411 one-point extensions of the classes below n = 5 are each
+    # searched once; the 87 representatives take |Aut| from that search
+    calls = []
+    search = enumeration._search
+
+    def counting(masks):
+        calls.append(masks)
+        return search(masks)
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    report = verify_theorem("T-GLB", 5)
+    assert report.outcome == "verified"
+    assert sum(report.posets_per_n.values()) == sum(LABELED_COUNTS[n] for n in range(1, 6))
+    assert len(calls) == 411
+    assert len(set(calls)) == 411
+
+
 @st.composite
 def relabeled_posets(draw, max_n=6):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -452,12 +469,13 @@ def test_failing_hunt_stops_inside_the_class_level(monkeypatch):
     inputs_at_five = sum(1 for p in enumerate_posets(4, "up-to-iso")
                          for _ in enumeration._one_point_extensions(p.ups))
     calls = []
+    search = enumeration._search
 
     def counting(masks):
         calls.append(len(masks))
-        return canonical_key(masks)
+        return search(masks)
 
-    monkeypatch.setattr(enumeration, "canonical_key", counting)
+    monkeypatch.setattr(enumeration, "_search", counting)
     assert find_counterexample("J⇒ESP", 5).outcome == "counterexample"
     assert 0 < calls.count(5) < inputs_at_five
 
@@ -514,14 +532,16 @@ def _oracle_key(masks):
 
 def test_canonical_key_partitions_class_generation_like_the_oracle(monkeypatch):
     inputs = []
+    search = enumeration._search
 
     def recording(masks):
         inputs.append(masks)
-        return canonical_key(masks)
+        return search(masks)
 
-    monkeypatch.setattr(enumeration, "canonical_key", recording)
+    monkeypatch.setattr(enumeration, "_search", recording)
     for level in enumeration._iso_levels(7):
         len(level)
+    monkeypatch.undo()
     assert len(inputs) == 18710
     for n in range(1, 8):
         pairs = {(canonical_key(m), _oracle_key(m)) for m in inputs if len(m) == n}
