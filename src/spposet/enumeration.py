@@ -6,14 +6,18 @@ one new greatest-index element in every consistent way, which yields every
 labeled poset exactly once.  An independent naive oracle (filter all n*n-bit
 relations through the three order laws, one-point-extended once for n = 5)
 re-derives the counts 1, 3, 19, 219, 4231 so the generator never has to be
-taken on faith.  Isomorphism classes are built level by level: the one-point
-extensions of the (n-1)-representatives, deduplicated by canonical key.  The
-key comes from an individualization-refinement search: equitable refinement
-of an ordered partition of the elements, one element of the first cell that
-is not a set of twins (incomparable elements with the same strict up- and
+taken on faith.  Isomorphism classes are built level by level: each
+(n-1)-representative gains a new maximal element over one down-set per orbit
+of the automorphisms its search found, and the results are deduplicated by
+canonical key (Brinkmann & McKay, "Posets on up to 16 points", Order 19,
+2002).  The key comes from an individualization-refinement search: equitable refinement of
+an ordered partition of the elements, one element of the first cell that is
+not a set of twins (incomparable elements with the same strict up- and
 down-sets) individualized at each branch, and children skipped when an
-automorphism found at two equal leaves maps a searched child onto them.  The same search yields |Aut(P)|, so the cost follows the search tree,
-not the factorial of the symmetric blocks.
+automorphism found at two equal leaves maps a searched child onto them.  The
+same search yields |Aut(P)| and the automorphisms that prune the next level,
+so the cost follows the search tree, not the factorial of the symmetric
+blocks.
 
 Every theorem and hunted property is a statement about order structure, so
 the sweeps check one representative per isomorphism class and weight it by
@@ -86,6 +90,18 @@ def _downs(masks) -> list[int]:
     return downs
 
 
+def _closed_sets(rel) -> list[int]:
+    """Every subset s of {0..m-1}, m = len(rel), that contains rel[i] for each
+    member i, in increasing order: the down-sets when rel holds down-masks,
+    the up-sets when it holds up-masks."""
+    full = 1 << len(rel)
+    closure = [0] * full
+    for s in range(1, full):
+        low = s & -s
+        closure[s] = closure[s ^ low] | rel[low.bit_length() - 1]
+    return [s for s in range(full) if closure[s] == s]
+
+
 def _one_point_extensions(base: tuple[int, ...]):
     """All posets obtained from base by adding one new greatest-index element.
 
@@ -96,20 +112,8 @@ def _one_point_extensions(base: tuple[int, ...]):
     """
     m = len(base)
     newbit = 1 << m
-    downs = _downs(base)
-    # a set is a down-set (up-set) when it contains the down-set (up-set) of
-    # each member; below[s] and above[s] are those closures, built over s
-    below = [0] * newbit
-    above = [0] * newbit
-    for s in range(1, newbit):
-        low = s & -s
-        i = low.bit_length() - 1
-        below[s] = below[s ^ low] | downs[i]
-        above[s] = above[s ^ low] | base[i]
-    up_sets = [s for s in range(newbit) if above[s] == s]
-    for d in range(newbit):
-        if below[d] != d:
-            continue
+    up_sets = _closed_sets(base)
+    for d in _closed_sets(_downs(base)):
         allowed = newbit - 1
         for i in bits(d):
             allowed &= base[i]
@@ -154,30 +158,96 @@ class _Lazy:
         return len(self._items)
 
 
+def _orbit_minima(sets: list[int], perms: list[list[int]], m: int) -> list[int]:
+    """The members of `sets` that are the smallest of their orbit under the
+    group generated by the permutations `perms` of {0..m-1}, in order; every
+    image of a member must be a member."""
+    images = []
+    for g in perms:
+        image = [0] * (1 << m)
+        for s in range(1, 1 << m):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(image)
+    reached: set[int] = set()
+    minima = []
+    for s in sets:
+        if s in reached:
+            continue
+        minima.append(s)
+        reached.add(s)
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for image in images:
+                if image[t] not in reached:
+                    reached.add(image[t])
+                    stack.append(image[t])
+    return minima
+
+
+def _maximal_extensions(base: tuple[int, ...], gens: list[list[int]]):
+    """Base with one new greatest-index element that is maximal, as (masks,
+    down-masks): its strict down-set D runs over the down-sets of base in
+    increasing order, and its strict up-set is empty.
+
+    Only the smallest D of each orbit under the automorphisms `gens` of base
+    and the transpositions of its twins is used.  An automorphism g of base,
+    extended to fix the new element, is an isomorphism from the extension
+    over D onto the one over g(D), so a skipped D is isomorphic to a used one
+    that comes before it, and the first D of base to reach a class is never
+    skipped: the classes reached, and the order they are first reached in,
+    are those of every down-set.
+    """
+    m = len(base)
+    newbit = 1 << m
+    downs = _downs(base)
+    same: dict[tuple[int, int], list[int]] = {}
+    for v in range(m):
+        same.setdefault((base[v] ^ 1 << v, downs[v] ^ 1 << v), []).append(v)
+    swaps = []
+    for first, *others in same.values():
+        for v in others:
+            swap = list(range(m))
+            swap[first], swap[v] = v, first
+            swaps.append(swap)
+    for d in _orbit_minima(_closed_sets(downs), gens + swaps, m):
+        masks = tuple(base[i] | newbit if d >> i & 1 else base[i] for i in range(m))
+        yield masks + (newbit,), downs + [d | newbit]
+
+
 def _new_classes(level):
-    """The one-point extensions of the representatives in `level` that start
-    a new class, in order, each as (masks, |Aut|) from its one search."""
+    """The extensions of the representatives in `level` by a new maximal
+    element (`_maximal_extensions`, pruned by the automorphisms each
+    representative's search recorded) that start a new class, in order, each
+    as (masks, |Aut|, automorphisms recorded) from its one search.  Every
+    class one level up is reached: removing a maximal element of any poset
+    leaves one isomorphic to a representative in `level`."""
     seen: set[int] = set()
-    for base, _ in level:
-        for masks in _one_point_extensions(base):
-            key, aut = _search(masks)
+    for base, _, gens in level:
+        for masks, downs in _maximal_extensions(base, gens):
+            key, aut, found = _search(masks, downs)
             if key not in seen:
                 seen.add(key)
-                yield masks, aut
+                yield masks, aut, found
 
 
 def _iso_levels(max_n: int):
     """One representative per isomorphism class for n = 1..max_n, level by level.
 
-    Removing the last-placed element of any n-poset leaves a poset isomorphic
-    to some (n-1)-representative, so extending just the representatives and
-    deduplicating by canonical key reaches every class.  Each level is built
+    Every n-poset has a maximal element, and removing it leaves a poset
+    isomorphic to some (n-1)-representative B; so adding a new maximal
+    element to each representative, over each down-set, and deduplicating by
+    canonical key reaches every class.  Down-sets that an automorphism of B
+    maps onto an earlier one are skipped (`_maximal_extensions`), which
+    changes neither the classes nor their order.  Class order is the order
+    in which this generator first reaches each class.  Each level is built
     once, from the level before it, starting from the empty poset, and only
     as far as its consumer reads it: a sweep that stops at its first failing
     class never builds the rest of that level.  Each representative comes
-    as (masks, |Aut|).
+    as (masks, |Aut|, automorphisms its search recorded).
     """
-    level = _Lazy([((), 1)])
+    level = _Lazy([((), 1, [])])
     for _ in range(max_n):
         level = _Lazy(_new_classes(level))
         yield level
@@ -258,8 +328,10 @@ def _orbit_roots(gens: list[list[int]], fixed: list[int], n: int) -> list[int]:
     return root
 
 
-def _search(masks) -> tuple[int, int]:
-    """Canonical key and |Aut(P)| from one individualization-refinement search.
+def _search(masks, downs=None) -> tuple[int, int, list[list[int]]]:
+    """Canonical key, |Aut(P)| and the automorphisms recorded (as image
+    lists), from one individualization-refinement search; `downs` are the
+    down-masks of `masks` when the caller already has them.
 
     Twins are incomparable elements with the same strict up- and down-sets;
     any permutation of twins is an automorphism.  The root of the search is
@@ -282,11 +354,12 @@ def _search(masks) -> tuple[int, int]:
     of the first leaf's cells.
     """
     n = len(masks)
-    downs = _downs(masks)
+    if downs is None:
+        downs = _downs(masks)
     full = (1 << n) - 1
     root = _refine([full] if n else [], [full], masks, downs)
     if len(root) == n:
-        return _relabeled([c.bit_length() - 1 for c in root], masks), 1
+        return _relabeled([c.bit_length() - 1 for c in root], masks), 1, []
     strict = [(masks[v] ^ 1 << v, downs[v] ^ 1 << v) for v in range(n)]
     same: dict[tuple[int, int], int] = {}
     for v, s in enumerate(strict):
@@ -353,7 +426,7 @@ def _search(masks) -> tuple[int, int]:
         return depth
 
     visit(root, [], True)
-    return leaves[1][0], aut
+    return leaves[1][0], aut, gens
 
 
 def canonical_key(masks) -> int:
@@ -385,7 +458,16 @@ def are_isomorphic(p: Poset, q: Poset) -> bool:
 
 
 def enumerate_posets(n: int, dedup: str = "labeled"):
-    """Stream the posets of size n, labeled or one representative per isomorphism class."""
+    """Stream the posets of size n, labeled or one representative per isomorphism class.
+
+    Labeled posets come in one-point-extension order (P<n>-0, P<n>-1, ...).
+    Classes come in the order the maximal-element generator of `_iso_levels`
+    first reaches them (Q<n>-0, Q<n>-1, ...): each (n-1)-representative, in
+    its own order, gains a new maximal element over its down-sets in
+    increasing order, and down-sets that one of its automorphisms maps onto
+    an earlier one are skipped, which reaches the same classes in the same
+    order.
+    """
     if dedup not in ("labeled", "up-to-iso"):
         raise ValueError(f"dedup must be 'labeled' or 'up-to-iso', got {dedup!r}")
     cap = LABELED_CAP if dedup == "labeled" else ISO_CAP
@@ -397,7 +479,7 @@ def enumerate_posets(n: int, dedup: str = "labeled"):
             yield Poset(f"P{n}-{k}", names, masks)
     else:
         *_, level = _iso_levels(n)
-        for k, (masks, _) in enumerate(level):
+        for k, (masks, _, _) in enumerate(level):
             yield Poset(f"Q{n}-{k}", names, masks)
 
 
@@ -789,7 +871,7 @@ def _class_levels(max_n: int):
     """Per n, each isomorphism class as (representative masks, orbit size n!/|Aut|),
     found as the level is read."""
     for n, level in enumerate(_iso_levels(max_n), 1):
-        yield _Lazy((masks, math.factorial(n) // aut) for masks, aut in level)
+        yield _Lazy((masks, math.factorial(n) // aut) for masks, aut, _ in level)
 
 
 def _scan(weighted_posets, hypothesis, check, stop: bool):

@@ -171,8 +171,9 @@ class LocalSelection:
 
     Required laws: x and y belong to I(x, y); I(x, y) = I(y, x); I(x, y) = (x]
     when y <= x; and I(x, y) grows when either argument grows.  The derived
-    consequences (I(x, y) inside (z] for every common upper bound z, and the
-    sandwich (x] u (y] <= I(x, y) <= every such (z]) are re-checked as well.
+    consequences need no check of their own: (x] u (y] <= I(x, y) holds for a
+    down-set holding x and y, and I(x, y) <= (z] for a common upper bound z is
+    growth in x up to z, since I(z, y) = (z].
     ``rows[i][j]`` is the mask of I(i, j), for both orders of every pair.
     """
 
@@ -218,18 +219,12 @@ class LocalSelection:
                     raise SelectionAxiomViolation("I2", (els[i], els[j]))
                 if p.leq_ix(i, j) and m != p.downs[j]:
                     raise SelectionAxiomViolation("I2", (els[i], els[j]))
-        # I3 with its derived consequences I4 / I5
         for i in range(p.n):
             for j in range(p.n):
                 m = rows[i][j]
                 for i2 in bits(p.ups[i]):
                     if m & ~rows[i2][j]:
                         raise SelectionAxiomViolation("I3", (els[i], els[j], els[i2]))
-                for z in bits(p.ups[i] & p.ups[j]):
-                    if m & ~p.downs[z]:
-                        raise SelectionAxiomViolation("I4", (els[i], els[j], els[z]))
-                if (p.downs[i] | p.downs[j]) & ~m:
-                    raise SelectionAxiomViolation("I5", (els[i], els[j]))
 
 
 def selection_union(p: Poset) -> LocalSelection:

@@ -55,7 +55,7 @@ from spposet.errors import (
 from spposet.fileformat import parse
 from spposet.poset import bits
 
-LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
+LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023, 7: 6129859, 8: 431723379}
 ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
 
 
@@ -67,7 +67,12 @@ def test_labeled_counts_match_naive_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_iso_counts(n):
-    assert sum(1 for _ in enumerate_posets(n, "up-to-iso")) == ISO_COUNTS[n]
+    # the orbit sizes n!/|Aut| of the classes add up to the labeled count only
+    # when no class is missing and none appears twice
+    classes = list(enumerate_posets(n, "up-to-iso"))
+    assert len(classes) == ISO_COUNTS[n]
+    orbits = sum(math.factorial(n) // automorphism_count(p.ups) for p in classes)
+    assert orbits == LABELED_COUNTS[n]
 
 
 def test_iso_dedup_consistent_with_labeled():
@@ -415,21 +420,79 @@ def test_orbit_sizes_sum_to_labeled_counts():
 
 
 def test_class_generation_searches_each_input_once(monkeypatch):
-    # the 411 one-point extensions of the classes below n = 5 are each
-    # searched once; the 87 representatives take |Aut| from that search
+    # the 132 extensions of the classes below n = 5 by a new maximal element
+    # that orbit pruning keeps are each searched once; the 87 representatives
+    # take |Aut| from that search
     calls = []
     search = enumeration._search
 
-    def counting(masks):
+    def counting(masks, downs=None):
         calls.append(masks)
-        return search(masks)
+        return search(masks, downs)
 
     monkeypatch.setattr(enumeration, "_search", counting)
     report = verify_theorem("T-GLB", 5)
     assert report.outcome == "verified"
     assert sum(report.posets_per_n.values()) == sum(LABELED_COUNTS[n] for n in range(1, 6))
-    assert len(calls) == 411
-    assert len(set(calls)) == 411
+    assert len(calls) == 132
+    assert len(set(calls)) == 132
+
+
+def _one_point_class_levels(max_n):
+    """The class generator before the maximal-element one: every one-point
+    extension of every representative, deduplicated by canonical key.  Per
+    level, canonical key -> first representative, in order."""
+    level = [()]
+    for _ in range(max_n):
+        classes = {}
+        for base in level:
+            for masks in enumeration._one_point_extensions(base):
+                classes.setdefault(canonical_key(masks), masks)
+        level = list(classes.values())
+        yield classes
+
+
+def test_maximal_element_classes_match_the_one_point_oracle(monkeypatch):
+    calls = []
+    search = enumeration._search
+
+    def counting(masks, downs=None):
+        calls.append(len(masks))
+        return search(masks, downs)
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    levels = [list(level) for level in enumeration._class_levels(7)]
+    monkeypatch.undo()
+    assert len(calls) == 4870  # 18710 for the oracle
+    for n, (oracle, level) in enumerate(zip(_one_point_class_levels(7), levels), 1):
+        assert len(level) == len(oracle) == ISO_COUNTS[n]
+        assert {canonical_key(masks) for masks, _ in level} == oracle.keys()
+        assert sum(orbit for _, orbit in level) == LABELED_COUNTS[n]
+
+
+def _first_reached(extensions):
+    """(canonical key, masks) of each extension that reaches a new class, in order."""
+    firsts = {}
+    for masks in extensions:
+        firsts.setdefault(canonical_key(masks), masks)
+    return list(firsts.items())
+
+
+def test_orbit_pruning_reaches_the_same_classes_in_the_same_order():
+    kept = every = 0
+    for level in enumeration._iso_levels(6):
+        for base, _, gens in level:
+            pruned = []
+            for masks, downs in enumeration._maximal_extensions(base, gens):
+                assert downs == enumeration._downs(masks)
+                pruned.append(masks)
+            # every extension whose new element has no strict upper bound
+            unpruned = [masks for masks in enumeration._one_point_extensions(base)
+                        if masks[-1] == 1 << len(base)]
+            assert _first_reached(pruned) == _first_reached(unpruned)
+            kept += len(pruned)
+            every += len(unpruned)
+    assert (kept, every) == (4869, 6377)
 
 
 @st.composite
@@ -466,14 +529,15 @@ def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
 def test_failing_hunt_stops_inside_the_class_level(monkeypatch):
     # J=>ESP first fails at n = 5; the class pass stops at its first failing
     # class, so the level-5 classes after it are never generated
-    inputs_at_five = sum(1 for p in enumerate_posets(4, "up-to-iso")
-                         for _ in enumeration._one_point_extensions(p.ups))
+    *_, fours = enumeration._iso_levels(4)
+    inputs_at_five = sum(1 for base, _, gens in fours
+                         for _ in enumeration._maximal_extensions(base, gens))
     calls = []
     search = enumeration._search
 
-    def counting(masks):
+    def counting(masks, downs=None):
         calls.append(len(masks))
-        return search(masks)
+        return search(masks, downs)
 
     monkeypatch.setattr(enumeration, "_search", counting)
     assert find_counterexample("J⇒ESP", 5).outcome == "counterexample"
@@ -530,18 +594,12 @@ def _oracle_key(masks):
     return best
 
 
-def test_canonical_key_partitions_class_generation_like_the_oracle(monkeypatch):
-    inputs = []
-    search = enumeration._search
-
-    def recording(masks):
-        inputs.append(masks)
-        return search(masks)
-
-    monkeypatch.setattr(enumeration, "_search", recording)
-    for level in enumeration._iso_levels(7):
-        len(level)
-    monkeypatch.undo()
+def test_canonical_key_partitions_class_generation_like_the_oracle():
+    # every one-point extension of every class below n = 7: the inputs of the
+    # one-point class generator, a superset of the maximal-element ones
+    inputs = [masks for level in [{(): ()}, *_one_point_class_levels(6)]
+              for base in level.values()
+              for masks in enumeration._one_point_extensions(base)]
     assert len(inputs) == 18710
     for n in range(1, 8):
         pairs = {(canonical_key(m), _oracle_key(m)) for m in inputs if len(m) == n}

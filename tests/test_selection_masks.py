@@ -264,9 +264,10 @@ def test_selection_validation_matches_the_oracle():
                 assert got == _verdict(lambda: _oracle_validate(p, masks))
                 if got is not None:
                     fired.add(got[0])
-    # I4 and I5 are re-checked consequences: a selection that breaks I5 is
-    # not a down-set or misses x or y, and one that breaks I4 breaks I3 at
-    # the same upper bound first, so only the four primary laws ever fire
+    # I4 and I5 are consequences that only the oracle re-checks: a selection
+    # that breaks I5 is not a down-set or misses x or y, and one that breaks
+    # I4 breaks I3 at the same upper bound first, so only the four primary
+    # laws ever fire
     assert fired == {"down-set", "I0", "I2", "I3"}
 
 
