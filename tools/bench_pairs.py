@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \
         --claim TEXT [--workloads sweep,generate,documents] [--seeds 1-10] \
-        [--seconds 40] [--lanes 1] [--note KEY=TEXT ...] [--out DIR]
+        [--seconds 40] [--lanes 1] [--out DIR]
 
 For every workload and seed, `perfbench/run.py --workload W --seed S
 --seconds T` runs once in each checkout, one after the other: on odd seeds
@@ -15,7 +15,9 @@ quartiles (statistics.quantiles, method 'inclusive'), the change's wins, the
 median's relative change, the parent's quartile spread, whether the change
 stays within the bound, and whether it shows a gain (wins in at least nine
 tenths of the pairs and a median better by more than the parent's quartile
-spread).  Standard library only.
+spread).  The file's "notes" are left empty, for remarks added by hand,
+such as a traced pair or a metric that moved for a reason outside the
+change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -111,19 +113,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=None,
                     help="run length; default: run_seconds of BENCHMARK.json")
     ap.add_argument("--lanes", type=int, default=1, help="pairs run side by side")
-    ap.add_argument("--note", action="append", default=[], metavar="KEY=TEXT")
     ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error("quartiles need at least two seeds")
     if not 1 <= args.lanes <= (os.cpu_count() or 1):
         ap.error(f"--lanes must be between 1 and the number of CPUs ({os.cpu_count()})")
-    notes = {}
-    for note in args.note:
-        key, sep, text = note.partition("=")
-        if not sep:
-            ap.error(f"--note needs KEY=TEXT, got {note!r}")
-        notes[key] = text
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     workloads = args.workloads.split(",")
@@ -151,7 +146,7 @@ def main(argv=None) -> int:
                     "metrics": "CPU times scaled by the harness's calibration kernel"},
         "workloads": {w: summarize_workload([p for (pw, _), (p, _, _) in zip(jobs, done) if pw == w],
                                             bench["end_to_end"]) for w in workloads},
-        "notes": notes,
+        "notes": {},
     }
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
