@@ -186,6 +186,16 @@ def _orbit_minima(sets: list[int], perms: list[list[int]], m: int) -> list[int]:
     return minima
 
 
+def _twins(masks, downs) -> list[int]:
+    """For each element v, the mask of its twins, v included: the elements
+    with the same strict up- and down-sets as v (which are incomparable)."""
+    strict = [(masks[v] ^ 1 << v, downs[v] ^ 1 << v) for v in range(len(masks))]
+    same: dict[tuple[int, int], int] = {}
+    for v, s in enumerate(strict):
+        same[s] = same.get(s, 0) | 1 << v
+    return [same[s] for s in strict]
+
+
 def _maximal_extensions(base: tuple[int, ...], gens: list[list[int]]):
     """Base with one new greatest-index element that is maximal, as (masks,
     down-masks): its strict down-set D runs over the down-sets of base in
@@ -202,12 +212,10 @@ def _maximal_extensions(base: tuple[int, ...], gens: list[list[int]]):
     m = len(base)
     newbit = 1 << m
     downs = _downs(base)
-    same: dict[tuple[int, int], list[int]] = {}
-    for v in range(m):
-        same.setdefault((base[v] ^ 1 << v, downs[v] ^ 1 << v), []).append(v)
     swaps = []
-    for first, *others in same.values():
-        for v in others:
+    for v, twins in enumerate(_twins(base, downs)):
+        first = (twins & -twins).bit_length() - 1
+        if first != v:
             swap = list(range(m))
             swap[first], swap[v] = v, first
             swaps.append(swap)
@@ -360,11 +368,7 @@ def _search(masks, downs=None) -> tuple[int, int, list[list[int]]]:
     root = _refine([full] if n else [], [full], masks, downs)
     if len(root) == n:
         return _relabeled([c.bit_length() - 1 for c in root], masks), 1, []
-    strict = [(masks[v] ^ 1 << v, downs[v] ^ 1 << v) for v in range(n)]
-    same: dict[tuple[int, int], int] = {}
-    for v, s in enumerate(strict):
-        same[s] = same.get(s, 0) | 1 << v
-    twins = [same[s] for s in strict]
+    twins = _twins(masks, downs)
     gens: list[list[int]] = []
     leaves: list[tuple[int, list[int], list[int]]] = []  # (key, order, path): first, best
     aut = 1

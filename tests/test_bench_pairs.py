@@ -12,14 +12,16 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 # A stand-in for perfbench/run.py: work_per_s is RATE + seed, and every run
-# appends "<label> <seed>" to runs.log beside the checkouts.
+# appends "<label> <workload> <seed> <seconds>" to runs.log beside the
+# checkouts.
 FAKE_RUN = '''
 import json, sys
 from pathlib import Path
 RATE = {rate}
-seed = int(sys.argv[sys.argv.index("--seed") + 1])
+arg = lambda name: sys.argv[sys.argv.index(name) + 1]
+seed = int(arg("--seed"))
 with open(Path.cwd().parent / "runs.log", "a") as fh:
-    fh.write(f"{{Path.cwd().name}} {{seed}}\\n")
+    fh.write(f"{{Path.cwd().name}} {{arg('--workload')}} {{seed}} {{arg('--seconds')}}\\n")
 metrics = {{"work_per_s": RATE + seed, "op_ms_p50": 100.0 / RATE}}
 print("progress")
 print(json.dumps({{"git_commit": "{commit}", "machine": {{"nproc": 2}},
@@ -29,6 +31,7 @@ print(json.dumps({{"correct": True, "attempted": 5, "failed": 0,
 '''
 
 BENCHMARK = {"command": ["python3", "perfbench/run.py"], "paths": ["perfbench"], "run_seconds": 40,
+             "workloads": [{"name": "w", "why": "-"}],
              "end_to_end": [{"name": "work_per_s", "better": "higher", "bound": 0.15},
                             {"name": "op_ms_p50", "better": "lower", "bound": 0.15}]}
 
@@ -44,11 +47,14 @@ def test_pairs_alternate_and_summarize(tmp_path):
     parent = _checkout(tmp_path, "parent", 100, "a" * 40)
     change = _checkout(tmp_path, "change", 200, "b" * 40)
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
-                             "--claim", "c", "--workloads", "w", "--seeds", "1-3,6",
-                             "--seconds", "1", "--out", str(tmp_path)]) == 0
-    log = (tmp_path / "runs.log").read_text().split("\n")
-    assert log[:8] == ["parent 1", "change 1", "change 2", "parent 2",
-                       "parent 3", "change 3", "change 6", "parent 6"]
+                             "--claim", "c", "--seeds", "1-3,6", "--out", str(tmp_path)]) == 0
+    # pairs may run side by side, but within a pair the sides run in turn
+    log = (tmp_path / "runs.log").read_text().splitlines()
+    assert sorted(log) == sorted(f"{side} w {seed} 40" for side in ("parent", "change")
+                                 for seed in (1, 2, 3, 6))
+    for seed, first in [(1, "parent"), (2, "change"), (3, "parent"), (6, "change")]:
+        other = "change" if first == "parent" else "parent"
+        assert log.index(f"{first} w {seed} 40") < log.index(f"{other} w {seed} 40")
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert (out["parent_commit"], out["change_commit"]) == ("aaaaaaa", "bbbbbbb")
     w = out["workloads"]["w"]
@@ -58,7 +64,7 @@ def test_pairs_alternate_and_summarize(tmp_path):
     assert rate["parent_quartiles"] == statistics.quantiles([101, 102, 103, 106], n=4,
                                                             method="inclusive")[::2]
     assert (rate["parent_median"], rate["change_median"]) == (102.5, 202.5)
-    assert (rate["change_wins"], rate["gain_shown"], rate["within_bound"]) == (4, True, True)
+    assert (rate["change_wins"], rate["gain_shown"], rate["bound_verdict"]) == (4, True, "within")
     # op_ms_p50 is lower-is-better and halves, with no spread
     ms = w["metrics"]["op_ms_p50"]
     assert (ms["change_wins"], ms["median_change_rel"], ms["gain_shown"]) == (4, -0.5, True)
@@ -69,12 +75,24 @@ def test_pairs_alternate_and_summarize(tmp_path):
 
 def test_summary_bound_and_gain_verdicts():
     flat = bench_pairs.summarize([10, 11, 12, 13], [9.8, 10.3, 10.8, 11.3], "higher", 0.15)
-    assert (flat["change_wins"], flat["gain_shown"], flat["within_bound"]) == (0, False, True)
+    assert (flat["change_wins"], flat["gain_shown"], flat["bound_verdict"]) == (0, False, "within")
     worse = bench_pairs.summarize([10, 11, 12, 13], [5, 5, 5, 5], "higher", 0.15)
-    assert worse["within_bound"] is False
-    # the change wins every pair, but by less than the parent's own spread
+    assert worse["bound_verdict"] == "worse"
+    # lower is better: a median 20 % higher breaks a 15 % bound
+    slower = bench_pairs.summarize([10, 10.1, 10.2, 10.3], [12, 12.1, 12.2, 12.3], "lower", 0.15)
+    assert slower["bound_verdict"] == "worse"
+    # the parent's quartile spread (3) is wider than the bound (0.15 * 13), so
+    # a change that wins every pair by less than that spread is unresolved ...
     close = bench_pairs.summarize([10, 12, 14, 16], [10.5, 12.5, 14.5, 16.5], "higher", 0.15)
-    assert (close["change_wins"], close["gain_shown"]) == (4, False)
+    assert (close["change_wins"], close["gain_shown"], close["bound_verdict"]) == (
+        4, False, "unresolved")
+    noisy_worse = bench_pairs.summarize([10, 12, 14, 16], [5, 5, 5, 5], "higher", 0.15)
+    assert noisy_worse["bound_verdict"] == "unresolved"
+    # ... unless every run of the change is better than every run of the parent
+    apart = bench_pairs.summarize([10, 12, 14, 16], [16.5, 17, 18, 19], "higher", 0.15)
+    assert apart["bound_verdict"] == "within"
+    apart_lower = bench_pairs.summarize([10, 12, 14, 16], [9, 9.5, 9.6, 9.9], "lower", 0.15)
+    assert apart_lower["bound_verdict"] == "within"
 
 
 def test_failed_run_is_reported(tmp_path):
@@ -83,5 +101,4 @@ def test_failed_run_is_reported(tmp_path):
     change = _checkout(tmp_path, "change", 200, "b" * 40)
     with pytest.raises(RuntimeError, match="boom"):
         bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
-                          "--claim", "c", "--workloads", "w", "--seeds", "1-2",
-                          "--seconds", "1", "--out", str(tmp_path)])
+                          "--claim", "c", "--seeds", "1-2", "--out", str(tmp_path)])

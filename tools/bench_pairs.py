@@ -1,21 +1,28 @@
 """Compare two checkouts with the benchmark's alternating-pairs protocol.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \
-        --claim TEXT [--workloads sweep,generate,documents] [--seeds 1-10] \
-        [--seconds 40] [--lanes 1] [--out DIR]
+        --claim TEXT [--seeds 1-10] [--out DIR]
 
-For every workload and seed, `perfbench/run.py --workload W --seed S
---seconds T` runs once in each checkout, one after the other: on odd seeds
-the parent goes first, on even seeds the change.  `--lanes` pairs run side
-by side.  The end-to-end metrics, their direction and their bounds are read
-from the change checkout's BENCHMARK.json.  The result is written to
-BENCH_<label>.json: per pair, both sides' metrics and the record's named
-figures (such as `classes_per_s`); per metric, each side's median and
-quartiles (statistics.quantiles, method 'inclusive'), the change's wins, the
-median's relative change, the parent's quartile spread, whether the change
-stays within the bound, and whether it shows a gain (wins in at least nine
-tenths of the pairs and a median better by more than the parent's quartile
-spread).  The file's "notes" are left empty, for remarks added by hand,
+The benchmark command, its workloads, its run length and its end-to-end
+metrics (direction and bound) are read from the change checkout's
+BENCHMARK.json.  For every workload and seed, the command runs with
+`--workload W --seed S --seconds <run_seconds>` once in each checkout, one
+after the other: on odd seeds the parent goes first, on even seeds the
+change.  Two pairs run side by side (one on a one-CPU machine): the harness
+reports CPU times scaled by its calibration kernel, so a second lane moves
+them little, and it halves the wall time of a full comparison (three
+workloads of ten pairs of 40 s runs take about 20 min instead of 40).
+
+The result is written to BENCH_<label>.json: per pair, both sides' metrics
+and the record's named figures (such as `classes_per_s`); per metric, each
+side's median and quartiles (statistics.quantiles, method 'inclusive'), the
+change's wins, the median's relative change, the parent's quartile spread,
+whether it shows a gain (wins in at least nine tenths of the pairs and a
+median better by more than the parent's quartile spread), and its bound
+verdict: "within" or "worse" than the parent by the metric's bound, or
+"unresolved" when the parent's quartile spread is wider than the bound,
+unless every run of the change is better than every run of the parent (then
+"within").  The file's "notes" are left empty, for remarks added by hand,
 such as a traced pair or a metric that moved for a reason outside the
 change.  Standard library only.
 """
@@ -30,6 +37,8 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+LANES = min(2, os.cpu_count() or 1)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -83,7 +92,14 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
            "parent_quartile_spread": spread,
            "gain_shown": 10 * wins >= 9 * len(parent) and sign * (c_med - p_med) > spread}
     if bound is not None:
-        out["within_bound"] = sign * (c_med - p_med) >= -bound * p_med
+        if min(sign * c for c in change) > max(sign * p for p in parent):
+            out["bound_verdict"] = "within"
+        elif spread > bound * abs(p_med):
+            out["bound_verdict"] = "unresolved"
+        elif sign * (c_med - p_med) >= -bound * abs(p_med):
+            out["bound_verdict"] = "within"
+        else:
+            out["bound_verdict"] = "worse"
     return out
 
 
@@ -108,23 +124,17 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
     ap.add_argument("--claim", required=True, help="the claimed gain, in words")
-    ap.add_argument("--workloads", default="sweep,generate,documents")
     ap.add_argument("--seeds", default="1-10", type=parse_seeds)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length; default: run_seconds of BENCHMARK.json")
-    ap.add_argument("--lanes", type=int, default=1, help="pairs run side by side")
     ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error("quartiles need at least two seeds")
-    if not 1 <= args.lanes <= (os.cpu_count() or 1):
-        ap.error(f"--lanes must be between 1 and the number of CPUs ({os.cpu_count()})")
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    workloads = args.workloads.split(",")
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     jobs = [(w, s) for w in workloads for s in args.seeds]
-    with ThreadPoolExecutor(max_workers=args.lanes) as pool:
+    with ThreadPoolExecutor(max_workers=LANES) as pool:
         futures = [pool.submit(run_pair, checkouts, bench["command"], w, s, seconds) for w, s in jobs]
         done = [f.result() for f in futures]
     _, commits, machine = done[0]
@@ -136,11 +146,14 @@ def main(argv=None) -> int:
         "command": " ".join(bench["command"]) + f" --workload W --seed S --seconds {seconds:g}",
         "protocol": (f"{len(args.seeds)} alternating parent/change pairs per workload, seeds "
                      f"{','.join(map(str, args.seeds))}; odd seeds run the parent first, even "
-                     f"seeds the change first; {args.lanes} pair(s) ran side by side. Quartiles "
+                     f"seeds the change first; {LANES} pair(s) ran side by side. Quartiles "
                      "are statistics.quantiles(method='inclusive'); a win means the change's "
                      "value is better than the parent's in that pair; a gain is shown when the "
                      "change wins at least 9/10 of the pairs and its median is better by more "
-                     "than the parent's quartile spread."),
+                     "than the parent's quartile spread. A metric is within or worse than its "
+                     "bound by its median, and unresolved when the parent's quartile spread is "
+                     "wider than the bound, unless every change run is better than every parent "
+                     "run."),
         "machine": {"cpus": machine.get("nproc"), "cpu": machine.get("cpu_model"),
                     "python": machine.get("python"),
                     "metrics": "CPU times scaled by the harness's calibration kernel"},
@@ -154,7 +167,7 @@ def main(argv=None) -> int:
         for name, m in summary["metrics"].items():
             print(f"{w:10} {name:12} {m['parent_median']:12.4g} -> {m['change_median']:12.4g} "
                   f"({m['median_change_rel']:+.1%}, wins {m['change_wins']}/{m['pairs']}, "
-                  f"gain {m['gain_shown']}, within bound {m['within_bound']})")
+                  f"gain {m['gain_shown']}, bound {m['bound_verdict']})")
     print(f"wrote {path}")
     return 0
 
