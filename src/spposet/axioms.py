@@ -59,10 +59,6 @@ class SubalgebraReport:
 # Each checker returns the first failing witness tuple (in the axiom's own
 # variable order, lexicographic by declaration index) or None.
 
-def _mlb_table(p: Poset):
-    return [[p.maximal_of(p.downs[i] & p.downs[j]) for j in range(p.n)] for i in range(p.n)]
-
-
 def _sweep_sp(p: Poset, s: PartialTable):
     n, els, c = p.n, p.elements, s.cells
 
@@ -85,7 +81,7 @@ def _sweep_sp(p: Poset, s: PartialTable):
                     return els[x], els[y]
 
     def sp3():
-        mlbs = _mlb_table(p)
+        mlbs = p.mlbs
         for x in range(n):
             for y in range(n):
                 for z in bits(mlbs[x][y]):
@@ -114,7 +110,7 @@ def _sweep_esp(p: Poset, t: TotalTable):
                     return els[x], els[y]
 
     def esp3():
-        mlbs = _mlb_table(p)
+        mlbs = p.mlbs
         for x in range(n):
             for y in range(n):
                 for z in bits(mlbs[x][y]):
@@ -126,7 +122,7 @@ def _sweep_esp(p: Poset, t: TotalTable):
 
 def _sweep_espw(p: Poset, t: TotalTable):
     n, els, c = p.n, p.elements, t.cells
-    meet = _total_meets(p)
+    meet = p.meets
 
     def espw1():
         for x in range(n):
@@ -185,7 +181,7 @@ def _sweep_nati(p: Poset, t: TotalTable, sel: LocalSelection):
     base = _sweep_nat(p, t)
 
     def nati3():
-        disjoint, rows = p.disjoint_over_masks(), sel.rows
+        disjoint, rows = p.disjoint_over_masks, sel.rows
         for x in range(n):
             for y in range(n):
                 for z in bits(p.downs[x]):
@@ -217,7 +213,7 @@ def _sweep_nrm(p: Poset, t: TotalTable):
 
 def _sweep_nrmw(p: Poset, t: TotalTable):
     n, els, c = p.n, p.elements, t.cells
-    meet = _total_meets(p)
+    meet = p.meets
 
     def nrmw0():
         for x in range(n):
@@ -279,27 +275,11 @@ def _sweep_j(p: Poset, t: TotalTable):
     def j3():
         for x in range(n):
             for y in range(n):
-                w = p.greatest_of(p.downs[x] & p.downs[y])
+                w = p.meets[x][y]
                 if w is not None and not p.leq_ix(x, c[y][w]):
                     return els[x], els[y]
 
     return [("j1", j1), ("j2", j2), ("j3", j3)]
-
-
-def _total_meets(p: Poset):
-    meet = [[None] * p.n for _ in range(p.n)]
-    for i in range(p.n):
-        for j in range(p.n):
-            meet[i][j] = p.greatest_of(p.downs[i] & p.downs[j])
-    return meet
-
-
-def _total_joins(p: Poset):
-    join = [[None] * p.n for _ in range(p.n)]
-    for i in range(p.n):
-        for j in range(p.n):
-            join[i][j] = p.least_of(p.ups[i] & p.ups[j])
-    return join
 
 
 def _sweep_jwv(p: Poset, t: TotalTable, reading: str):
@@ -310,8 +290,7 @@ def _sweep_jwv(p: Poset, t: TotalTable, reading: str):
     # defined on its own (which is always the case for jwv1, never an extra
     # demand for jwv2).
     n, els, c = p.n, p.elements, t.cells
-    meet = _total_meets(p)
-    join = _total_joins(p)
+    meet, join = p.meets, p.joins
     fail_if_undefined = {
         "existential": {"jwv1": True, "jwv2": True},
         "both-defined": {"jwv1": False, "jwv2": False},
@@ -344,8 +323,7 @@ def _sweep_jwv(p: Poset, t: TotalTable, reading: str):
 
 def _sweep_jwv2(p: Poset, t: TotalTable):
     n, els, c = p.n, p.elements, t.cells
-    meet = _total_meets(p)
-    join = _total_joins(p)
+    meet, join = p.meets, p.joins
 
     def jwv1():
         for x in range(n):
@@ -375,6 +353,21 @@ SYSTEMS = {
     "J": dict(kind="total", structure=None),
     "JWV": dict(kind="total", structure="upper"),
     "JWV2": dict(kind="total", structure="lattice"),
+}
+
+
+# system -> its sweeps, given the poset, the table, the selection and the reading
+_SWEEPS = {
+    "SP": lambda p, t, sel, reading: _sweep_sp(p, t),
+    "ESP": lambda p, t, sel, reading: _sweep_esp(p, t),
+    "ESPW": lambda p, t, sel, reading: _sweep_espw(p, t),
+    "NAT": lambda p, t, sel, reading: _sweep_nat(p, t),
+    "NATI": lambda p, t, sel, reading: _sweep_nati(p, t, sel),
+    "NRM": lambda p, t, sel, reading: _sweep_nrm(p, t),
+    "NRMW": lambda p, t, sel, reading: _sweep_nrmw(p, t),
+    "J": lambda p, t, sel, reading: _sweep_j(p, t),
+    "JWV": lambda p, t, sel, reading: _sweep_jwv(p, t, reading),
+    "JWV2": lambda p, t, sel, reading: _sweep_jwv2(p, t),
 }
 
 
@@ -414,29 +407,8 @@ def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
     if reading not in ("existential", "both-defined", "one-defined"):
         raise ValueError(f"unknown reading {reading!r}")
 
-    if system == "SP":
-        sweeps = _sweep_sp(p, op)
-    elif system == "ESP":
-        sweeps = _sweep_esp(p, op)
-    elif system == "ESPW":
-        sweeps = _sweep_espw(p, op)
-    elif system == "NAT":
-        sweeps = _sweep_nat(p, op)
-    elif system == "NATI":
-        sweeps = _sweep_nati(p, op, sel)
-    elif system == "NRM":
-        sweeps = _sweep_nrm(p, op)
-    elif system == "NRMW":
-        sweeps = _sweep_nrmw(p, op)
-    elif system == "J":
-        sweeps = _sweep_j(p, op)
-    elif system == "JWV":
-        sweeps = _sweep_jwv(p, op, reading)
-    else:
-        sweeps = _sweep_jwv2(p, op)
-
     violations = []
-    for name, fn in sweeps:
+    for name, fn in _SWEEPS[system](p, op, sel, reading):
         w = fn()
         if w is not None:
             violations.append((name, w))
@@ -464,12 +436,9 @@ def implicativity(p: Poset, t: TotalTable) -> ImplicativityReport:
 
     Left: x <= y iff x -> y is the top of [x); right: the same with [y).
     """
-    tops = []
-    for i in range(p.n):
-        ti = p.section_top_ix(i)
-        if ti is None:
-            raise NotSectionallyBounded(f"{p.name!r} is not sectionally bounded")
-        tops.append(ti)
+    tops = p.tops
+    if None in tops:
+        raise NotSectionallyBounded(f"{p.name!r} is not sectionally bounded")
     left = right = None
     for x in range(p.n):
         for y in range(p.n):
@@ -532,7 +501,7 @@ def is_normal(p: Poset, s: PartialTable, t: TotalTable) -> bool:
 
 def _suite_esp_prop(p: Poset, t: TotalTable):
     n, els, c = p.n, p.elements, t.cells
-    tops = [p.section_top_ix(i) for i in range(n)]
+    tops = p.tops
 
     def each_pair(pred):
         for x in range(n):
@@ -625,7 +594,7 @@ def _suite_jext_prop(p: Poset, t: TotalTable):
 
 def _suite_inat_prop(p: Poset, t: TotalTable):
     n, els, c = p.n, p.elements, t.cells
-    tops = [p.section_top_ix(i) for i in range(n)]
+    tops = p.tops
 
     def pairs(pred):
         for x in range(n):
@@ -673,7 +642,7 @@ def _suite_simpl_i(p: Poset, sel: LocalSelection):
     n, els, rows = p.n, p.elements, sel.rows
 
     def item_a():
-        disjoint = p.disjoint_over_masks()
+        disjoint = p.disjoint_over_masks
         for u in range(n):
             for x in range(n):
                 for y in range(n):
@@ -684,7 +653,7 @@ def _suite_simpl_i(p: Poset, sel: LocalSelection):
                         return els[u], els[x], els[y]
 
     def item_b():
-        meets = p.meet_over_masks()
+        meets = p.meet_over_masks
         for u in range(n):
             for x in range(n):
                 for y in range(n):

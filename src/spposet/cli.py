@@ -27,9 +27,23 @@ import traceback
 from . import enumeration, extensions, fileformat, pseudo
 from .axioms import SYSTEMS, check_system, verify_lemma_suite
 from .errors import InternalDisagreement, SpposetError
-from .pseudo import MissingWitness, PartialTable, TotalTable
+from .pseudo import MissingWitness, PartialTable
 
-METHODS = ("pure", "natural", "natural-min", "normal", "i-natural", "i-min", "dual-j", "m", "mlb")
+# method -> its rule, given the poset, its star table and the selection; the
+# rules are looked up in `extensions` on each call, so a wrapper installed
+# there (such as a tracer's) sees every call
+RULES = {
+    "pure": lambda p, st, sel: extensions.pure_extension(st),
+    "natural": lambda p, st, sel: extensions.natural_extension(st),
+    "natural-min": lambda p, st, sel: extensions.natural_min_form(st),
+    "normal": lambda p, st, sel: extensions.normal_extension(st),
+    "i-natural": lambda p, st, sel: extensions.i_natural_extension(p, sel),
+    "i-min": lambda p, st, sel: extensions.i_min_extension(st, sel),
+    "dual-j": lambda p, st, sel: extensions.dual_j_extension(st),
+    "m": lambda p, st, sel: extensions.m_extension(st),
+    "mlb": lambda p, st, sel: extensions.mlb_extension(p),
+}
+METHODS = tuple(RULES)
 STAR_KINDS = ("sp", "rp", "wrp", "clp")
 SUITES = ("sp-prop", "esp-prop", "jext-prop", "Inat-prop", "simplI")
 
@@ -97,24 +111,10 @@ def cmd_star(args) -> int:
             return 1
         sys.stdout.write(_emit_result(p, "star", st))
         return 0
-    point = {"rp": pseudo.rp_complement, "wrp": pseudo.wrp_complement,
-             "clp": pseudo.clp_complement}[kind]
-    n = p.n
-    cells = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            sectioned = p.leq_ix(y, x)
-            if kind == "wrp" and not sectioned:
-                continue  # wrp is a sectional notion; table kept partial
-            v = point(p, p.elements[x], p.elements[y])
-            if v is None:
-                print(f"no {kind} complement at ({p.elements[x]}, {p.elements[y]})")
-                return 1
-            cells[x][y] = p.index(v)
-    if kind == "wrp":
-        table = PartialTable(p, cells)
-    else:
-        table = TotalTable(p, cells)
+    table = pseudo.complement_table(p, kind)
+    if isinstance(table, tuple):
+        print(f"no {kind} complement at ({table[0]}, {table[1]})")
+        return 1
     sys.stdout.write(_emit_result(p, kind, table))
     return 0
 
@@ -135,25 +135,7 @@ def cmd_extend(args) -> int:
             raise SpposetError(f"method {method} requires --selection")
         sel = _resolve_selection(doc, args.selection, p)
         name = f"{method}-{args.selection}"
-    if method == "pure":
-        result = extensions.pure_extension(st)
-    elif method == "natural":
-        result = extensions.natural_extension(st)
-    elif method == "natural-min":
-        result = extensions.natural_min_form(st)
-    elif method == "normal":
-        result = extensions.normal_extension(st)
-    elif method == "i-natural":
-        result = extensions.i_natural_extension(p, sel)
-    elif method == "i-min":
-        result = extensions.i_min_extension(st, sel)
-    elif method == "dual-j":
-        result = extensions.dual_j_extension(st)
-    elif method == "m":
-        result = extensions.m_extension(st)
-    else:
-        result = extensions.mlb_extension(p)
-
+    result = RULES[method](p, st, sel)
     if isinstance(result, extensions.ExtensionResult):
         if not result.is_total:
             for u in result.undefined:

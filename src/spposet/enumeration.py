@@ -62,6 +62,7 @@ from .extensions import (
     i_natural_cell,
     i_natural_extension,
     natural_extension,
+    natural_min_cells,
     normal_extension,
     pure_extension,
     selection_frink,
@@ -69,7 +70,7 @@ from .extensions import (
 )
 from .fileformat import Document, Section, emit
 from .poset import Poset, bits
-from .pseudo import PartialTable, TotalTable, star_table, wrp_complement
+from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_table, wrp_value_ix
 
 LABELED_CAP = 7
 ISO_CAP = 8
@@ -535,22 +536,25 @@ def count_posets_naive(n: int) -> int:
 # -- per-column axiom solving ---------------------------------------------------
 
 
-def _meets(p: Poset):
-    return [[p.greatest_of(p.downs[i] & p.downs[j]) for j in range(p.n)] for i in range(p.n)]
-
-
-def _joins(p: Poset):
-    return [[p.least_of(p.ups[i] & p.ups[j]) for j in range(p.n)] for i in range(p.n)]
-
-
 def _mlb_need(p: Poset):
     # need[y][z] = elements x with z a maximal lower bound of x and y
     n = p.n
     need = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            for z in bits(p.maximal_of(p.downs[x] & p.downs[y])):
+    for x, row in enumerate(p.mlbs):
+        for y, mlb in enumerate(row):
+            for z in bits(mlb):
                 need[y][z] |= 1 << x
+    return need
+
+
+def _meet_need(p: Poset):
+    # need[y][w] = elements x whose meet with y is w
+    n = p.n
+    need = [[0] * n for _ in range(n)]
+    for x, row in enumerate(p.meets):
+        for y, w in enumerate(row):
+            if w is not None:
+                need[y][w] |= 1 << x
     return need
 
 
@@ -597,7 +601,7 @@ def _cell_candidates(p: Poset, system: str, sel: LocalSelection | None):
                         need[y][z] |= 1 << x
         restrict_ge(need)
     if system == "NATI":
-        disjoint = p.disjoint_over_masks()
+        disjoint = p.disjoint_over_masks
         need = [[0] * n for _ in range(n)]
         for y in range(n):
             for z in range(n):
@@ -607,17 +611,9 @@ def _cell_candidates(p: Poset, system: str, sel: LocalSelection | None):
                         need[y][z] |= 1 << x
         restrict_ge(need)
     if system == "J":
-        meet = _meets(p)
-        need = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                w = meet[x][y]
-                if w is not None:
-                    need[y][w] |= 1 << x
-        restrict_ge(need)
+        restrict_ge(_meet_need(p))
     if system in ("JWV", "JWV2"):
-        meet = _meets(p)
-        join = _joins(p)
+        meet, join = p.meets, p.joins
         for r in range(n):
             for c in range(n):
                 m = 0
@@ -637,7 +633,7 @@ def _cell_candidates(p: Poset, system: str, sel: LocalSelection | None):
                         need[x][w] |= 1 << z
         restrict_ge(need)
     if system == "ESPW":
-        meet = _meets(p)
+        meet = p.meets
         for r in range(n):
             for c in range(n):
                 if p.leq_ix(c, r):
@@ -646,11 +642,7 @@ def _cell_candidates(p: Poset, system: str, sel: LocalSelection | None):
                         if meet[r][v] == c:
                             m |= 1 << v
                     cand[r][c] = m
-        need = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                need[y][meet[x][y]] |= 1 << x
-        restrict_ge(need)
+        restrict_ge(_meet_need(p))
     return cand
 
 
@@ -837,33 +829,6 @@ class VerificationReport:
         return lines
 
 
-class _Ctx:
-    """Per-poset context with the expensive pieces computed once."""
-
-    __slots__ = ("p", "_rep", "_star")
-
-    def __init__(self, p: Poset):
-        self.p = p
-        self._rep = None
-        self._star = None
-
-    @property
-    def rep(self):
-        if self._rep is None:
-            self._rep = self.p.classify()
-        return self._rep
-
-    @property
-    def star(self):
-        if self._star is None:
-            self._star = star_table(self.p)
-        return self._star
-
-    @property
-    def is_sp(self) -> bool:
-        return isinstance(self.star, PartialTable)
-
-
 def _serialize(p: Poset, tables: dict | None = None) -> str:
     sections = [Section("poset", p.name, p)]
     for name, t in (tables or {}).items():
@@ -888,11 +853,10 @@ def _scan(weighted_posets, hypothesis, check, stop: bool):
     first: dict[str, Counterexample] = {}
     for p, weight in weighted_posets:
         posets += weight
-        ctx = _Ctx(p)
-        if not hypothesis(ctx):
+        if not hypothesis(p):
             continue
         instances += weight
-        for variant, ce in check(ctx).items():
+        for variant, ce in check(p).items():
             first.setdefault(variant, ce)
         if stop and first:
             break
@@ -902,7 +866,7 @@ def _scan(weighted_posets, hypothesis, check, stop: bool):
 def _sweep(max_n: int, hypothesis, check, stop: bool):
     """Check every poset with up to max_n elements, one isomorphism class at a time.
 
-    `check(ctx)` maps each claim variant the poset violates to its
+    `check(p)` maps each claim variant the poset violates to its
     counterexample.  Hypotheses and claims are order-invariant, so each class
     representative stands for its whole orbit and counts n!/|Aut| labeled
     posets.  At the first n where some variant fails, that n is rescanned in
@@ -942,8 +906,8 @@ def _report(claim: str, max_n: int, hypothesis, check) -> VerificationReport:
     """Sweep for a single-variant claim whose check returns a Counterexample or None."""
     start = time.perf_counter()
 
-    def variants(ctx):
-        ce = check(ctx)
+    def variants(p):
+        ce = check(p)
         return {} if ce is None else {claim: ce}
 
     posets_per_n, instances_per_n, found = _sweep(max_n, hypothesis, variants, stop=True)
@@ -956,18 +920,17 @@ def _report(claim: str, max_n: int, hypothesis, check) -> VerificationReport:
 # -- individual theorem checks -----------------------------------------------------
 
 
-def _expected_singleton_or_empty(ctx: _Ctx, table: TotalTable | None) -> list[list[tuple]]:
+def _expected_singleton_or_empty(table: TotalTable | None) -> list[list[tuple]]:
     if table is None:
         return [[]]
     return table_as_columns(table)
 
 
-def _check_spchar(ctx: _Ctx):
-    p = ctx.p
+def _check_spchar(p: Poset):
     sols = system_column_solutions(p, "SP")
     rows_per_col = [[r for r in range(p.n) if p.leq_ix(c, r)] for c in range(p.n)]
-    if ctx.is_sp:
-        expected = table_as_columns(ctx.star, rows_per_col)
+    if is_sp(p):
+        expected = table_as_columns(star_table(p), rows_per_col)
     else:
         expected = [[]]
     if not products_equal(sols, expected):
@@ -978,12 +941,10 @@ def _check_spchar(ctx: _Ctx):
     return None
 
 
-def _check_glb(ctx: _Ctx):
-    p = ctx.p
+def _check_glb(p: Poset):
     for x in range(p.n):
         for y in range(p.n):
-            g = p.greatest_of(p.downs[x] & p.downs[y])
-            mlb = p.maximal_of(p.downs[x] & p.downs[y])
+            g, mlb = p.meets[x][y], p.mlbs[x][y]
             for z in range(p.n):
                 a = bool(mlb >> z & 1)
                 b = g == z
@@ -996,27 +957,10 @@ def _check_glb(ctx: _Ctx):
     return None
 
 
-def _min_form_cells(p: Poset, s: PartialTable, second: bool):
-    n = p.n
-    cells = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if second:
-                zmask = (p.downs[x] | p.downs[y]) & p.ups[y]
-            else:
-                zmask = (p.ups[y] & p.downs[x]) | (1 << y)
-            vals = 0
-            for z in bits(zmask):
-                vals |= 1 << s.cells[z][y]
-            cells[x][y] = p.least_of(vals)
-    return cells
-
-
-def _check_nat_eq(ctx: _Ctx):
-    p = ctx.p
-    nat = natural_extension(ctx.star)
-    m1 = _min_form_cells(p, ctx.star, second=False)
-    m2 = _min_form_cells(p, ctx.star, second=True)
+def _check_nat_eq(p: Poset):
+    star = star_table(p)
+    nat = natural_extension(star)
+    m1, m2 = natural_min_cells(star)
     for x in range(p.n):
         for y in range(p.n):
             if not (nat.cells[x][y] == m1[x][y] == m2[x][y]):
@@ -1026,35 +970,33 @@ def _check_nat_eq(ctx: _Ctx):
     return None
 
 
-def _check_jext_fin(ctx: _Ctx):
-    total = normal_extension(ctx.star).is_total
-    if total != ctx.rep.is_upper_semilattice:
+def _check_jext_fin(p: Poset):
+    total = normal_extension(star_table(p)).is_total
+    upper = p.classify().is_upper_semilattice
+    if total != upper:
         return Counterexample(
-            _serialize(ctx.p),
-            f"normal extension total={total} but upper semilattice={ctx.rep.is_upper_semilattice}")
+            _serialize(p), f"normal extension total={total} but upper semilattice={upper}")
     return None
 
 
-def _check_nrm_impl(ctx: _Ctx):
-    t = normal_extension(ctx.star).table
-    rep = implicativity(ctx.p, t)
+def _check_nrm_impl(p: Poset):
+    t = normal_extension(star_table(p)).table
+    rep = implicativity(p, t)
     if not (rep.left.holds and rep.right.holds):
         side = "left" if not rep.left.holds else "right"
         wit = rep.left.witness or rep.right.witness
         return Counterexample(
-            _serialize(ctx.p, {"normal": t}),
+            _serialize(p, {"normal": t}),
             f"normal extension not {side}-implicative, witness {wit}")
     return None
 
 
-def _check_nrm_ax(ctx: _Ctx):
-    p = ctx.p
+def _check_nrm_ax(p: Poset):
     sols = system_column_solutions(p, "NRM")
     table = None
-    if ctx.is_sp:
-        ext = normal_extension(ctx.star)
-        table = ext.table
-    if not products_equal(sols, _expected_singleton_or_empty(ctx, table)):
+    if is_sp(p):
+        table = normal_extension(star_table(p)).table
+    if not products_equal(sols, _expected_singleton_or_empty(table)):
         return Counterexample(
             _serialize(p),
             "tables satisfying the normality axioms differ from the normal extension "
@@ -1062,8 +1004,7 @@ def _check_nrm_ax(ctx: _Ctx):
     return None
 
 
-def _check_str_nrm(ctx: _Ctx):
-    p = ctx.p
+def _check_str_nrm(p: Poset):
     for make in (selection_union, selection_frink):
         sel = make(p)
         ext = i_natural_extension(p, sel)
@@ -1071,36 +1012,35 @@ def _check_str_nrm(ctx: _Ctx):
             continue
         if not is_strong(p, ext.table).holds:
             continue
-        if not is_normal(p, ctx.star, ext.table):
+        if not is_normal(p, star_table(p), ext.table):
             return Counterexample(
                 _serialize(p, {f"inat-{sel.kind}": ext.table}),
                 f"strong {sel.kind}-natural table is not normal")
     return None
 
 
-def _check_nat_implic(ctx: _Ctx):
-    p = ctx.p
-    nat = natural_extension(ctx.star)
+def _check_nat_implic(p: Poset):
+    nat = natural_extension(star_table(p))
     rep = implicativity(p, nat)
-    if rep.left.holds != ctx.rep.all_lower_sections_chains:
+    structure = p.classify()
+    if rep.left.holds != structure.all_lower_sections_chains:
         return Counterexample(
             _serialize(p, {"natural": nat}),
             f"left-implicative={rep.left.holds} but all lower sections chains="
-            f"{ctx.rep.all_lower_sections_chains}")
-    if rep.right.holds != ctx.rep.is_chain:
+            f"{structure.all_lower_sections_chains}")
+    if rep.right.holds != structure.is_chain:
         return Counterexample(
             _serialize(p, {"natural": nat}),
-            f"right-implicative={rep.right.holds} but chain={ctx.rep.is_chain}")
+            f"right-implicative={rep.right.holds} but chain={structure.is_chain}")
     return None
 
 
-def _check_j_eq_nrm(ctx: _Ctx):
-    p = ctx.p
+def _check_j_eq_nrm(p: Poset):
     sols = system_column_solutions(p, "J")
     table = None
-    if ctx.is_sp:
-        table = normal_extension(ctx.star).table
-    if not products_equal(sols, _expected_singleton_or_empty(ctx, table)):
+    if is_sp(p):
+        table = normal_extension(star_table(p)).table
+    if not products_equal(sols, _expected_singleton_or_empty(table)):
         return Counterexample(
             _serialize(p),
             "tables satisfying j1-j3 differ from the normal extension "
@@ -1108,21 +1048,20 @@ def _check_j_eq_nrm(ctx: _Ctx):
     return None
 
 
-def _check_lat_f_eq_j(ctx: _Ctx):
-    p = ctx.p
+def _check_lat_f_eq_j(p: Poset):
     fnat = i_natural_extension(p, selection_frink(p))
     sols = system_column_solutions(p, "JWV2")
-    expected = _expected_singleton_or_empty(ctx, fnat.table)
+    expected = _expected_singleton_or_empty(fnat.table)
     if not products_equal(sols, expected):
         return Counterexample(
             _serialize(p),
             "tables satisfying the lattice identities differ from the Frink-natural extension "
             f"(solution counts per column: {[len(c) for c in sols]})")
-    if fnat.is_total != ctx.is_sp:
+    if fnat.is_total != is_sp(p):
         return Counterexample(
             _serialize(p), "Frink-natural extension total but the lattice is not sp-complemented")
     if fnat.is_total:
-        jext = normal_extension(ctx.star)
+        jext = normal_extension(star_table(p))
         if not jext.is_total or jext.table != fnat.table:
             return Counterexample(
                 _serialize(p, {"fnat": fnat.table}),
@@ -1130,8 +1069,7 @@ def _check_lat_f_eq_j(ctx: _Ctx):
     return None
 
 
-def _check_mono(ctx: _Ctx):
-    p = ctx.p
+def _check_mono(p: Poset):
     union = selection_union(p)
     frink = selection_frink(p)
     for x in range(p.n):
@@ -1148,21 +1086,20 @@ def _check_mono(ctx: _Ctx):
     return None
 
 
-def _check_right_impl(ctx: _Ctx):
+def _check_right_impl(p: Poset):
     # A whole-table counterexample exists iff a single cell admits a value that
     # meets the hypotheses (right-implicative law at that cell, value above the
     # column element) but breaks the left-implicative law: the remaining cells
     # can always be completed with the pure extension, which satisfies both
     # hypotheses everywhere.
-    p = ctx.p
-    tops = [p.section_top_ix(i) for i in range(p.n)]
+    tops = p.tops
     for x in range(p.n):
         for y in range(p.n):
             for v in bits(p.ups[y]):
                 if (v == tops[y]) != p.leq_ix(x, y):
                     continue
                 if (v == tops[x]) != p.leq_ix(x, y):
-                    cells = [list(r) for r in pure_extension(ctx.star).cells]
+                    cells = [list(r) for r in pure_extension(star_table(p)).cells]
                     cells[x][y] = v
                     t = TotalTable(p, cells)
                     return Counterexample(
@@ -1172,9 +1109,8 @@ def _check_right_impl(ctx: _Ctx):
     return None
 
 
-def _iso_variants(ctx: _Ctx):
-    p = ctx.p
-    nat = natural_extension(ctx.star)
+def _iso_variants(p: Poset):
+    nat = natural_extension(star_table(p))
     fnat = i_natural_extension(p, selection_frink(p))
     if fnat.is_total and fnat.table == nat:
         return {}
@@ -1196,7 +1132,7 @@ def _verify_iso(max_n: int) -> VerificationReport:
     """
     start = time.perf_counter()
     posets_per_n, instances_per_n, found = _sweep(
-        max_n, lambda ctx: ctx.is_sp and ctx.rep.is_up_directed, _iso_variants, stop=False)
+        max_n, lambda p: is_sp(p) and p.classify().is_up_directed, _iso_variants, stop=False)
     elapsed = time.perf_counter() - start
     details = {
         "up-directed": "counterexample" if "up-directed" in found else "verified",
@@ -1214,33 +1150,33 @@ def _verify_iso(max_n: int) -> VerificationReport:
 
 THEOREMS = {
     "T-SPCHAR": ("star tables satisfying sp1-sp3 are exactly the sectional pseudocomplementation",
-                 lambda ctx: True, _check_spchar),
+                 lambda p: True, _check_spchar),
     "T-GLB": ("maximal lower bound = meet = local meet in semilattices",
-              lambda ctx: ctx.rep.is_upper_semilattice or ctx.rep.is_lower_semilattice,
+              lambda p: p.classify().is_upper_semilattice or p.classify().is_lower_semilattice,
               _check_glb),
     "T-NAT-EQ": ("natural extension max form equals both min forms",
-                 lambda ctx: ctx.is_sp, _check_nat_eq),
+                 is_sp, _check_nat_eq),
     "T-JEXT-FIN": ("normal extension is total exactly on upper semilattices",
-                   lambda ctx: ctx.is_sp, _check_jext_fin),
+                   is_sp, _check_jext_fin),
     "T-NRM-IMPL": ("total normal extensions are implicative",
-                   lambda ctx: ctx.is_sp and normal_extension(ctx.star).is_total,
+                   lambda p: is_sp(p) and normal_extension(star_table(p)).is_total,
                    _check_nrm_impl),
     "T-NRM-AX": ("tables satisfying nrm0-nrm3 are exactly the total normal extensions",
-                 lambda ctx: True, _check_nrm_ax),
+                 lambda p: True, _check_nrm_ax),
     "T-STR-NRM": ("strong selection-natural tables are normal (union and Frink selections)",
-                  lambda ctx: ctx.is_sp, _check_str_nrm),
+                  is_sp, _check_str_nrm),
     "T-NAT-IMPLIC": ("natural extension implicativity matches the lower-section structure",
-                     lambda ctx: ctx.is_sp, _check_nat_implic),
+                     is_sp, _check_nat_implic),
     "T-J-EQ-NRM": ("on lower semilattices with a greatest element, j1-j3 tables are the normal extensions",
-                   lambda ctx: ctx.rep.is_lower_semilattice and ctx.rep.has_greatest,
+                   lambda p: p.classify().is_lower_semilattice and p.classify().has_greatest,
                    _check_j_eq_nrm),
     "T-LAT-F-EQ-J": ("on lattices the Frink-natural extension is the join extension and the unique "
                      "model of the lattice identities",
-                     lambda ctx: ctx.rep.is_lattice, _check_lat_f_eq_j),
+                     lambda p: p.classify().is_lattice, _check_lat_f_eq_j),
     "T-MONO": ("growing the selection shrinks the extension pointwise",
-               lambda ctx: ctx.is_sp, _check_mono),
+               is_sp, _check_mono),
     "T-RIGHT-IMPL": ("right-implicative tables with y <= x->y are left-implicative",
-                     lambda ctx: ctx.is_sp, _check_right_impl),
+                     is_sp, _check_right_impl),
 }
 
 
@@ -1268,53 +1204,13 @@ def theorem_ids() -> tuple[str, ...]:
 # -- counterexample hunts -----------------------------------------------------------
 
 
-def _pointwise_table(p: Poset, value_fn) -> TotalTable | None:
-    cells = []
-    for x in range(p.n):
-        row = []
-        for y in range(p.n):
-            v = value_fn(x, y)
-            if v is None:
-                return None
-            row.append(v)
-        cells.append(row)
-    return TotalTable(p, cells)
-
-
-def _rp_table(p: Poset) -> TotalTable | None:
-    if p.greatest_of(p.full) is None:
-        return None  # x -> x would need a greatest element
-
-    def cell(x, y):
-        m = 0
-        for u in range(p.n):
-            if p.downs[u] & p.downs[x] & ~p.downs[y] == 0:
-                m |= 1 << u
-        return p.greatest_of(m)
-
-    return _pointwise_table(p, cell)
-
-
-def _clp_table(p: Poset) -> TotalTable | None:
-    def cell(x, y):
-        f = p.frink_mask(x, y)
-        m = 0
-        for u in range(p.n):
-            if f & p.downs[u] == p.downs[y]:
-                m |= 1 << u
-        return p.greatest_of(m)
-
-    return _pointwise_table(p, cell)
-
-
 def _hunt_rule_to_esp(kind: str):
     """Counterexample check for 'tables of a total pointwise rule are extended
     sectional pseudocomplementations'."""
 
-    def check(ctx: _Ctx):
-        p = ctx.p
-        t = _rp_table(p) if kind == "rp" else _clp_table(p)
-        if t is None:
+    def check(p: Poset):
+        t = complement_table(p, kind)
+        if not isinstance(t, TotalTable):
             return None
         if kind == "rp":
             jrep = check_system(p, t, "J")
@@ -1324,13 +1220,8 @@ def _hunt_rule_to_esp(kind: str):
         verdict = is_esp(p, t)
         if verdict.holds:
             return None
-        wrp_agrees = all(
-            t.value(x, y) == wrp_complement(p, x, y)
-            for i in range(p.n)
-            for j in range(p.n)
-            if p.leq_ix(j, i)
-            for x, y in [(p.elements[i], p.elements[j])]
-        )
+        wrp_agrees = all(t.cells[x][y] == wrp_value_ix(p, x, y)
+                         for x in range(p.n) for y in range(p.n) if p.leq_ix(y, x))
         return Counterexample(
             _serialize(p, {kind: t}),
             f"total {kind} table is not an extended sectional pseudocomplementation; "
@@ -1340,21 +1231,14 @@ def _hunt_rule_to_esp(kind: str):
     return check
 
 
-def _hunt_esp_to_j(ctx: _Ctx):
+def _hunt_esp_to_j(p: Poset):
     # An extension leaves every non-sectioned cell free, and each j-axiom
     # instance lives inside one column, so a j-violating extension exists iff
     # some single column admits a violating vector; the other columns are
     # completed with the pure extension.
-    p = ctx.p
     n = p.n
-    star = ctx.star
-    meet = _meets(p)
-    j_need = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            w = meet[x][y]
-            if w is not None:
-                j_need[y][w] |= 1 << x
+    star = star_table(p)
+    j_need = _meet_need(p)
 
     for c in range(n):
         masks = [1 << star.cells[r][c] if p.leq_ix(c, r) else p.full for r in range(n)]
@@ -1402,24 +1286,24 @@ def _hunt_esp_to_j(ctx: _Ctx):
     return None
 
 
-def _hunt_sp_to_sp(ctx: _Ctx):
-    rep = check_system(ctx.p, ctx.star, "SP")
+def _hunt_sp_to_sp(p: Poset):
+    rep = check_system(p, star_table(p), "SP")
     if rep.holds:
         return None
-    return Counterexample(_serialize(ctx.p), f"star table violates {rep.violations[0]}")
+    return Counterexample(_serialize(p), f"star table violates {rep.violations[0]}")
 
 
 PREDICATES = {
     "J⇒ESP": ("total relative pseudocomplementations satisfy j1-j3; are they extended "
               "sectional pseudocomplementations?",
-              lambda ctx: True, _hunt_rule_to_esp("rp"), LABELED_CAP),
+              lambda p: True, _hunt_rule_to_esp("rp"), LABELED_CAP),
     "CLP⇒ESP": ("are total sectional pseudocomplements in the greatest-element sense extended "
                 "sectional pseudocomplementations?",
-                lambda ctx: True, _hunt_rule_to_esp("clp"), LABELED_CAP),
+                lambda p: True, _hunt_rule_to_esp("clp"), LABELED_CAP),
     "ESP⇒J": ("do extended sectional pseudocomplementations satisfy j1-j3?",
-              lambda ctx: ctx.is_sp, _hunt_esp_to_j, 5),
+              is_sp, _hunt_esp_to_j, 5),
     "sp⇒sp": ("sanity: the computed star table satisfies its own axioms",
-              lambda ctx: ctx.is_sp, _hunt_sp_to_sp, LABELED_CAP),
+              is_sp, _hunt_sp_to_sp, LABELED_CAP),
 }
 
 
@@ -1456,30 +1340,31 @@ def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
     """Test 'up-directed arrow posets are selection-natural iff they satisfy
     nat1, nat2 and the selection variant of nat3' under two hypothesis readings.
 
-    Returns, per variant, "verified" or the first counterexample poset name.
-    Variant "plain" quantifies over all tables; variant "strong" restricts both
-    directions to strong tables.
+    Returns, per variant, "verified" or the first counterexample poset name,
+    from the same sweep as verify_theorem.  Variant "plain" quantifies over all
+    tables; variant "strong" restricts both directions to strong tables, and
+    is "inconclusive" at the first poset with more than 100000 models.
     """
     make = {"frink": selection_frink, "union": selection_union}[selection]
-    out = {"plain": "verified", "strong": "verified"}
-    for n in range(1, max_n + 1):
-        for p in enumerate_posets(n):
-            rep = p.classify()
-            if not rep.is_up_directed:
-                continue
-            sel = make(p)
-            sols = system_column_solutions(p, "NATI", sel=sel)
-            ext = i_natural_extension(p, sel)
-            expected = table_as_columns(ext.table) if ext.is_total else [[]]
-            if out["plain"] == "verified" and not products_equal(sols, expected):
-                out["plain"] = f"counterexample at n={n}: {p.name}"
-            if out["strong"] == "verified":
-                size = math.prod(max(len(c), 1) for c in sols)
-                if size > 100_000:
-                    out["strong"] = f"inconclusive at n={n}: {p.name} ({size} models)"
-                    continue
-                strong_sols = {t for t in _tables_from_columns(p, sols) if is_strong(p, t).holds}
-                want = {ext.table} if ext.is_total and is_strong(p, ext.table).holds else set()
-                if strong_sols != want:
-                    out["strong"] = f"counterexample at n={n}: {p.name}"
-    return out
+
+    def variants(p: Poset):
+        sel = make(p)
+        sols = system_column_solutions(p, "NATI", sel=sel)
+        ext = i_natural_extension(p, sel)
+        expected = table_as_columns(ext.table) if ext.is_total else [[]]
+        found = {}
+        if not products_equal(sols, expected):
+            found["plain"] = f"counterexample at n={p.n}: {p.name}"
+        size = math.prod(max(len(c), 1) for c in sols)
+        if size > 100_000:
+            found["strong"] = f"inconclusive at n={p.n}: {p.name} ({size} models)"
+        else:
+            strong_sols = {t for t in _tables_from_columns(p, sols) if is_strong(p, t).holds}
+            want = {ext.table} if ext.is_total and is_strong(p, ext.table).holds else set()
+            if strong_sols != want:
+                found["strong"] = f"counterexample at n={p.n}: {p.name}"
+        return {variant: Counterexample(_serialize(p), text) for variant, text in found.items()}
+
+    *_, found = _sweep(max_n, lambda p: p.classify().is_up_directed, variants, stop=False)
+    return {variant: found[variant].witness if variant in found else "verified"
+            for variant in ("plain", "strong")}

@@ -47,17 +47,15 @@ class ExtensionResult:
             raise ValueError("exactly one of table / undefined pairs must be present")
 
 
-def _section_tops(p: Poset) -> list[int]:
-    tops = []
-    for i in range(p.n):
-        t = p.section_top_ix(i)
-        if t is None:
-            two = list(bits(p.maximal_of(p.ups[i])))[:2]
-            raise NotSectionallyBounded(
-                f"section [{p.elements[i]}) of {p.name!r} has maximal elements "
-                f"{p.elements[two[0]]} and {p.elements[two[1]]}")
-        tops.append(t)
-    return tops
+def _bounded_tops(p: Poset) -> tuple[int, ...]:
+    """p.tops, when every section has a greatest element."""
+    if None in p.tops:
+        i = p.tops.index(None)
+        two = list(bits(p.maximal_of(p.ups[i])))[:2]
+        raise NotSectionallyBounded(
+            f"section [{p.elements[i]}) of {p.name!r} has maximal elements "
+            f"{p.elements[two[0]]} and {p.elements[two[1]]}")
+    return p.tops
 
 
 def _assemble(p: Poset, cells, undef) -> ExtensionResult:
@@ -72,7 +70,7 @@ def _assemble(p: Poset, cells, undef) -> ExtensionResult:
 def pure_extension(s: PartialTable) -> TotalTable:
     """x -> y is x*y for y <= x, the top of [x) for x < y, and y otherwise."""
     p = s.owner
-    tops = _section_tops(p)
+    tops = _bounded_tops(p)
     n = p.n
     cells = [[0] * n for _ in range(n)]
     for x in range(n):
@@ -94,7 +92,7 @@ def natural_extension(s: PartialTable) -> TotalTable:
     y <= x dropped.
     """
     p = s.owner
-    tops = _section_tops(p)
+    tops = _bounded_tops(p)
     n = p.n
     cells = [
         [s.cells[x][y] if p.leq_ix(y, x) else tops[y] for y in range(n)]
@@ -110,32 +108,40 @@ def _min_of_values(p: Poset, s: PartialTable, zmask: int, y: int) -> int | None:
     return p.least_of(vals)
 
 
+def natural_min_cells(s: PartialTable) -> tuple[list, list]:
+    """The cells of the natural extension's two min forms, min{z*y : z in
+    [y,x] or z = y} and min{z*y : z in ((x] u (y]) n [y)}, None where the
+    minimum does not exist."""
+    p = s.owner
+    n = p.n
+    first, second = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            first[x][y] = _min_of_values(p, s, (p.ups[y] & p.downs[x]) | (1 << y), y)
+            second[x][y] = _min_of_values(p, s, (p.downs[x] | p.downs[y]) & p.ups[y], y)
+    return first, second
+
+
 def natural_min_form(s: PartialTable) -> TotalTable:
     """The natural extension computed as min{z*y : z in [y,x] or z = y}.
 
-    Both min formulations (over [y,x] u {y} and over ((x] u (y]) n [y)) are
-    evaluated and compared against the max form; any mismatch means the input
-    was not a sectional pseudocomplementation table or there is a bug.
+    Both min formulations (natural_min_cells) are compared against the max
+    form; any mismatch means the input was not a sectional
+    pseudocomplementation table or there is a bug.
     """
     p = s.owner
     maxform = natural_extension(s)
-    n = p.n
-    cells = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            z1 = (p.ups[y] & p.downs[x]) | (1 << y)
-            z2 = (p.downs[x] | p.downs[y]) & p.ups[y]
-            v1 = _min_of_values(p, s, z1, y)
-            v2 = _min_of_values(p, s, z2, y)
-            v0 = maxform.cells[x][y]
+    first, second = natural_min_cells(s)
+    for x in range(p.n):
+        for y in range(p.n):
+            v0, v1, v2 = maxform.cells[x][y], first[x][y], second[x][y]
             if v1 is None or v1 != v2 or v1 != v0:
                 raise InternalDisagreement(
                     f"natural extension forms disagree at ({p.elements[x]}, {p.elements[y]}): "
                     f"max-form {p.elements[v0]}, min-forms "
                     f"{'none' if v1 is None else p.elements[v1]} / "
                     f"{'none' if v2 is None else p.elements[v2]}")
-            cells[x][y] = v1
-    return TotalTable(p, cells)
+    return TotalTable(p, first)
 
 
 # -- rules that may be partial -------------------------------------------------
@@ -369,14 +375,11 @@ def m_extension(s: PartialTable) -> TotalTable:
     """
     p = s.owner
     n = p.n
-    meets = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            g = p.greatest_of(p.downs[x] & p.downs[y])
-            if g is None:
-                raise NotMeetSemilattice(
-                    f"{p.name!r} has no meet for ({p.elements[x]}, {p.elements[y]})")
-            meets[x][y] = g
+    meets = p.meets
+    for x, row in enumerate(meets):
+        if None in row:
+            raise NotMeetSemilattice(
+                f"{p.name!r} has no meet for ({p.elements[x]}, {p.elements[row.index(None)]})")
     cells = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
@@ -404,7 +407,7 @@ def mlb_extension(p: Poset) -> ExtensionResult:
     """
     n = p.n
     els = p.elements
-    mlbs = [[p.maximal_of(p.downs[i] & p.downs[j]) for j in range(n)] for i in range(n)]
+    mlbs = p.mlbs
     cells = [[0] * n for _ in range(n)]
     undef = []
     for x in range(n):

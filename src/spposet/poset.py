@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import AntisymmetryViolation, DuplicateElement, SizeCap, UnknownElement
 
@@ -33,6 +34,28 @@ def bits(mask: int):
         mask ^= low
 
 
+class _derived:
+    """Decorator for a table that depends only on a poset's order: the
+    decorated function builds it on the first read, and the poset keeps it.
+    Two threads that read it first may both build it, but both get the one
+    value kept, so every reader sees the same object."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        try:
+            return p._tables[self.name]
+        except KeyError:
+            return p._tables.setdefault(self.name, self.build(p))
+
+
 class Poset:
     """A finite partially ordered set.
 
@@ -41,11 +64,16 @@ class Poset:
     weakly above element i and ``downs[i]`` those weakly below, so all the
     section/bound computations are a handful of word operations.
 
+    The tables derived from the order (meets, joins, maximal lower bounds,
+    section tops, the local disjointness and meet masks, the classify()
+    report and the star table) are immutable values, each built once, on
+    its first read, and kept for the poset's lifetime.
+
     The constructor trusts its input; use :func:`build_poset` to validate
     declarations and take the reflexive-transitive closure.
     """
 
-    __slots__ = ("name", "elements", "n", "ups", "downs", "full", "_index")
+    __slots__ = ("name", "elements", "n", "ups", "downs", "full", "_index", "_tables")
 
     def __init__(self, name: str, elements: tuple[str, ...], ups: tuple[int, ...]):
         self.name = name
@@ -59,6 +87,7 @@ class Poset:
         self.downs = tuple(downs)
         self.full = (1 << self.n) - 1
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._tables: dict = {}
 
     # -- identifiers and indices -------------------------------------------
 
@@ -151,8 +180,9 @@ class Poset:
             return None
         return z
 
-    def disjoint_over_masks(self) -> list[list[int]]:
-        """masks[u][b]: the z with disjoint_over_ix(u, z, b), as a bitmask.
+    @_derived
+    def disjoint_over_masks(self) -> tuple[tuple[int, ...], ...]:
+        """disjoint_over_masks[u][b]: the z with disjoint_over_ix(u, z, b), as a bitmask.
 
         Each z is tested on its own, with the factors of the test that do not
         depend on z taken out, so a law over a whole set of z is one mask test.
@@ -169,11 +199,12 @@ class Poset:
                         if downs[z] & between:
                             m ^= 1 << z
                 row.append(m)
-            out.append(row)
-        return out
+            out.append(tuple(row))
+        return tuple(out)
 
-    def meet_over_masks(self) -> list[list[int]]:
-        """masks[u][b]: the z with meet_over_ix(u, z, b) == b, as a bitmask.
+    @_derived
+    def meet_over_masks(self) -> tuple[tuple[int, ...], ...]:
+        """meet_over_masks[u][b]: the z with meet_over_ix(u, z, b) == b, as a bitmask.
 
         That meet is b exactly when [b,u] n [b,z] = {b}; each z is tested on
         its own, as in disjoint_over_masks.
@@ -190,20 +221,37 @@ class Poset:
                         if downs[z] & between == only:
                             m |= 1 << z
                 row.append(m)
-            out.append(row)
-        return out
+            out.append(tuple(row))
+        return tuple(out)
 
     def meet(self, x: str, y: str) -> str | None:
-        z = self.greatest_of(self.downs[self.index(x)] & self.downs[self.index(y)])
+        z = self.meets[self.index(x)][self.index(y)]
         return None if z is None else self.elements[z]
 
     def join(self, x: str, y: str) -> str | None:
-        z = self.least_of(self.ups[self.index(x)] & self.ups[self.index(y)])
+        z = self.joins[self.index(x)][self.index(y)]
         return None if z is None else self.elements[z]
 
     def maximal_lower_bounds(self, x: str, y: str) -> "ElementSet":
-        m = self.downs[self.index(x)] & self.downs[self.index(y)]
-        return self.set_of(self.maximal_of(m))
+        return self.set_of(self.mlbs[self.index(x)][self.index(y)])
+
+    @_derived
+    def meets(self) -> tuple[tuple[int | None, ...], ...]:
+        """meets[i][j]: the meet of i and j, None where there is none."""
+        downs = self.downs
+        return tuple(tuple(self.greatest_of(a & b) for b in downs) for a in downs)
+
+    @_derived
+    def joins(self) -> tuple[tuple[int | None, ...], ...]:
+        """joins[i][j]: the join of i and j, None where there is none."""
+        ups = self.ups
+        return tuple(tuple(self.least_of(a & b) for b in ups) for a in ups)
+
+    @_derived
+    def mlbs(self) -> tuple[tuple[int, ...], ...]:
+        """mlbs[i][j]: the maximal lower bounds of i and j, as a bitmask."""
+        downs = self.downs
+        return tuple(tuple(self.maximal_of(a & b) for b in downs) for a in downs)
 
     def frink_ideal(self, x: str, y: str) -> "ElementSet":
         """L(U({x,y})); the whole carrier when x and y have no common upper bound."""
@@ -254,8 +302,10 @@ class Poset:
         g = self.least_of(self.full)
         return None if g is None else self.elements[g]
 
-    def section_top_ix(self, i: int) -> int | None:
-        return self.greatest_of(self.ups[i])
+    @_derived
+    def tops(self) -> tuple[int | None, ...]:
+        """tops[i]: the greatest element of the section [i), None where there is none."""
+        return tuple(self.greatest_of(u) for u in self.ups)
 
     # -- structure ------------------------------------------------------------
 
@@ -271,7 +321,12 @@ class Poset:
         return out
 
     def classify(self) -> "StructureReport":
-        """Exhaustive pair scan for the standard structure flags, each failure witnessed."""
+        """The standard structure flags, each failure witnessed."""
+        return self._structure
+
+    @_derived
+    def _structure(self) -> "StructureReport":
+        """Exhaustive pair scan for the flags of classify()."""
         flags: dict[str, bool] = {}
         wit: dict[str, tuple[str, str]] = {}
         els = self.elements
@@ -323,7 +378,13 @@ class Poset:
             key = "is_upper_semilattice" if not flags["is_upper_semilattice"] else "is_lower_semilattice"
             wit["is_lattice"] = wit[key]
 
-        return StructureReport(witnesses=wit, **flags)
+        return StructureReport(witnesses=MappingProxyType(wit), **flags)
+
+    @_derived
+    def star(self):
+        """The star table, as pseudo.star_table returns it."""
+        from .pseudo import _build_star_table  # pseudo builds on this module
+        return _build_star_table(self)
 
     def restrict(self, members, name: str | None = None) -> "Poset":
         """Induced sub-poset on the given elements, keeping declaration order."""
@@ -369,7 +430,8 @@ class ElementSet:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Classification flags with a witness pair for every flag that is false."""
+    """Classification flags with a witness pair for every flag that is false,
+    in a read-only mapping from flag name to pair."""
 
     is_chain: bool
     is_up_directed: bool
@@ -381,7 +443,7 @@ class StructureReport:
     is_lattice: bool
     is_nearlattice: bool
     all_lower_sections_chains: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: MappingProxyType
 
 
 def build_poset(name: str, elements, pairs, cap: int | None = None) -> Poset:

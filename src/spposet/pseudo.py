@@ -168,10 +168,6 @@ def _defining_mask(p: Poset, member) -> int:
     return m
 
 
-def _max_or_none(p: Poset, mask: int) -> int | None:
-    return p.greatest_of(mask)
-
-
 def _sp_mask(p: Poset, xi: int, yi: int) -> int:
     by = 1 << yi
     return _defining_mask(p, lambda u: p.ups[yi] & p.downs[u] & p.downs[xi] == by)
@@ -179,7 +175,28 @@ def _sp_mask(p: Poset, xi: int, yi: int) -> int:
 
 def sp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of sp_complement; assumes yi <= xi."""
-    return _max_or_none(p, _sp_mask(p, xi, yi))
+    return p.greatest_of(_sp_mask(p, xi, yi))
+
+
+def rp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
+    """Index form of rp_complement."""
+    return p.greatest_of(_defining_mask(p, lambda u: p.downs[u] & p.downs[xi] & ~p.downs[yi] == 0))
+
+
+def wrp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
+    """Index form of wrp_complement."""
+    return p.greatest_of(_defining_mask(p, lambda u: p.downs[u] & p.downs[xi] == p.downs[yi]))
+
+
+def clp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
+    """Index form of clp_complement."""
+    f = p.frink_mask(xi, yi)
+    return p.greatest_of(_defining_mask(p, lambda u: f & p.downs[u] == p.downs[yi]))
+
+
+def _by_name(p: Poset, value_ix, x: str, y: str) -> str | None:
+    v = value_ix(p, p.index(x), p.index(y))
+    return None if v is None else p.elements[v]
 
 
 def sp_complement(p: Poset, x: str, y: str) -> str | None:
@@ -190,35 +207,50 @@ def sp_complement(p: Poset, x: str, y: str) -> str | None:
     v = sp_value_ix(p, xi, yi)
     return None if v is None else p.elements[v]
 
+
 def rp_complement(p: Poset, x: str, y: str) -> str | None:
     """Relative pseudocomplement: greatest u with (u] n (x] inside (y]."""
-    xi, yi = p.index(x), p.index(y)
-    m = _defining_mask(p, lambda u: p.downs[u] & p.downs[xi] & ~p.downs[yi] == 0)
-    v = _max_or_none(p, m)
-    return None if v is None else p.elements[v]
+    return _by_name(p, rp_value_ix, x, y)
 
 
 def wrp_complement(p: Poset, x: str, y: str) -> str | None:
     """Weak relative pseudocomplement: greatest u with (u] n (x] = (y]."""
-    xi, yi = p.index(x), p.index(y)
-    m = _defining_mask(p, lambda u: p.downs[u] & p.downs[xi] == p.downs[yi])
-    v = _max_or_none(p, m)
-    return None if v is None else p.elements[v]
+    return _by_name(p, wrp_value_ix, x, y)
 
 
 def clp_complement(p: Poset, x: str, y: str) -> str | None:
     """Greatest u with L([x) n [y)) n (u] = (y]."""
-    xi, yi = p.index(x), p.index(y)
-    f = p.frink_mask(xi, yi)
-    m = _defining_mask(p, lambda u: f & p.downs[u] == p.downs[yi])
-    v = _max_or_none(p, m)
-    return None if v is None else p.elements[v]
+    return _by_name(p, clp_value_ix, x, y)
 
 
 def section_top(p: Poset, x: str) -> str | None:
     """Greatest element of [x) when it exists."""
-    t = p.section_top_ix(p.index(x))
+    t = p.tops[p.index(x)]
     return None if t is None else p.elements[t]
+
+
+_VALUES_IX = {"rp": rp_value_ix, "wrp": wrp_value_ix, "clp": clp_value_ix}
+
+
+def complement_table(p: Poset, kind: str):
+    """The rp, wrp or clp complement of every pair, as a table, or the first
+    pair (x, y), in row-major order, whose complement does not exist.
+
+    wrp is a sectional notion, so its table is partial (the pairs y <= x);
+    the rp and clp tables are total.
+    """
+    value, sectional = _VALUES_IX[kind], kind == "wrp"
+    n = p.n
+    cells = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if sectional and not p.leq_ix(y, x):
+                continue
+            v = value(p, x, y)
+            if v is None:
+                return p.elements[x], p.elements[y]
+            cells[x][y] = v
+    return PartialTable(p, cells) if sectional else TotalTable(p, cells)
 
 
 def star_table(p: Poset):
@@ -226,8 +258,13 @@ def star_table(p: Poset):
 
     Returns a PartialTable when every sectioned pair has a pseudocomplement;
     otherwise a MissingWitness naming the pair and the antichain of maximal
-    candidates of its defining set.
+    candidates of its defining set.  It is built once per poset (Poset.star),
+    and every call returns that one value.
     """
+    return p.star
+
+
+def _build_star_table(p: Poset):
     n = p.n
     cells = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -383,8 +420,7 @@ def verify_sp_properties(p: Poset, s: PartialTable) -> PropertyReport:
     def m():
         for x in range(n):
             for y in range(n):
-                mlb = p.maximal_of(p.downs[x] & p.downs[y])
-                for z in bits(mlb):
+                for z in bits(p.mlbs[x][y]):
                     if dom(y, z) and not p.leq_ix(x, c[y][z]):
                         return els[x], els[y], els[z]
 

@@ -11,9 +11,9 @@ _SPEC = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-# A stand-in for perfbench/run.py: work_per_s is RATE + seed, and every run
-# appends "<label> <workload> <seed> <seconds>" to runs.log beside the
-# checkouts.
+# A stand-in for perfbench/run.py: work_per_s is RATE + seed, FAILED of its 5
+# operations fail, and every run appends "<label> <workload> <seed> <seconds>"
+# to runs.log beside the checkouts.
 FAKE_RUN = '''
 import json, sys
 from pathlib import Path
@@ -26,7 +26,7 @@ metrics = {{"work_per_s": RATE + seed, "op_ms_p50": 100.0 / RATE}}
 print("progress")
 print(json.dumps({{"git_commit": "{commit}", "machine": {{"nproc": 2}},
                   "named": {{"classes_per_s": 2 * RATE, "label": "x"}}}}))
-print(json.dumps({{"correct": True, "attempted": 5, "failed": 0,
+print(json.dumps({{"correct": {failed} == 0, "attempted": 5, "failed": {failed},
                   "metrics": {{k: {{"value": v, "unit": "-"}} for k, v in metrics.items()}}}}))
 '''
 
@@ -36,9 +36,10 @@ BENCHMARK = {"command": ["python3", "perfbench/run.py"], "paths": ["perfbench"],
                             {"name": "op_ms_p50", "better": "lower", "bound": 0.15}]}
 
 
-def _checkout(root, name, rate, commit):
+def _checkout(root, name, rate, commit, failed=0):
     (root / name / "perfbench").mkdir(parents=True)
-    (root / name / "perfbench" / "run.py").write_text(FAKE_RUN.format(rate=rate, commit=commit))
+    (root / name / "perfbench" / "run.py").write_text(
+        FAKE_RUN.format(rate=rate, commit=commit, failed=failed))
     (root / name / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     return root / name
 
@@ -71,6 +72,23 @@ def test_pairs_alternate_and_summarize(tmp_path):
     # named figures that are numbers are summarized as well
     assert w["named"]["classes_per_s"]["change_median"] == 400
     assert "label" not in w["named"]
+    assert w["pairs"][0]["attempted"] == {"parent": 5, "change": 5}
+    assert w["failed_ratio"] == {"parent": 0, "change": 0}
+
+
+def test_failures_are_kept_per_side(tmp_path, capsys):
+    # only the change fails operations: 2 of the 5 in every run
+    parent = _checkout(tmp_path, "parent", 100, "a" * 40)
+    change = _checkout(tmp_path, "change", 100, "b" * 40, failed=2)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--claim", "c", "--seeds", "1-2", "--out", str(tmp_path)]) == 0
+    w = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    for pair in w["pairs"]:
+        assert pair["failed"] == {"parent": 0, "change": 2}
+        assert pair["attempted"] == {"parent": 5, "change": 5}
+        assert pair["correct"] is False
+    assert w["failed_ratio"] == {"parent": 0, "change": 0.4}
+    assert "w          failed ratio 0 -> 0.4" in capsys.readouterr().out.splitlines()
 
 
 def test_summary_bound_and_gain_verdicts():

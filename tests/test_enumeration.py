@@ -375,6 +375,16 @@ def test_probe_sinat_variants_union():
     assert probe_sinat_variants(4, "union") == {"plain": "verified", "strong": "verified"}
 
 
+@pytest.mark.parametrize("selection, expected", [
+    ("frink", {"plain": "counterexample at n=3: P3-6", "strong": "verified"}),
+    ("union", {"plain": "verified", "strong": "verified"}),
+])
+def test_probe_sinat_variants_at_five(selection, expected):
+    # the class sweep with its labeled rescan names the first labeled
+    # counterexample, as the labeled loop it replaced did
+    assert probe_sinat_variants(5, selection) == expected
+
+
 def test_products_equal_empty_care():
     assert products_equal([[(0,)], []], [[], [(1,)]])
     assert not products_equal([[(0,)]], [[(1,)]])
@@ -517,13 +527,13 @@ def test_automorphism_count_matches_brute_force(p):
 def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
     # a check that looks at the label, not the order, fails on every class
     # representative and on no labeled poset
-    def by_name(ctx):
-        return {"x": "bogus"} if ctx.p.name.startswith("Q") else {}
+    def by_name(p):
+        return {"x": "bogus"} if p.name.startswith("Q") else {}
 
     with pytest.raises(InternalDisagreement, match="at n=1"):
-        enumeration._sweep(3, lambda ctx: True, by_name, stop=True)
+        enumeration._sweep(3, lambda p: True, by_name, stop=True)
     with pytest.raises(InternalDisagreement, match="at n=1"):
-        enumeration._sweep(3, lambda ctx: True, by_name, stop=False)
+        enumeration._sweep(3, lambda p: True, by_name, stop=False)
 
 
 def test_failing_hunt_stops_inside_the_class_level(monkeypatch):

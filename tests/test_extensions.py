@@ -215,9 +215,12 @@ def test_m_extension_chain(chain4):
     assert t.value("0", "1") == "1"
 
 
-def test_m_extension_requires_meets(hexagon, hexagon_star):
-    with pytest.raises(NotMeetSemilattice):
+def test_m_extension_requires_meets(hexagon, hexagon_star, twochains):
+    with pytest.raises(NotMeetSemilattice, match=r"no meet for \(c, d\)"):
         m_extension(hexagon_star)
+    # the first pair without a meet in row-major order, where row a lacks two
+    with pytest.raises(NotMeetSemilattice, match=r"no meet for \(a, c\)"):
+        m_extension(star_table(twochains))
 
 
 def test_m_extension_agrees_with_greatest_form():

@@ -240,7 +240,7 @@ def test_bits_matches_the_shift_loop():
 
 @pytest.mark.parametrize("p", POSETS, ids=lambda p: f"{p.name}")
 def test_row_masks_match_the_pointwise_predicates(p):
-    disjoint, meets = p.disjoint_over_masks(), p.meet_over_masks()
+    disjoint, meets = p.disjoint_over_masks, p.meet_over_masks
     for u in range(p.n):
         for b in range(p.n):
             for z in range(p.n):

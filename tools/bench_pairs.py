@@ -13,8 +13,10 @@ reports CPU times scaled by its calibration kernel, so a second lane moves
 them little, and it halves the wall time of a full comparison (three
 workloads of ten pairs of 40 s runs take about 20 min instead of 40).
 
-The result is written to BENCH_<label>.json: per pair, both sides' metrics
-and the record's named figures (such as `classes_per_s`); per metric, each
+The result is written to BENCH_<label>.json: per pair, both sides' metrics,
+operations attempted and failed, and the record's named figures (such as
+`classes_per_s`); per workload, each side's failed share of all operations
+attempted, to set against the parent's; per metric, each
 side's median and quartiles (statistics.quantiles, method 'inclusive'), the
 change's wins, the median's relative change, the parent's quartile spread,
 whether it shows a gain (wins in at least nine tenths of the pairs and a
@@ -72,7 +74,8 @@ def run_pair(checkouts: dict, command, workload: str, seed: int, seconds: float)
         pair[side] = {k: v["value"] for k, v in runs[side][1]["metrics"].items()}
     pair["named"] = {side: runs[side][0].get("named", {}) for side in ("parent", "change")}
     pair["correct"] = all(runs[side][1]["correct"] for side in order)
-    pair["failed"] = sum(runs[side][1]["failed"] for side in order)
+    for key in ("attempted", "failed"):
+        pair[key] = {side: runs[side][1][key] for side in ("parent", "change")}
     commits = {side: runs[side][0].get("git_commit") for side in ("parent", "change")}
     return pair, commits, runs["change"][0].get("machine", {})
 
@@ -115,7 +118,11 @@ def summarize_workload(pairs: list[dict], end_to_end: list[dict]) -> dict:
         if all(isinstance(v, (int, float)) for side in sides for v in side):
             better = "higher" if name.endswith("_per_s") else "lower"
             named[name] = summarize(*sides, better, None)
-    return {"pairs": pairs, "metrics": metrics, "named": named}
+    failed_ratio = {}
+    for side in ("parent", "change"):
+        attempted = sum(p["attempted"][side] for p in pairs)
+        failed_ratio[side] = sum(p["failed"][side] for p in pairs) / attempted if attempted else 0.0
+    return {"pairs": pairs, "failed_ratio": failed_ratio, "metrics": metrics, "named": named}
 
 
 def main(argv=None) -> int:
@@ -164,6 +171,8 @@ def main(argv=None) -> int:
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     for w, summary in out["workloads"].items():
+        ratio = summary["failed_ratio"]
+        print(f"{w:10} failed ratio {ratio['parent']:.4g} -> {ratio['change']:.4g}")
         for name, m in summary["metrics"].items():
             print(f"{w:10} {name:12} {m['parent_median']:12.4g} -> {m['change_median']:12.4g} "
                   f"({m['median_change_rel']:+.1%}, wins {m['change_wins']}/{m['pairs']}, "
