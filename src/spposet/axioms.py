@@ -273,9 +273,10 @@ def _sweep_j(p: Poset, t: TotalTable):
                     return els[x], els[y]
 
     def j3():
+        meet = p.meets
         for x in range(n):
             for y in range(n):
-                w = p.meets[x][y]
+                w = meet[x][y]
                 if w is not None and not p.leq_ix(x, c[y][w]):
                     return els[x], els[y]
 

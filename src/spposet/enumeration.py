@@ -942,9 +942,10 @@ def _check_spchar(p: Poset):
 
 
 def _check_glb(p: Poset):
+    meets, mlbs = p.meets, p.mlbs
     for x in range(p.n):
         for y in range(p.n):
-            g, mlb = p.meets[x][y], p.mlbs[x][y]
+            g, mlb = meets[x][y], mlbs[x][y]
             for z in range(p.n):
                 a = bool(mlb >> z & 1)
                 b = g == z
@@ -1209,6 +1210,8 @@ def _hunt_rule_to_esp(kind: str):
     sectional pseudocomplementations'."""
 
     def check(p: Poset):
+        if kind == "rp" and p.greatest() is None:
+            return None  # x -> x would need a greatest element
         t = complement_table(p, kind)
         if not isinstance(t, TotalTable):
             return None

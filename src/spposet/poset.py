@@ -238,20 +238,20 @@ class Poset:
     @_derived
     def meets(self) -> tuple[tuple[int | None, ...], ...]:
         """meets[i][j]: the meet of i and j, None where there is none."""
-        downs = self.downs
-        return tuple(tuple(self.greatest_of(a & b) for b in downs) for a in downs)
+        greatest, downs = self.greatest_of, self.downs
+        return tuple([tuple([greatest(a & b) for b in downs]) for a in downs])
 
     @_derived
     def joins(self) -> tuple[tuple[int | None, ...], ...]:
         """joins[i][j]: the join of i and j, None where there is none."""
-        ups = self.ups
-        return tuple(tuple(self.least_of(a & b) for b in ups) for a in ups)
+        least, ups = self.least_of, self.ups
+        return tuple([tuple([least(a & b) for b in ups]) for a in ups])
 
     @_derived
     def mlbs(self) -> tuple[tuple[int, ...], ...]:
         """mlbs[i][j]: the maximal lower bounds of i and j, as a bitmask."""
-        downs = self.downs
-        return tuple(tuple(self.maximal_of(a & b) for b in downs) for a in downs)
+        maximal, downs = self.maximal_of, self.downs
+        return tuple([tuple([maximal(a & b) for b in downs]) for a in downs])
 
     def frink_ideal(self, x: str, y: str) -> "ElementSet":
         """L(U({x,y})); the whole carrier when x and y have no common upper bound."""
@@ -305,7 +305,7 @@ class Poset:
     @_derived
     def tops(self) -> tuple[int | None, ...]:
         """tops[i]: the greatest element of the section [i), None where there is none."""
-        return tuple(self.greatest_of(u) for u in self.ups)
+        return tuple([self.greatest_of(u) for u in self.ups])
 
     # -- structure ------------------------------------------------------------
 

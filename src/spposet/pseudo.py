@@ -7,8 +7,8 @@ Four local notions are computed, all as the greatest element of a defining set:
   wrp(x, y) = max {u : (u] n (x] = (y]}
   clp(x, y) = max {u : L([x) n [y)) n (u] = (y]}
 
-The defining sets differ only in their membership predicate, so one evaluator
-serves all four.  When the set has several maximal elements there is no
+Each defining set is {u : (u] n A = B} for two masks A and B fixed by the
+pair, so one evaluator serves all four.  When the set has several maximal elements there is no
 maximum and the complement does not exist; star_table reports that antichain
 as a witness instead of raising.
 """
@@ -160,17 +160,17 @@ class MissingWitness:
 # -- the shared defining-set evaluator ----------------------------------------
 
 
-def _defining_mask(p: Poset, member) -> int:
+def _defining_mask(p: Poset, a: int, b: int) -> int:
+    """The u with (u] n A = B, as a mask; every defining set has this form."""
     m = 0
-    for u in range(p.n):
-        if member(u):
+    for u, down in enumerate(p.downs):
+        if down & a == b:
             m |= 1 << u
     return m
 
 
 def _sp_mask(p: Poset, xi: int, yi: int) -> int:
-    by = 1 << yi
-    return _defining_mask(p, lambda u: p.ups[yi] & p.downs[u] & p.downs[xi] == by)
+    return _defining_mask(p, p.ups[yi] & p.downs[xi], 1 << yi)
 
 
 def sp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
@@ -180,18 +180,17 @@ def sp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
 
 def rp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of rp_complement."""
-    return p.greatest_of(_defining_mask(p, lambda u: p.downs[u] & p.downs[xi] & ~p.downs[yi] == 0))
+    return p.greatest_of(_defining_mask(p, p.downs[xi] & ~p.downs[yi], 0))
 
 
 def wrp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of wrp_complement."""
-    return p.greatest_of(_defining_mask(p, lambda u: p.downs[u] & p.downs[xi] == p.downs[yi]))
+    return p.greatest_of(_defining_mask(p, p.downs[xi], p.downs[yi]))
 
 
 def clp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of clp_complement."""
-    f = p.frink_mask(xi, yi)
-    return p.greatest_of(_defining_mask(p, lambda u: f & p.downs[u] == p.downs[yi]))
+    return p.greatest_of(_defining_mask(p, p.frink_mask(xi, yi), p.downs[yi]))
 
 
 def _by_name(p: Poset, value_ix, x: str, y: str) -> str | None:
@@ -418,9 +417,10 @@ def verify_sp_properties(p: Poset, s: PartialTable) -> PropertyReport:
                     return els[x], els[y]
 
     def m():
+        mlbs = p.mlbs
         for x in range(n):
             for y in range(n):
-                for z in bits(p.mlbs[x][y]):
+                for z in bits(mlbs[x][y]):
                     if dom(y, z) and not p.leq_ix(x, c[y][z]):
                         return els[x], els[y], els[z]
 
