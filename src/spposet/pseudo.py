@@ -8,9 +8,9 @@ Four local notions are computed, all as the greatest element of a defining set:
   clp(x, y) = max {u : L([x) n [y)) n (u] = (y]}
 
 Each defining set is {u : (u] n A = B} for two masks A and B fixed by the
-pair, so one evaluator serves all four.  When the set has several maximal elements there is no
-maximum and the complement does not exist; star_table reports that antichain
-as a witness instead of raising.
+pair, so one evaluator serves all four.  When the set has several maximal
+elements there is no maximum and the complement does not exist; star_table
+reports that antichain as a witness instead of raising.
 """
 
 from __future__ import annotations

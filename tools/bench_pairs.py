@@ -15,16 +15,16 @@ workloads of ten pairs of 40 s runs take about 20 min instead of 40).
 
 The result is written to BENCH_<label>.json: per pair, both sides' metrics,
 operations attempted and failed, and the record's named figures (such as
-`classes_per_s`); per workload, each side's failed share of all operations
-attempted, to set against the parent's; per metric, each
-side's median and quartiles (statistics.quantiles, method 'inclusive'), the
-change's wins, the median's relative change, the parent's quartile spread,
-whether it shows a gain (wins in at least nine tenths of the pairs and a
-median better by more than the parent's quartile spread), and its bound
-verdict: "within" or "worse" than the parent by the metric's bound, or
-"unresolved" when the parent's quartile spread is wider than the bound,
-unless every run of the change is better than every run of the parent (then
-"within").  The file's "notes" are left empty, for remarks added by hand,
+`classes_per_s`); per workload, each side's failed share of the operations
+it attempted, so the change's can be set against the parent's; per metric,
+each side's median and quartiles (statistics.quantiles, method
+'inclusive'), the change's wins, the median's relative change, the parent's
+quartile spread, whether it shows a gain (wins in at least nine tenths of
+the pairs and a median better by more than the parent's quartile spread),
+and its bound verdict: "within" or "worse" than the parent by the metric's
+bound, or "unresolved" when the parent's quartile spread is wider than the
+bound, unless every run of the change is better than every run of the
+parent (then "within").  The file's "notes" are left empty, for remarks added by hand,
 such as a traced pair or a metric that moved for a reason outside the
 change.  Standard library only.
 """
