@@ -43,12 +43,14 @@ from dataclasses import dataclass, field
 
 from .axioms import (
     SYSTEMS,
+    LawContext,
     check_system,
     implicativity,
     is_esp,
     is_normal,
     is_strong,
     require_system,
+    system_laws,
 )
 from .errors import (
     InternalDisagreement,
@@ -69,7 +71,7 @@ from .extensions import (
     selection_union,
 )
 from .fileformat import Document, Section, emit
-from .poset import Poset, bits
+from .poset import Poset, bits, members
 from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_table, wrp_value_ix
 
 LABELED_CAP = 7
@@ -536,140 +538,65 @@ def count_posets_naive(n: int) -> int:
 # -- per-column axiom solving ---------------------------------------------------
 
 
-def _mlb_need(p: Poset):
-    # need[y][z] = elements x with z a maximal lower bound of x and y
+def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list, object]:
+    """What the laws ask of each column of a total table.
+
+    Every law reads one cell, or two cells of the column given by its last
+    variable, in rows given by the variables before it, with its conclusion
+    indexed by the first cell's value.  Returns (allowed, keep):
+    allowed[r][c] masks the values of cell (r, c) that the instances reading
+    that cell alone allow (a two-cell instance whose cells coincide among
+    them), and keep(c, k, vals, m) the values in m that row k of column c may
+    hold while each row t < k holds vals[t].
+    """
     n = p.n
-    need = [[0] * n for _ in range(n)]
-    for x, row in enumerate(p.mlbs):
-        for y, mlb in enumerate(row):
-            for z in bits(mlb):
-                need[y][z] |= 1 << x
-    return need
-
-
-def _meet_need(p: Poset):
-    # need[y][w] = elements x whose meet with y is w
-    n = p.n
-    need = [[0] * n for _ in range(n)]
-    for x, row in enumerate(p.meets):
-        for y, w in enumerate(row):
-            if w is not None:
-                need[y][w] |= 1 << x
-    return need
-
-
-def _cell_candidates(p: Poset, system: str, sel: LocalSelection | None):
-    """Allowed-value bitmask per (row, column) cell under the system's unary axioms."""
-    n = p.n
-    full = p.full
-    cand = [[full] * n for _ in range(n)]
-
-    def restrict_ge(need):
-        for r in range(n):
-            for c in range(n):
-                if need[r][c] == 0:
+    e = p.laws if sel is None else LawContext(p, sel)
+    allowed = [[p.full] * n for _ in range(n)]
+    # per later row k and earlier row t: the conclusions of the two-cell
+    # instances that read row t first, and of those that read row k first,
+    # each with the columns it covers
+    links: list[dict] = [{} for _ in range(n)]
+    for law in laws:
+        last = len(law.over) - 1
+        if law.vectors is None or len(law.reads) == 2 and not (
+                law.keyed and law.term is None and law.reads[0][1] == last):
+            raise ValueError("only a law of one cell, or of two cells in one column, constrains columns")
+        if len(law.reads) == 2:
+            (r1, _), (r2, _) = law.reads
+            for pre, mask, masks, _ in e.plan(law):
+                if not mask:
                     continue
-                m = 0
-                for v in bits(cand[r][c]):
-                    if need[r][c] & ~p.downs[v] == 0:
-                        m |= 1 << v
-                cand[r][c] = m
+                first, other = pre[r1], pre[r2]
+                if first == other:
+                    fixed = sum(1 << a for a in range(n) if masks[a] >> a & 1)
+                    for c in members(mask):
+                        allowed[first][c] &= fixed
+                elif first < other:
+                    links[other].setdefault(first, ([], []))[0].append((masks, mask))
+                else:
+                    links[first].setdefault(other, ([], []))[1].append((masks, mask))
+            continue
+        (r, k), = law.reads
+        for pre, mask, masks, terms in e.plan(law):
+            for u in members(mask):
+                v = pre + (u, terms[u]) if terms else pre + (u,)
+                if v[-1] is not None:  # an undefined term: the instance holds
+                    allowed[v[r]][v[k]] &= masks[v[-1] if law.keyed else u]
+    by_row = [list(row.items()) for row in links]
 
-    if system in ("SP", "ESP", "NAT", "NATI", "NRM"):
-        # "if x <= x -> y then x <= y" rejects values above the row element
-        for r in range(n):
-            for c in range(n):
-                if p.leq_ix(c, r) and r != c:
-                    cand[r][c] &= ~p.ups[r]
-    if system == "J":
-        for r in range(n):
-            for c in range(n):
-                if not p.leq_ix(r, c):
-                    cand[r][c] &= ~p.ups[r]
-    if system == "NRM":
-        for r in range(n):
-            for c in range(n):
-                cand[r][c] &= p.ups[c]
-    if system in ("SP", "ESP", "NRM"):
-        restrict_ge(_mlb_need(p))
-    if system == "NAT":
-        need = [[0] * n for _ in range(n)]
-        for y in range(n):
-            for z in range(n):
-                for x in bits(p.ups[z]):
-                    if p.disjoint_over_ix(x, y, z):
-                        need[y][z] |= 1 << x
-        restrict_ge(need)
-    if system == "NATI":
-        disjoint = p.disjoint_over_masks
-        need = [[0] * n for _ in range(n)]
-        for y in range(n):
-            for z in range(n):
-                im = sel.rows[y][z]
-                for x in bits(p.ups[z]):
-                    if im & ~disjoint[x][z] == 0:
-                        need[y][z] |= 1 << x
-        restrict_ge(need)
-    if system == "J":
-        restrict_ge(_meet_need(p))
-    if system in ("JWV", "JWV2"):
-        meet, join = p.meets, p.joins
-        for r in range(n):
-            for c in range(n):
-                m = 0
-                for v in bits(cand[r][c]):
-                    if meet[v][join[r][c]] == c:
-                        m |= 1 << v
-                cand[r][c] = m
-        need = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if system == "JWV2":
-                        w = meet[z][join[x][y]]
-                    else:
-                        w = meet[join[z][y]][join[x][y]]
-                    if w is not None:
-                        need[x][w] |= 1 << z
-        restrict_ge(need)
-    if system == "ESPW":
-        meet = p.meets
-        for r in range(n):
-            for c in range(n):
-                if p.leq_ix(c, r):
-                    m = 0
-                    for v in bits(cand[r][c]):
-                        if meet[r][v] == c:
-                            m |= 1 << v
-                    cand[r][c] = m
-        restrict_ge(_meet_need(p))
-    return cand
-
-
-def _pair_check(p: Poset, system: str):
-    """Within-column binary constraint, or None when the system has none."""
-    if system in ("SP", "ESP"):
-        def antitone_guarded(c, r1, v1, r2, v2):
-            if p.leq_ix(c, r1) and p.leq_ix(c, r2):
-                if p.leq_ix(r1, r2) and not p.leq_ix(v2, v1):
-                    return False
-                if p.leq_ix(r2, r1) and not p.leq_ix(v1, v2):
-                    return False
-            return True
-        return antitone_guarded
-    if system in ("NAT", "NATI"):
-        def antitone(c, r1, v1, r2, v2):
-            if p.leq_ix(r1, r2) and not p.leq_ix(v2, v1):
-                return False
-            if p.leq_ix(r2, r1) and not p.leq_ix(v1, v2):
-                return False
-            return True
-        return antitone
-    if system in ("NRM", "J"):
-        def exchange(c, r1, v1, r2, v2):
-            return p.leq_ix(r1, v2) == p.leq_ix(r2, v1)
-        return exchange
-    return None  # ESPW, JWV, JWV2 are unary per cell
+    def keep(c, k, vals, m):
+        for t, (reads_t, reads_k) in by_row[k]:
+            a = vals[t]
+            for masks, cover in reads_t:
+                if cover >> c & 1:
+                    m &= masks[a]
+            for masks, cover in reads_k:
+                if cover >> c & 1:
+                    for v in members(m):
+                        if not masks[v] >> a & 1:
+                            m ^= 1 << v
+        return m
+    return allowed, keep
 
 
 def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = None,
@@ -681,45 +608,41 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
     system the column domain is the rows weakly above the column element; all
     other systems are total.  With `forced`, sectioned cells are pinned to the
     given star table (extension enumeration).  The poset must have the
-    structure and the selection the system needs, as in check_system.
+    structure and the selection the system needs, as in check_system.  Each
+    column is searched row by row, values ascending: a row's values are those
+    its cell allows, narrowed by the links to the rows already assigned.
     """
+    laws = []
     if system != "NRMW":
         # the solver has no NRMW constraints yet: it yields every extension,
         # on any poset, and the generate benchmark pins those streams
         require_system(p, system, sel)
+        laws = system_laws(system)
     n = p.n
-    cand = _cell_candidates(p, system, sel)
-    pair = _pair_check(p, system)
+    allowed, keep = column_constraints(p, laws, sel)
     out = []
     for c in range(n):
         rows = [r for r in range(n) if p.leq_ix(c, r)] if system == "SP" else list(range(n))
-        masks = []
-        for r in rows:
-            m = cand[r][c]
-            if forced is not None and p.leq_ix(c, r):
-                m &= 1 << forced.cells[r][c]
-            masks.append(m)
+        masks = [allowed[r][c] for r in range(n)]
+        if forced is not None:
+            for r in bits(p.ups[c]):
+                masks[r] &= 1 << forced.cells[r][c]
         sols: list[tuple] = []
-        vals = [0] * len(rows)
+        out.append(sols)
+        if not all(masks[r] for r in rows):
+            continue
+        vals = [0] * n
 
-        def rec(k):
-            if k == len(rows):
-                sols.append(tuple(vals))
+        def rec(i):
+            if i == len(rows):
+                sols.append(tuple([vals[r] for r in rows]))
                 return
-            for v in bits(masks[k]):
-                if pair is not None:
-                    ok = True
-                    for t in range(k):
-                        if not pair(c, rows[t], vals[t], rows[k], v):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
+            k = rows[i]
+            for v in bits(keep(c, k, vals, masks[k])):
                 vals[k] = v
-                rec(k + 1)
+                rec(i + 1)
 
         rec(0)
-        out.append(sols)
     return out
 
 
@@ -1241,43 +1164,33 @@ def _hunt_esp_to_j(p: Poset):
     # completed with the pure extension.
     n = p.n
     star = star_table(p)
-    j_need = _meet_need(p)
+    allowed, keep = column_constraints(p, system_laws("J"), None)
 
     for c in range(n):
-        masks = [1 << star.cells[r][c] if p.leq_ix(c, r) else p.full for r in range(n)]
         vals = [0] * n
-        hit: list[tuple] = []
-
-        def violates(k, v):
-            if p.leq_ix(k, v) and not p.leq_ix(k, c):
-                return True  # j2
-            if j_need[k][c] & ~p.downs[v]:
-                return True  # j3
-            for t in range(k):
-                if p.leq_ix(t, v) != p.leq_ix(k, vals[t]):
-                    return True  # j1
-            return False
 
         def rec(k):
-            if hit or k == n:
-                return
-            for v in bits(masks[k]):
-                if violates(k, v):
-                    vals[k] = v
-                    for t in range(k + 1, n):
-                        vals[t] = star.cells[t][c] if p.leq_ix(c, t) else c
-                    hit.append(tuple(vals))
-                    return
+            # the first vector, rows k.. in order and values ascending, that
+            # breaks j1-j3 at row k or later; None when every vector holds
+            if k == n:
+                return None
+            values = 1 << star.cells[k][c] if p.leq_ix(c, k) else p.full
+            ok = keep(c, k, vals, allowed[k][c] & values)
+            for v in bits(values):
                 vals[k] = v
-                rec(k + 1)
+                if not ok >> v & 1:
+                    return vals[:k + 1] + [star.cells[t][c] if p.leq_ix(c, t) else c
+                                           for t in range(k + 1, n)]
+                hit = rec(k + 1)
                 if hit:
-                    return
+                    return hit
+            return None
 
-        rec(0)
+        hit = rec(0)
         if hit:
             cells = [list(r) for r in pure_extension(star).cells]
             for r in range(n):
-                cells[r][c] = hit[0][r]
+                cells[r][c] = hit[r]
             t = TotalTable(p, cells)
             jrep = check_system(p, t, "J")
             if jrep.holds or not is_esp(p, t).holds:

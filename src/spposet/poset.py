@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import AntisymmetryViolation, DuplicateElement, SizeCap, UnknownElement
@@ -32,6 +33,13 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+@lru_cache(maxsize=4096)
+def members(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending, as a tuple kept for the next call with
+    the same mask (for masks that loops walk again and again)."""
+    return tuple(bits(mask))
 
 
 class _derived:
@@ -248,6 +256,18 @@ class Poset:
         return tuple([tuple([least(a & b) for b in ups]) for a in ups])
 
     @_derived
+    def meet_masks(self) -> tuple[tuple[int, ...], ...]:
+        """meet_masks[i][w]: the j whose meet with i is w, as a bitmask."""
+        out = []
+        for row in self.meets:
+            masks = [0] * self.n
+            for j, w in enumerate(row):
+                if w is not None:
+                    masks[w] |= 1 << j
+            out.append(tuple(masks))
+        return tuple(out)
+
+    @_derived
     def mlbs(self) -> tuple[tuple[int, ...], ...]:
         """mlbs[i][j]: the maximal lower bounds of i and j, as a bitmask."""
         maximal, downs = self.maximal_of, self.downs
@@ -385,6 +405,14 @@ class Poset:
         """The star table, as pseudo.star_table returns it."""
         from .pseudo import _build_star_table  # pseudo builds on this module
         return _build_star_table(self)
+
+    @_derived
+    def laws(self):
+        """What the law table of axioms reads of this poset, without a local
+        selection (axioms.LawContext).  It keeps the plans of the laws it
+        has checked twice, so later checks of other tables reuse them."""
+        from .axioms import LawContext  # axioms builds on this module
+        return LawContext(self)
 
     def restrict(self, members, name: str | None = None) -> "Poset":
         """Induced sub-poset on the given elements, keeping declaration order."""

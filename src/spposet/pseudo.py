@@ -321,115 +321,8 @@ def verify_sp_properties(p: Poset, s: PartialTable) -> PropertyReport:
 
     Every law is swept universally; an instance only counts when all values it
     mentions are defined.  The first failing witness per item is reported, in
-    lexicographic declaration order of the quantified tuple.
+    lexicographic declaration order of the quantified tuple.  The laws are
+    entries of the law table in axioms.
     """
-    n = p.n
-    els = p.elements
-    c = s.cells
-
-    def dom(x, y):
-        return p.leq_ix(y, x)
-
-    def a():
-        for x in range(n):
-            for y in range(n):
-                if dom(x, y) and not p.leq_ix(y, c[x][y]):
-                    return els[x], els[y]
-
-    def b():
-        for x in range(n):
-            for y in range(n):
-                if dom(x, y) and not p.disjoint_over_ix(c[x][y], x, y):
-                    return els[x], els[y]
-
-    def c_mono():
-        for x in range(n):
-            for y in range(n):
-                if not p.leq_ix(x, y):
-                    continue
-                for z in range(n):
-                    if dom(y, z) and dom(x, z) and not p.leq_ix(c[y][z], c[x][z]):
-                        return els[x], els[y], els[z]
-
-    def d_swap():
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if dom(y, z) and dom(x, z) and p.leq_ix(x, c[y][z]) and not p.leq_ix(y, c[x][z]):
-                        return els[x], els[y], els[z]
-
-    def e():
-        for x in range(n):
-            for y in range(n):
-                if dom(x, y):
-                    v = c[x][y]
-                    if dom(v, y) and not p.leq_ix(x, c[v][y]):
-                        return els[x], els[y]
-
-    def f():
-        for x in range(n):
-            for y in range(n):
-                if dom(x, y):
-                    v = c[x][y]
-                    if dom(v, y) and not p.leq_ix(y, c[v][y]):
-                        return els[x], els[y]
-
-    def g():
-        for x in range(n):
-            for y in range(n):
-                if p.leq_ix(y, x) and not p.leq_ix(x, c[y][y]):
-                    return els[x], els[y]
-
-    def h():
-        for x in range(n):
-            for y in range(n):
-                if p.leq_ix(y, x):
-                    t = c[y][y]
-                    if dom(t, x) and c[t][x] != x:
-                        return els[x], els[y]
-
-    def i_triple():
-        for x in range(n):
-            for y in range(n):
-                if dom(x, y):
-                    v = c[x][y]
-                    if dom(v, y):
-                        w = c[v][y]
-                        if dom(w, y) and c[w][y] != v:
-                            return els[x], els[y]
-
-    def j():
-        for x in range(n):
-            for y in range(n):
-                if dom(x, y) and p.leq_ix(x, c[x][y]) and not p.leq_ix(x, y):
-                    return els[x], els[y]
-
-    def k():
-        for x in range(n):
-            for y in range(n):
-                if p.leq_ix(y, x) and c[x][x] != c[y][y]:
-                    return els[x], els[y]
-
-    def l():
-        for x in range(n):
-            for y in range(n):
-                if dom(x, y) and c[x][y] == c[y][y] and x != y:
-                    return els[x], els[y]
-
-    def m():
-        mlbs = p.mlbs
-        for x in range(n):
-            for y in range(n):
-                for z in bits(mlbs[x][y]):
-                    if dom(y, z) and not p.leq_ix(x, c[y][z]):
-                        return els[x], els[y], els[z]
-
-    checks = [
-        ("a", a), ("b", b), ("c", c_mono), ("d", d_swap), ("e", e), ("f", f),
-        ("g", g), ("h", h), ("i", i_triple), ("j", j), ("k", k), ("l", l), ("m", m),
-    ]
-    items = []
-    for ident, fn in checks:
-        w = fn()
-        items.append(ItemResult(ident, "pass" if w is None else "fail", w))
-    return PropertyReport("sp-prop", tuple(items))
+    from .axioms import lemma_items  # axioms builds on this module
+    return PropertyReport("sp-prop", lemma_items(p, s, "sp-prop"))

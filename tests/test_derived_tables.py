@@ -16,7 +16,7 @@ from spposet import MissingWitness, PartialTable, StructureReport, build_poset, 
 from spposet.enumeration import enumerate_posets
 from spposet.poset import Poset
 
-TABLES = ("meets", "joins", "mlbs", "tops", "disjoint_over_masks", "meet_over_masks",
+TABLES = ("meets", "joins", "meet_masks", "mlbs", "tops", "disjoint_over_masks", "meet_over_masks",
           "_structure", "star")
 
 
@@ -50,8 +50,10 @@ def oracle_tables(p):
     def common(b, u, z):  # [b, u] n [b, z]
         return [w for w in between[b][u] if le[w][z]]
 
+    meets = tuple(tuple(_greatest(le, lower[i][j]) for j in r) for i in r)
     return {
-        "meets": tuple(tuple(_greatest(le, lower[i][j]) for j in r) for i in r),
+        "meets": meets,
+        "meet_masks": tuple(tuple(_mask(j for j in r if meets[i][j] == w) for w in r) for i in r),
         "joins": tuple(tuple(_least(le, upper[i][j]) for j in r) for i in r),
         "mlbs": tuple(tuple(_mask(_maximal(le, lower[i][j])) for j in r) for i in r),
         "tops": tuple(_greatest(le, [z for z in r if le[i][z]]) for i in r),

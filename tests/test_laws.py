@@ -1,0 +1,149 @@
+"""The law table read two ways: the column solver and check_system must agree.
+
+A table satisfies a system exactly when each of its columns is among that
+column's solutions, so solver acceptance and the checker's verdict are two
+readings of the same laws.  They are compared on every labeled poset with up
+to 4 elements and on the corpus: on every table at n <= 2, and above that on
+seeded random tables, on tables built from solutions, and on those tables
+with one cell changed.  NRMW is left out: the solver has no NRMW constraints
+yet (ROADMAP), so it accepts every table on any poset.
+"""
+
+import importlib.resources
+import itertools
+import random
+
+import pytest
+
+from spposet import (
+    PartialTable,
+    TotalTable,
+    check_system,
+    normal_extension,
+    parse_path,
+    pure_extension,
+    selection_frink,
+    selection_union,
+    star_table,
+)
+from spposet.axioms import SYSTEMS, require_system
+from spposet.enumeration import enumerate_posets, system_column_solutions
+from spposet.errors import StructureMismatch
+
+SOLVED = [s for s in SYSTEMS if s != "NRMW"]
+
+
+def corpus_posets():
+    for f in sorted(importlib.resources.files("spposet.corpus").iterdir()):
+        if f.name.endswith(".sp"):
+            for sec in parse_path(str(f)).sections:
+                if sec.kind == "poset":
+                    yield sec.obj
+
+
+def cases(p):
+    """(system, selection) pairs the poset has the structure for."""
+    for system in SOLVED:
+        sels = [selection_union(p), selection_frink(p)] if system == "NATI" else [None]
+        for sel in sels:
+            try:
+                require_system(p, system, sel)
+            except StructureMismatch:
+                continue
+            yield system, sel
+
+
+def column_rows(p, system):
+    return [[r for r in range(p.n) if p.leq_ix(c, r)] if system == "SP" else list(range(p.n))
+            for c in range(p.n)]
+
+
+def make(p, system, rows):
+    if system == "SP":
+        return PartialTable(p, [[v if p.leq_ix(y, x) else None for y, v in enumerate(row)]
+                                for x, row in enumerate(rows)])
+    return TotalTable(p, rows)
+
+
+def accepted(sols, rows_of, t):
+    return all(tuple(t.cells[r][c] for r in rows) in sols[c] for c, rows in enumerate(rows_of))
+
+
+def agree(p, system, sel, sols, rows_of, t):
+    got = accepted(sols, rows_of, t)
+    assert got == check_system(p, t, system, sel=sel).holds, (p.name, system, t.cells)
+    return got
+
+
+def test_solver_accepts_exactly_the_tables_check_system_passes():
+    rng = random.Random(9)
+    outcomes = set()
+    posets = [p for n in range(1, 5) for p in enumerate_posets(n)] + list(corpus_posets())
+    for p in posets:
+        for system, sel in cases(p):
+            sols = [set(col) for col in system_column_solutions(p, system, sel=sel)]
+            rows_of = column_rows(p, system)
+            n = p.n
+            if n <= 2:
+                tables = (make(p, system, [list(cells[i * n:(i + 1) * n]) for i in range(n)])
+                          for cells in itertools.product(range(n), repeat=n * n))
+            else:
+                tables = [make(p, system, [[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+                          for _ in range(3)]
+                if all(sols):
+                    picks = [sorted(col)[rng.randrange(len(col))] for col in sols]
+                    rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+                    for c, (pick, rs) in enumerate(zip(picks, rows_of)):
+                        for r, v in zip(rs, pick):
+                            rows[r][c] = v
+                    tables.append(make(p, system, rows))
+                    for _ in range(3):
+                        c = rng.randrange(n)
+                        r = rng.choice(rows_of[c])
+                        changed = [row[:] for row in rows]
+                        changed[r][c] = rng.randrange(n)
+                        tables.append(make(p, system, changed))
+            for t in tables:
+                outcomes.add((system, agree(p, system, sel, sols, rows_of, t)))
+    # every system is seen both accepting and rejecting
+    assert {system for system, ok in outcomes if ok} == set(SOLVED)
+    assert {system for system, ok in outcomes if not ok} == set(SOLVED)
+
+
+# -- jwv2 on upper semilattices -----------------------------------------------------
+
+
+def upper_semilattices(max_n):
+    for n in range(1, max_n + 1):
+        for p in enumerate_posets(n, "up-to-iso"):
+            if p.classify().is_upper_semilattice:
+                yield p
+
+
+def test_jwv2_meet_always_exists_on_upper_semilattices():
+    # join(z, y) and join(x, y) both lie above y, so they have a common lower
+    # bound, and in a finite upper semilattice the join of the common lower
+    # bounds is their meet
+    seen = 0
+    for p in upper_semilattices(6):
+        meet, join = p.meets, p.joins
+        for x, y, z in itertools.product(range(p.n), repeat=3):
+            assert meet[join[z][y]][join[x][y]] is not None, (p.name, x, y, z)
+        seen += 1
+    assert seen > 50
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_existential_and_one_defined_readings_agree_on_jwv(n):
+    # they differ only on jwv2 instances whose meet is undefined, and there
+    # are none
+    rng = random.Random(n)
+    for p in upper_semilattices(n):
+        tables = [TotalTable(p, [[rng.randrange(p.n) for _ in range(p.n)] for _ in range(p.n)])
+                  for _ in range(20)]
+        st = star_table(p)
+        if isinstance(st, PartialTable):
+            tables += [pure_extension(st), normal_extension(st).table]
+        for t in tables:
+            assert (check_system(p, t, "JWV", reading="existential")
+                    == check_system(p, t, "JWV", reading="one-defined"))
