@@ -72,10 +72,12 @@ class Poset:
     weakly above element i and ``downs[i]`` those weakly below, so all the
     section/bound computations are a handful of word operations.
 
-    The tables derived from the order (meets, joins, maximal lower bounds,
-    section tops, the local disjointness and meet masks, the classify()
-    report and the star table) are immutable values, each built once, on
-    its first read, and kept for the poset's lifetime.
+    The tables derived from the order (meets, joins, meet masks, maximal
+    lower bounds, section tops, the local disjointness and meet masks, the
+    classify() report and the star table) are immutable values, each built
+    once, on its first read, and kept for the poset's lifetime.  The law
+    context (laws) is built the same way and then keeps the plans of the
+    laws it checks, which depend on the order alone.
 
     The constructor trusts its input; use :func:`build_poset` to validate
     declarations and take the reflexive-transitive closure.
