@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalDisagreement, MissingSelection, NotSectionallyBounded, StructureMismatch
-from .extensions import LocalSelection, normal_extension
+from .extensions import LocalSelection, normal_extension, require_owner
 from .pseudo import (
     ItemResult,
     MissingWitness,
@@ -447,8 +447,9 @@ def require_system(p: Poset, system: str, sel: LocalSelection | None = None) -> 
     """The SYSTEMS entry of a known system whose structure p has and whose selection is given.
 
     Raises StructureMismatch for an unknown system or a poset without the
-    needed semilattice or lattice structure, and MissingSelection when the
-    system needs a local selection and none is given.
+    needed semilattice or lattice structure or a selection over another
+    poset, and MissingSelection when the system needs a local selection and
+    none is given.
     """
     if system not in SYSTEMS:
         raise StructureMismatch(f"unknown axiom system {system!r}")
@@ -462,6 +463,7 @@ def require_system(p: Poset, system: str, sel: LocalSelection | None = None) -> 
             raise StructureMismatch(f"system {system} needs a {struct} structure")
     if info.get("selection") and sel is None:
         raise MissingSelection(f"system {system} needs a local selection")
+    require_owner(p, sel)
     return info
 
 
@@ -654,6 +656,7 @@ def verify_lemma_suite(p: Poset, op, suite: str, sel: LocalSelection | None = No
         raise ValueError(f"unknown suite {suite!r}; choose from {LEMMA_SUITES}")
     if suite in ("Inat-prop", "simplI") and sel is None:
         raise MissingSelection(f"suite {suite} needs a local selection")
+    require_owner(p, sel)
     if suite == "simplI":
         return PropertyReport(suite, tuple(_suite_simpl_i(p, sel)))
     if not isinstance(op, TotalTable) or op.owner != p:

@@ -103,19 +103,15 @@ def cmd_star(args) -> int:
     doc = _load(args.file)
     p = doc.poset(args.poset)
     kind = args.kind
-    if kind == "sp":
-        st = pseudo.star_table(p)
-        if isinstance(st, MissingWitness):
-            print(f"no sectional pseudocomplement at ({st.x}, {st.y}); "
-                  f"maximal candidates: {' '.join(st.candidates) or '(none)'}")
-            return 1
-        sys.stdout.write(_emit_result(p, "star", st))
-        return 0
     table = pseudo.complement_table(p, kind)
-    if isinstance(table, tuple):
-        print(f"no {kind} complement at ({table[0]}, {table[1]})")
+    if isinstance(table, MissingWitness):
+        if kind == "sp":
+            print(f"no sectional pseudocomplement at ({table.x}, {table.y}); "
+                  f"maximal candidates: {' '.join(table.candidates) or '(none)'}")
+        else:
+            print(f"no {kind} complement at ({table.x}, {table.y})")
         return 1
-    sys.stdout.write(_emit_result(p, kind, table))
+    sys.stdout.write(_emit_result(p, "star" if kind == "sp" else kind, table))
     return 0
 
 

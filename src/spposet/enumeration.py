@@ -67,6 +67,7 @@ from .extensions import (
     natural_min_cells,
     normal_extension,
     pure_extension,
+    require_owner,
     selection_frink,
     selection_union,
 )
@@ -608,9 +609,10 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
     system the column domain is the rows weakly above the column element; all
     other systems are total.  With `forced`, sectioned cells are pinned to the
     given star table (extension enumeration).  The poset must have the
-    structure and the selection the system needs, as in check_system.  Each
-    column is searched row by row, values ascending: a row's values are those
-    its cell allows, narrowed by the links to the rows already assigned.
+    structure and the selection the system needs, as in check_system, and a
+    given selection must be over p.  Each column is searched row by row,
+    values ascending: a row's values are those its cell allows, narrowed by
+    the links to the rows already assigned.
     """
     laws = []
     if system != "NRMW":
@@ -618,6 +620,8 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
         # on any poset, and the generate benchmark pins those streams
         require_system(p, system, sel)
         laws = system_laws(system)
+    else:
+        require_owner(p, sel)
     n = p.n
     allowed, keep = column_constraints(p, laws, sel)
     out = []
@@ -697,9 +701,9 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
     fastest.  The values are checked once per column solution, not once per
     table cell, and a bad solution raises ValueError before the first table.
     Raises SizeCap when the number of free (non-sectioned) cells exceeds the
-    budget, StructureMismatch for the partial-table system SP or when the
-    poset lacks the structure the system needs, and MissingSelection when
-    the system needs a selection and none is given.
+    budget, StructureMismatch for the partial-table system SP, a selection
+    over another poset or a poset without the structure the system needs,
+    and MissingSelection when the system needs a selection and none is given.
     """
     if SYSTEMS.get(system, {}).get("kind") == "partial":
         raise StructureMismatch(f"system {system} needs a partial table; extensions are total")
@@ -799,7 +803,7 @@ def _sweep(max_n: int, hypothesis, check, stop: bool):
     at the first counterexample.  Returns posets_per_n, instances_per_n and
     the first counterexample per failing variant.
     """
-    if max_n > LABELED_CAP:
+    if not 1 <= max_n <= LABELED_CAP:
         raise SizeCap(f"labeled enumeration supports 1 <= n <= {LABELED_CAP}, got {max_n}")
     posets_per_n: dict[int, int] = {}
     instances_per_n: dict[int, int] = {}

@@ -2,7 +2,9 @@
 
 Every constructor either returns a TotalTable or an ExtensionResult whose
 undefined pairs carry the antichain that blocked the required maximum or
-minimum; rules never raise just because a cell has no value.  Rules that admit
+minimum; rules never raise just because a cell has no value.  A rule that may
+be partial is its table of per-pair candidate masks, whose greatest or least
+elements one builder (_extremum_table) turns into the result.  Rules that admit
 two independent formulations (the natural min/max forms, the meet-rule and its
 greatest-element form, the dual rule and the Frink-selection min rule) always
 compute both and treat disagreement as an implementation bug.
@@ -18,9 +20,10 @@ from .errors import (
     NotMeetSemilattice,
     NotSectionallyBounded,
     SelectionAxiomViolation,
+    StructureMismatch,
 )
 from .poset import ElementSet, Poset, bits
-from .pseudo import PartialTable, TotalTable
+from .pseudo import PartialTable, TotalTable, _defining_mask
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,41 @@ def _bounded_tops(p: Poset) -> tuple[int, ...]:
     return p.tops
 
 
-def _assemble(p: Poset, cells, undef) -> ExtensionResult:
-    if undef:
-        return ExtensionResult(None, tuple(undef))
-    return ExtensionResult(TotalTable(p, cells), ())
+def _extremum_table(p: Poset, masks, greatest: bool, empty_reason: str) -> ExtensionResult:
+    """The rule whose cell (x, y) is the greatest (least) element of masks[x][y].
+
+    Where that element does not exist the pair is undefined: its candidates
+    are the maximal (minimal) elements of the mask, and its reason is
+    "no-greatest-value" ("no-least-value"), or empty_reason when the mask is
+    empty.  Undefined pairs come in row-major order.
+    """
+    pick, bound, reason = ((p.greatest_of, p.maximal_of, "no-greatest-value") if greatest
+                           else (p.least_of, p.minimal_of, "no-least-value"))
+    cells = tuple([tuple(map(pick, row)) for row in masks])
+    if not any(None in row for row in cells):
+        return ExtensionResult(TotalTable._from_checked_rows(p, cells), ())
+    els = p.elements
+    return ExtensionResult(None, tuple([
+        UndefinedPair(els[x], els[y], tuple([els[u] for u in bits(bound(m))]), reason if m else empty_reason)
+        for x, row in enumerate(masks) for y, m in enumerate(row) if cells[x][y] is None]))
+
+
+def _star_values(s: PartialTable, zmasks) -> list:
+    """values[x][y]: the mask of the star values z*y over the z in zmasks[x][y],
+    all of which lie in [y)."""
+    cells = s.cells
+    out = []
+    for row in zmasks:
+        vals = []
+        for y, zmask in enumerate(row):
+            v = 0
+            while zmask:  # bits(zmask) inlined: this loop is most of a rule's time
+                low = zmask & -zmask
+                v |= 1 << cells[low.bit_length() - 1][y]
+                zmask ^= low
+            vals.append(v)
+        out.append(vals)
+    return out
 
 
 # -- rules that are always total on sectionally bounded star posets -----------
@@ -101,25 +135,16 @@ def natural_extension(s: PartialTable) -> TotalTable:
     return TotalTable(p, cells)
 
 
-def _min_of_values(p: Poset, s: PartialTable, zmask: int, y: int) -> int | None:
-    vals = 0
-    for z in bits(zmask):
-        vals |= 1 << s.cells[z][y]
-    return p.least_of(vals)
-
-
 def natural_min_cells(s: PartialTable) -> tuple[list, list]:
     """The cells of the natural extension's two min forms, min{z*y : z in
     [y,x] or z = y} and min{z*y : z in ((x] u (y]) n [y)}, None where the
     minimum does not exist."""
     p = s.owner
-    n = p.n
-    first, second = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            first[x][y] = _min_of_values(p, s, (p.ups[y] & p.downs[x]) | (1 << y), y)
-            second[x][y] = _min_of_values(p, s, (p.downs[x] | p.downs[y]) & p.ups[y], y)
-    return first, second
+    ups, downs, r = p.ups, p.downs, range(p.n)
+    first = _star_values(s, [[ups[y] & downs[x] | 1 << y for y in r] for x in r])
+    second = _star_values(s, [[(downs[x] | downs[y]) & ups[y] for y in r] for x in r])
+    return ([list(map(p.least_of, row)) for row in first],
+            [list(map(p.least_of, row)) for row in second])
 
 
 def natural_min_form(s: PartialTable) -> TotalTable:
@@ -150,26 +175,9 @@ def natural_min_form(s: PartialTable) -> TotalTable:
 def normal_extension(s: PartialTable) -> ExtensionResult:
     """x -> y as max{z*y : z a common upper bound of x and y}, where that max exists."""
     p = s.owner
-    n = p.n
-    els = p.elements
-    cells = [[0] * n for _ in range(n)]
-    undef = []
-    for x in range(n):
-        for y in range(n):
-            zmask = p.ups[x] & p.ups[y]
-            if zmask == 0:
-                undef.append(UndefinedPair(els[x], els[y], (), "no-common-upper-bound"))
-                continue
-            vals = 0
-            for z in bits(zmask):
-                vals |= 1 << s.cells[z][y]
-            g = p.greatest_of(vals)
-            if g is None:
-                anti = tuple(els[u] for u in bits(p.maximal_of(vals)))
-                undef.append(UndefinedPair(els[x], els[y], anti, "no-greatest-value"))
-            else:
-                cells[x][y] = g
-    return _assemble(p, cells, undef)
+    ups = p.ups
+    values = _star_values(s, [[a & b for b in ups] for a in ups])
+    return _extremum_table(p, values, True, "no-common-upper-bound")
 
 
 class LocalSelection:
@@ -233,6 +241,12 @@ class LocalSelection:
                         raise SelectionAxiomViolation("I3", (els[i], els[j], els[i2]))
 
 
+def require_owner(p: Poset, sel: LocalSelection | None) -> None:
+    """Raise StructureMismatch unless sel is None or a selection over p."""
+    if sel is not None and sel.owner != p:
+        raise StructureMismatch(f"selection is over poset {sel.owner.name!r}, not {p.name!r}")
+
+
 def selection_union(p: Poset) -> LocalSelection:
     """I(x, y) = (x] u (y], the smallest legal selection."""
     masks = {}
@@ -281,13 +295,7 @@ def selection_custom(p: Poset, table, kind: str = "custom-table") -> LocalSelect
 
 def i_natural_defining_mask(p: Poset, sel: LocalSelection, x: int, y: int) -> int:
     """Candidates u with (u] n I(x,y) n [y) = {y}, as a mask over indices."""
-    im = sel.mask_ix(x, y) & p.ups[y]
-    by = 1 << y
-    m = 0
-    for u in range(p.n):
-        if p.downs[u] & im == by:
-            m |= 1 << u
-    return m
+    return _defining_mask(p, sel.rows[x][y] & p.ups[y], 1 << y)
 
 
 def i_natural_cell(p: Poset, sel: LocalSelection, x: int, y: int) -> int | None:
@@ -295,44 +303,20 @@ def i_natural_cell(p: Poset, sel: LocalSelection, x: int, y: int) -> int | None:
 
 
 def i_natural_extension(p: Poset, sel: LocalSelection) -> ExtensionResult:
-    """x -> y as max{u : (u] n I(x,y) n [y) = {y}} for a local selection I."""
-    n = p.n
-    els = p.elements
-    cells = [[0] * n for _ in range(n)]
-    undef = []
-    for x in range(n):
-        for y in range(n):
-            m = i_natural_defining_mask(p, sel, x, y)
-            g = p.greatest_of(m)
-            if g is None:
-                anti = tuple(els[u] for u in bits(p.maximal_of(m)))
-                reason = "no-greatest-value" if m else "empty-defining-set"
-                undef.append(UndefinedPair(els[x], els[y], anti, reason))
-            else:
-                cells[x][y] = g
-    return _assemble(p, cells, undef)
+    """x -> y as max{u : (u] n I(x,y) n [y) = {y}} for a local selection I over p."""
+    require_owner(p, sel)
+    r = range(p.n)
+    masks = [[i_natural_defining_mask(p, sel, x, y) for y in r] for x in r]
+    return _extremum_table(p, masks, True, "empty-defining-set")
 
 
 def i_min_extension(s: PartialTable, sel: LocalSelection) -> ExtensionResult:
-    """x -> y as min{z*y : z in I(x,y) n [y)} for a local selection I."""
+    """x -> y as min{z*y : z in I(x,y) n [y)} for a local selection I over s's poset."""
     p = s.owner
-    n = p.n
-    els = p.elements
-    cells = [[0] * n for _ in range(n)]
-    undef = []
-    for x in range(n):
-        for y in range(n):
-            zmask = sel.mask_ix(x, y) & p.ups[y]
-            vals = 0
-            for z in bits(zmask):
-                vals |= 1 << s.cells[z][y]
-            v = p.least_of(vals)
-            if v is None:
-                anti = tuple(els[u] for u in bits(p.minimal_of(vals)))
-                undef.append(UndefinedPair(els[x], els[y], anti, "no-least-value"))
-            else:
-                cells[x][y] = v
-    return _assemble(p, cells, undef)
+    require_owner(p, sel)
+    ups = p.ups
+    values = _star_values(s, [[m & ups[y] for y, m in enumerate(row)] for row in sel.rows])
+    return _extremum_table(p, values, False, "no-least-value")
 
 
 def dual_j_extension(s: PartialTable) -> ExtensionResult:
@@ -343,24 +327,17 @@ def dual_j_extension(s: PartialTable) -> ExtensionResult:
     are computed and compared.
     """
     p = s.owner
-    n = p.n
-    els = p.elements
-    cells = [[0] * n for _ in range(n)]
-    undef = []
+    n, ups = p.n, p.ups
+    values = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            ub = p.ups[x] & p.ups[y]
+            ub = ups[x] & ups[y]
             vals = 0
             for z in range(n):
-                if ub & ~p.ups[z] == 0 and p.ups[z] & ~p.ups[y] == 0:
+                if ub & ~ups[z] == 0 and ups[z] & ~ups[y] == 0:
                     vals |= 1 << s.cells[z][y]
-            v = p.least_of(vals)
-            if v is None:
-                anti = tuple(els[u] for u in bits(p.minimal_of(vals)))
-                undef.append(UndefinedPair(els[x], els[y], anti, "no-least-value"))
-            else:
-                cells[x][y] = v
-    result = _assemble(p, cells, undef)
+            values[x][y] = vals
+    result = _extremum_table(p, values, False, "no-least-value")
     frink = i_min_extension(s, selection_frink(p))
     if result != frink:
         raise InternalDisagreement("dual rule disagrees with Frink-selection min rule")
@@ -374,23 +351,16 @@ def m_extension(s: PartialTable) -> TotalTable:
     they must agree cell by cell.
     """
     p = s.owner
-    n = p.n
-    meets = p.meets
+    meets, meet_masks = p.meets, p.meet_masks
     for x, row in enumerate(meets):
         if None in row:
             raise NotMeetSemilattice(
                 f"{p.name!r} has no meet for ({p.elements[x]}, {p.elements[row.index(None)]})")
-    cells = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            w = meets[x][y]
-            cells[x][y] = s.cells[x][w]
-            vals = 0
-            for u in range(n):
-                if meets[u][x] == w:
-                    vals |= 1 << u
-            g = p.greatest_of(vals)
-            if g != cells[x][y]:
+    cells = [[s.cells[x][w] for w in row] for x, row in enumerate(meets)]
+    for x, row in enumerate(meets):
+        for y, w in enumerate(row):
+            # meet_masks[x][w]: the u whose meet with x is w
+            if p.greatest_of(meet_masks[x][w]) != cells[x][y]:
                 raise MextSchDisagreement(
                     f"meet rule and its greatest-element form disagree at "
                     f"({p.elements[x]}, {p.elements[y]})")
@@ -405,26 +375,14 @@ def mlb_extension(p: Poset) -> ExtensionResult:
     pseudocomplementation; on general posets the sectioned slice can differ
     from x*y (the bundled hexagon witnesses this at (c, a)).
     """
-    n = p.n
-    els = p.elements
     mlbs = p.mlbs
-    cells = [[0] * n for _ in range(n)]
-    undef = []
-    for x in range(n):
-        for y in range(n):
-            target = mlbs[x][y]
-            m = 0
-            for u in range(n):
-                if mlbs[u][x] == target:
-                    m |= 1 << u
-            g = p.greatest_of(m)
-            if g is None:
-                anti = tuple(els[u] for u in bits(p.maximal_of(m)))
-                reason = "no-greatest-value" if m else "empty-defining-set"
-                undef.append(UndefinedPair(els[x], els[y], anti, reason))
-            else:
-                cells[x][y] = g
-    return _assemble(p, cells, undef)
+    masks = []
+    for x, row in enumerate(mlbs):
+        same = {}  # a bound set -> the u whose pair (u, x) has it
+        for u, urow in enumerate(mlbs):
+            same[urow[x]] = same.get(urow[x], 0) | 1 << u
+        masks.append([same.get(target, 0) for target in row])
+    return _extremum_table(p, masks, True, "empty-defining-set")
 
 
 def lb_min_extension(s: PartialTable) -> ExtensionResult:
@@ -435,23 +393,13 @@ def lb_min_extension(s: PartialTable) -> ExtensionResult:
     totality or extension property is claimed.
     """
     p = s.owner
-    n = p.n
-    els = p.elements
-    cells = [[0] * n for _ in range(n)]
-    undef = []
+    n, downs = p.n, p.downs
+    values = [[0] * n for _ in range(n)]
     for x in range(n):
+        row = s.cells[x]
         for y in range(n):
-            zmask = p.downs[x] & p.downs[y]
-            if zmask == 0:
-                undef.append(UndefinedPair(els[x], els[y], (), "no-common-lower-bound"))
-                continue
             vals = 0
-            for z in bits(zmask):
-                vals |= 1 << s.cells[x][z]
-            v = p.least_of(vals)
-            if v is None:
-                anti = tuple(els[u] for u in bits(p.minimal_of(vals)))
-                undef.append(UndefinedPair(els[x], els[y], anti, "no-least-value"))
-            else:
-                cells[x][y] = v
-    return _assemble(p, cells, undef)
+            for z in bits(downs[x] & downs[y]):
+                vals |= 1 << row[z]
+            values[x][y] = vals
+    return _extremum_table(p, values, False, "no-common-lower-bound")

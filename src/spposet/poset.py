@@ -405,8 +405,8 @@ class Poset:
     @_derived
     def star(self):
         """The star table, as pseudo.star_table returns it."""
-        from .pseudo import _build_star_table  # pseudo builds on this module
-        return _build_star_table(self)
+        from .pseudo import complement_table  # pseudo builds on this module
+        return complement_table(self, "sp")
 
     @_derived
     def laws(self):

@@ -8,9 +8,11 @@ Four local notions are computed, all as the greatest element of a defining set:
   clp(x, y) = max {u : L([x) n [y)) n (u] = (y]}
 
 Each defining set is {u : (u] n A = B} for two masks A and B fixed by the
-pair, so one evaluator serves all four.  When the set has several maximal
-elements there is no maximum and the complement does not exist; star_table
-reports that antichain as a witness instead of raising.
+pair, so one evaluator serves all four, and one builder (complement_table)
+makes the table of each.  When the set has several maximal elements there is
+no maximum and the complement does not exist; the builder then returns that
+antichain and its pair as a MissingWitness instead of raising.  The star
+table is complement_table(p, "sp"), built once per poset.
 """
 
 from __future__ import annotations
@@ -173,6 +175,23 @@ def _sp_mask(p: Poset, xi: int, yi: int) -> int:
     return _defining_mask(p, p.ups[yi] & p.downs[xi], 1 << yi)
 
 
+def _rp_mask(p: Poset, xi: int, yi: int) -> int:
+    return _defining_mask(p, p.downs[xi] & ~p.downs[yi], 0)
+
+
+def _wrp_mask(p: Poset, xi: int, yi: int) -> int:
+    return _defining_mask(p, p.downs[xi], p.downs[yi])
+
+
+def _clp_mask(p: Poset, xi: int, yi: int) -> int:
+    return _defining_mask(p, p.frink_mask(xi, yi), p.downs[yi])
+
+
+# kind -> (its defining set per pair, whether only the pairs y <= x are in its domain)
+_KINDS = {"sp": (_sp_mask, True), "rp": (_rp_mask, False),
+          "wrp": (_wrp_mask, True), "clp": (_clp_mask, False)}
+
+
 def sp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of sp_complement; assumes yi <= xi."""
     return p.greatest_of(_sp_mask(p, xi, yi))
@@ -180,17 +199,17 @@ def sp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
 
 def rp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of rp_complement."""
-    return p.greatest_of(_defining_mask(p, p.downs[xi] & ~p.downs[yi], 0))
+    return p.greatest_of(_rp_mask(p, xi, yi))
 
 
 def wrp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of wrp_complement."""
-    return p.greatest_of(_defining_mask(p, p.downs[xi], p.downs[yi]))
+    return p.greatest_of(_wrp_mask(p, xi, yi))
 
 
 def clp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
     """Index form of clp_complement."""
-    return p.greatest_of(_defining_mask(p, p.frink_mask(xi, yi), p.downs[yi]))
+    return p.greatest_of(_clp_mask(p, xi, yi))
 
 
 def _by_name(p: Poset, value_ix, x: str, y: str) -> str | None:
@@ -228,26 +247,26 @@ def section_top(p: Poset, x: str) -> str | None:
     return None if t is None else p.elements[t]
 
 
-_VALUES_IX = {"rp": rp_value_ix, "wrp": wrp_value_ix, "clp": clp_value_ix}
-
-
 def complement_table(p: Poset, kind: str):
-    """The rp, wrp or clp complement of every pair, as a table, or the first
-    pair (x, y), in row-major order, whose complement does not exist.
+    """The sp, rp, wrp or clp complement of every pair in its domain, as a table.
 
-    wrp is a sectional notion, so its table is partial (the pairs y <= x);
-    the rp and clp tables are total.
+    sp and wrp are sectional notions, so their tables are PartialTables over
+    the pairs y <= x; the rp and clp tables are TotalTables.  When some pair's
+    defining set has no greatest element, the result is instead a
+    MissingWitness naming the first such pair, in row-major order, and the
+    maximal elements of its defining set.
     """
-    value, sectional = _VALUES_IX[kind], kind == "wrp"
-    n = p.n
+    mask, sectional = _KINDS[kind]
+    n, els, greatest = p.n, p.elements, p.greatest_of
     cells = [[None] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
             if sectional and not p.leq_ix(y, x):
                 continue
-            v = value(p, x, y)
+            m = mask(p, x, y)
+            v = greatest(m)
             if v is None:
-                return p.elements[x], p.elements[y]
+                return MissingWitness(els[x], els[y], tuple(els[u] for u in bits(p.maximal_of(m))))
             cells[x][y] = v
     return PartialTable(p, cells) if sectional else TotalTable(p, cells)
 
@@ -257,26 +276,10 @@ def star_table(p: Poset):
 
     Returns a PartialTable when every sectioned pair has a pseudocomplement;
     otherwise a MissingWitness naming the pair and the antichain of maximal
-    candidates of its defining set.  It is built once per poset (Poset.star),
-    and every call returns that one value.
+    candidates of its defining set.  It is complement_table(p, "sp"), built
+    once per poset (Poset.star), and every call returns that one value.
     """
     return p.star
-
-
-def _build_star_table(p: Poset):
-    n = p.n
-    cells = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if not p.leq_ix(y, x):
-                continue
-            m = _sp_mask(p, x, y)
-            v = p.greatest_of(m)
-            if v is None:
-                anti = tuple(p.elements[u] for u in bits(p.maximal_of(m)))
-                return MissingWitness(p.elements[x], p.elements[y], anti)
-            cells[x][y] = v
-    return PartialTable(p, cells)
 
 
 def is_sp(p: Poset) -> bool:

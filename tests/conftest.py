@@ -1,3 +1,4 @@
+import importlib.resources
 import sys
 from pathlib import Path
 
@@ -6,11 +7,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import tables_data as td  # noqa: E402
-from spposet import PartialTable, TotalTable, build_poset  # noqa: E402
+from spposet import PartialTable, TotalTable, build_poset, parse_path  # noqa: E402
 
 
 def rows_in_order(table_dict, elements):
     return [table_dict[e] for e in elements]
+
+
+def corpus_posets():
+    """Every poset of the bundled corpus, files in name order."""
+    for f in sorted(importlib.resources.files("spposet.corpus").iterdir()):
+        if f.name.endswith(".sp"):
+            for sec in parse_path(str(f)).sections:
+                if sec.kind == "poset":
+                    yield sec.obj
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import importlib.resources
 
+import pytest
+
 from spposet.cli import main
 
 
@@ -268,6 +270,18 @@ def test_hunt_verified_exit_code(capsys):
     code, out, _ = run(capsys, "hunt", "--predicate", "sp⇒sp", "--max-n", "3")
     assert code == 0
     assert "verified" in out
+
+
+@pytest.mark.parametrize("argv", [("verify", "--theorem", "T-GLB", "--max-n", "0"),
+                                  ("verify", "--theorem", "T-ISO", "--max-n", "-1"),
+                                  ("hunt", "--predicate", "J=>ESP", "--max-n", "0"),
+                                  ("hunt", "--predicate", "sp⇒sp", "--max-n", "-3")],
+                         ids=["verify 0", "verify T-ISO -1", "hunt 0", "hunt -3"])
+def test_sweep_below_one_element_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "supports 1 <= n <= 7" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,11 +8,11 @@ only, and come back as the same object on every later read.
 """
 
 import dataclasses
-import importlib.resources
 
 import pytest
 
-from spposet import MissingWitness, PartialTable, StructureReport, build_poset, parse, star_table
+from conftest import corpus_posets
+from spposet import MissingWitness, PartialTable, StructureReport, build_poset, star_table
 from spposet.enumeration import enumerate_posets
 from spposet.poset import Poset
 
@@ -151,13 +151,6 @@ def assert_immutable(value):
         assert value is None or isinstance(value, (int, str)), value
 
 
-def _corpus_posets():
-    for path in sorted(importlib.resources.files("spposet.corpus").iterdir()):
-        if path.name.endswith(".sp"):
-            doc = parse(path.read_text("utf-8"))
-            yield from (s.obj for s in doc.sections if s.kind == "poset")
-
-
 def _sixteen():
     """Two interleaved copies of the Boolean lattice on three atoms: element k
     is the subset k // 2 of copy k % 2.  It has a full star table, and pairs
@@ -179,7 +172,7 @@ def test_cached_tables_equal_their_oracles_and_are_built_once(monkeypatch):
         monkeypatch.setattr(derived, "build", counting)
 
     posets = [p for n in range(1, 6) for p in enumerate_posets(n)]
-    posets += list(_corpus_posets()) + [_sixteen()]
+    posets += list(corpus_posets()) + [_sixteen()]
     assert len(posets) == 4473 + 8 + 1
     for p in posets:
         expected = oracle_tables(p)

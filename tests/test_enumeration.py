@@ -94,6 +94,18 @@ def test_enumeration_caps():
         next(enumerate_posets(3, "nonsense"))
 
 
+@pytest.mark.parametrize("sweep", [lambda n: verify_theorem("T-GLB", n),
+                                   lambda n: verify_theorem("T-ISO", n),
+                                   lambda n: find_counterexample("J⇒ESP", n),
+                                   probe_sinat_variants],
+                         ids=["verify", "verify T-ISO", "hunt", "probe"])
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_sweeps_reject_max_n_below_one(sweep, max_n):
+    # an empty sweep would read "verified (n = 1..0, 0 posets)"
+    with pytest.raises(SizeCap, match="1 <= n <= 7"):
+        sweep(max_n)
+
+
 def test_enumeration_is_deterministic():
     a = [p.ups for p in enumerate_posets(4)]
     b = [p.ups for p in enumerate_posets(4)]

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
 import tables_data as td
-from conftest import rows_in_order
+from conftest import corpus_posets, rows_in_order
 from spposet import (
+    ExtensionResult,
     MissingWitness,
     PartialTable,
     TotalTable,
     build_poset,
+    check_system,
     dual_j_extension,
     i_min_extension,
     i_natural_extension,
@@ -22,13 +26,18 @@ from spposet import (
     selection_union,
     star_table,
 )
-from spposet.enumeration import enumerate_posets
+from spposet.axioms import verify_lemma_suite
+from spposet.enumeration import enumerate_extensions, enumerate_posets, system_column_solutions
 from spposet.errors import (
     InternalDisagreement,
     NotMeetSemilattice,
     NotSectionallyBounded,
     SelectionAxiomViolation,
+    StructureMismatch,
 )
+from spposet.extensions import UndefinedPair, i_natural_cell, natural_min_cells
+from spposet.poset import bits
+from spposet.pseudo import clp_value_ix, complement_table, rp_value_ix, sp_value_ix, wrp_value_ix
 
 
 def total_from(p, d):
@@ -157,6 +166,38 @@ def test_selection_custom_validation(hexagon):
     with pytest.raises(SelectionAxiomViolation):
         # grows under union but shrinks under a larger first argument: violates I3
         selection_custom(hexagon, {**table, ("c", "d"): ["0", "a", "c", "d"]})
+
+
+def _chain(n):
+    els = [str(i) for i in range(n)]
+    return build_poset(f"chain{n}", els, list(zip(els, els[1:])))
+
+
+# every public entry that takes a local selection, called on the 3-chain
+SELECTION_ENTRIES = {
+    "check_system": lambda p, st, t, sel: check_system(p, t, "NATI", sel=sel),
+    "system_column_solutions": lambda p, st, t, sel: system_column_solutions(p, "NATI", sel=sel),
+    "system_column_solutions NRMW": lambda p, st, t, sel: system_column_solutions(p, "NRMW", sel=sel),
+    "enumerate_extensions": lambda p, st, t, sel: next(enumerate_extensions(st, "NATI", sel=sel)),
+    "i_natural_extension": lambda p, st, t, sel: i_natural_extension(p, sel),
+    "i_min_extension": lambda p, st, t, sel: i_min_extension(st, sel),
+    "verify_lemma_suite Inat-prop": lambda p, st, t, sel: verify_lemma_suite(p, t, "Inat-prop", sel=sel),
+    "verify_lemma_suite simplI": lambda p, st, t, sel: verify_lemma_suite(p, t, "simplI", sel=sel),
+}
+
+
+@pytest.mark.parametrize("entry", SELECTION_ENTRIES)
+@pytest.mark.parametrize("other", ["smaller", "same size"])
+def test_selection_over_another_poset_is_rejected(entry, other):
+    # unchecked, a smaller poset's selection indexes past its rows, and a
+    # same-size one answers for the wrong order (a total i-natural table here)
+    p = _chain(3)
+    st = star_table(p)
+    foreign = _chain(2) if other == "smaller" else build_poset("antichain3", ["0", "1", "2"], [])
+    call = SELECTION_ENTRIES[entry]
+    call(p, st, natural_extension(st), selection_union(p))  # the poset's own selection is fine
+    with pytest.raises(StructureMismatch, match="selection is over poset"):
+        call(p, st, natural_extension(st), selection_union(foreign))
 
 
 def test_i_natural_frink_hexagon(hexagon):
@@ -308,3 +349,289 @@ def test_selection_monotonicity_pointwise():
                 vf = i_natural_cell(p, frink, x, y)
                 if vu is not None and vf is not None:
                     assert p.leq_ix(vf, vu)
+
+
+# -- each rule against its per-cell oracle ---------------------------------------
+#
+# The oracles are the rules' own per-cell loops from before every rule became a
+# table of candidate masks read by one builder: per pair, the candidates, their
+# greatest or least element, or an UndefinedPair with the maximal or minimal
+# candidates and the rule's reason.  A rule must return exactly the oracle's
+# cells, undefined pairs, candidates, reasons and order.
+
+
+def _oracle_result(p, cells, undef):
+    if undef:
+        return ExtensionResult(None, tuple(undef))
+    return ExtensionResult(TotalTable(p, cells), ())
+
+
+def _oracle_normal(s):
+    p = s.owner
+    n = p.n
+    els = p.elements
+    cells = [[0] * n for _ in range(n)]
+    undef = []
+    for x in range(n):
+        for y in range(n):
+            zmask = p.ups[x] & p.ups[y]
+            if zmask == 0:
+                undef.append(UndefinedPair(els[x], els[y], (), "no-common-upper-bound"))
+                continue
+            vals = 0
+            for z in bits(zmask):
+                vals |= 1 << s.cells[z][y]
+            g = p.greatest_of(vals)
+            if g is None:
+                anti = tuple(els[u] for u in bits(p.maximal_of(vals)))
+                undef.append(UndefinedPair(els[x], els[y], anti, "no-greatest-value"))
+            else:
+                cells[x][y] = g
+    return _oracle_result(p, cells, undef)
+
+
+def _oracle_i_natural_mask(p, sel, x, y):
+    im = sel.mask_ix(x, y) & p.ups[y]
+    by = 1 << y
+    m = 0
+    for u in range(p.n):
+        if p.downs[u] & im == by:
+            m |= 1 << u
+    return m
+
+
+def _oracle_i_natural(p, sel):
+    n = p.n
+    els = p.elements
+    cells = [[0] * n for _ in range(n)]
+    undef = []
+    for x in range(n):
+        for y in range(n):
+            m = _oracle_i_natural_mask(p, sel, x, y)
+            g = p.greatest_of(m)
+            if g is None:
+                anti = tuple(els[u] for u in bits(p.maximal_of(m)))
+                reason = "no-greatest-value" if m else "empty-defining-set"
+                undef.append(UndefinedPair(els[x], els[y], anti, reason))
+            else:
+                cells[x][y] = g
+    return _oracle_result(p, cells, undef)
+
+
+def _oracle_i_min(s, sel):
+    p = s.owner
+    n = p.n
+    els = p.elements
+    cells = [[0] * n for _ in range(n)]
+    undef = []
+    for x in range(n):
+        for y in range(n):
+            zmask = sel.mask_ix(x, y) & p.ups[y]
+            vals = 0
+            for z in bits(zmask):
+                vals |= 1 << s.cells[z][y]
+            v = p.least_of(vals)
+            if v is None:
+                anti = tuple(els[u] for u in bits(p.minimal_of(vals)))
+                undef.append(UndefinedPair(els[x], els[y], anti, "no-least-value"))
+            else:
+                cells[x][y] = v
+    return _oracle_result(p, cells, undef)
+
+
+def _oracle_dual_j(s):
+    p = s.owner
+    n = p.n
+    els = p.elements
+    cells = [[0] * n for _ in range(n)]
+    undef = []
+    for x in range(n):
+        for y in range(n):
+            ub = p.ups[x] & p.ups[y]
+            vals = 0
+            for z in range(n):
+                if ub & ~p.ups[z] == 0 and p.ups[z] & ~p.ups[y] == 0:
+                    vals |= 1 << s.cells[z][y]
+            v = p.least_of(vals)
+            if v is None:
+                anti = tuple(els[u] for u in bits(p.minimal_of(vals)))
+                undef.append(UndefinedPair(els[x], els[y], anti, "no-least-value"))
+            else:
+                cells[x][y] = v
+    return _oracle_result(p, cells, undef)
+
+
+def _oracle_mlb(p):
+    n = p.n
+    els = p.elements
+    mlbs = p.mlbs
+    cells = [[0] * n for _ in range(n)]
+    undef = []
+    for x in range(n):
+        for y in range(n):
+            target = mlbs[x][y]
+            m = 0
+            for u in range(n):
+                if mlbs[u][x] == target:
+                    m |= 1 << u
+            g = p.greatest_of(m)
+            if g is None:
+                anti = tuple(els[u] for u in bits(p.maximal_of(m)))
+                reason = "no-greatest-value" if m else "empty-defining-set"
+                undef.append(UndefinedPair(els[x], els[y], anti, reason))
+            else:
+                cells[x][y] = g
+    return _oracle_result(p, cells, undef)
+
+
+def _oracle_lb_min(s):
+    p = s.owner
+    n = p.n
+    els = p.elements
+    cells = [[0] * n for _ in range(n)]
+    undef = []
+    for x in range(n):
+        for y in range(n):
+            zmask = p.downs[x] & p.downs[y]
+            if zmask == 0:
+                undef.append(UndefinedPair(els[x], els[y], (), "no-common-lower-bound"))
+                continue
+            vals = 0
+            for z in bits(zmask):
+                vals |= 1 << s.cells[x][z]
+            v = p.least_of(vals)
+            if v is None:
+                anti = tuple(els[u] for u in bits(p.minimal_of(vals)))
+                undef.append(UndefinedPair(els[x], els[y], anti, "no-least-value"))
+            else:
+                cells[x][y] = v
+    return _oracle_result(p, cells, undef)
+
+
+def _oracle_min_of_values(p, s, zmask, y):
+    vals = 0
+    for z in bits(zmask):
+        vals |= 1 << s.cells[z][y]
+    return p.least_of(vals)
+
+
+def _oracle_natural_min_cells(s):
+    p = s.owner
+    n = p.n
+    first, second = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            first[x][y] = _oracle_min_of_values(p, s, (p.ups[y] & p.downs[x]) | (1 << y), y)
+            second[x][y] = _oracle_min_of_values(p, s, (p.downs[x] | p.downs[y]) & p.ups[y], y)
+    return first, second
+
+
+def _random_poset(rng, n, density):
+    """The transitive closure of a random DAG on 0 < 1 < ... < n-1."""
+    up = [0] * n
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                up[i] |= 1 << j | up[j]
+    els = [str(i) for i in range(n)]
+    return build_poset(f"R{n}", els, [(els[i], els[j]) for i in range(n) for j in bits(up[i])])
+
+
+def _frink_min_gap():
+    """The one 7-element class, and none smaller, where the Frink-selection min
+    rule (and so the dual rule) has no least value: at (1, 0), between 2 and 3."""
+    covers = [("0", "2"), ("0", "3"), ("1", "4"), ("1", "5"), ("2", "4"), ("2", "5"),
+              ("3", "4"), ("3", "5"), ("4", "6"), ("5", "6")]
+    return build_poset("frink-gap", [str(i) for i in range(7)], covers)
+
+
+@pytest.fixture(scope="module")
+def oracle_posets():
+    """All labeled posets with n <= 4, the corpus, the Frink min gap, and 60
+    seeded random posets with 8 to 16 elements (about a third of them
+    sectionally pseudocomplemented)."""
+    rng = random.Random(1010)
+    return ([p for n in range(1, 5) for p in enumerate_posets(n)] + list(corpus_posets())
+            + [_frink_min_gap()]
+            + [_random_poset(rng, rng.randrange(8, 17), rng.choice((0.1, 0.3, 0.7))) for _ in range(60)])
+
+
+def test_rules_equal_their_per_cell_oracles(oracle_posets):
+    reasons = set()
+    for p in oracle_posets:
+        sels = {"union": selection_union(p), "frink": selection_frink(p)}
+        pairs = {"mlb": (mlb_extension(p), _oracle_mlb(p))}
+        for name, sel in sels.items():
+            pairs[f"i-natural {name}"] = (i_natural_extension(p, sel), _oracle_i_natural(p, sel))
+            assert [[i_natural_cell(p, sel, x, y) for y in range(p.n)] for x in range(p.n)] == [
+                [p.greatest_of(_oracle_i_natural_mask(p, sel, x, y)) for y in range(p.n)]
+                for x in range(p.n)], (p.name, name)
+        st = star_table(p)
+        if isinstance(st, PartialTable):
+            pairs["normal"] = (normal_extension(st), _oracle_normal(st))
+            pairs["dual-j"] = (dual_j_extension(st), _oracle_dual_j(st))
+            pairs["lb-min"] = (lb_min_extension(st), _oracle_lb_min(st))
+            for name, sel in sels.items():
+                pairs[f"i-min {name}"] = (i_min_extension(st, sel), _oracle_i_min(st, sel))
+            assert natural_min_cells(st) == _oracle_natural_min_cells(st), p.name
+        for rule, (got, want) in pairs.items():
+            assert got == want, (p.name, rule)
+            reasons.update((rule.split()[0], u.reason) for u in got.undefined)
+    # the pairs exercise every reason a nonempty or empty candidate set can give
+    assert reasons >= {("normal", "no-common-upper-bound"), ("normal", "no-greatest-value"),
+                       ("lb-min", "no-common-lower-bound"), ("lb-min", "no-least-value"),
+                       ("i-min", "no-least-value"), ("dual-j", "no-least-value"),
+                       ("i-natural", "no-greatest-value"), ("mlb", "no-greatest-value")}
+
+
+def _complement_oracles(p):
+    """kind -> the defining set of a pair, from the definitions in the pseudo
+    module read through leq alone."""
+    r = range(p.n)
+    le = [[p.leq_ix(i, j) for j in r] for i in r]
+    below = [frozenset(v for v in r if le[v][u]) for u in r]
+
+    def clp(x, y):
+        upper = [z for z in r if le[x][z] and le[y][z]]
+        lower = {v for v in r if all(le[v][z] for z in upper)}
+        return [u for u in r if lower & below[u] == below[y]]
+
+    return le, {
+        "sp": lambda x, y: [u for u in r if {w for w in below[u] if le[y][w] and le[w][x]} == {y}],
+        "rp": lambda x, y: [u for u in r if below[u] & below[x] <= below[y]],
+        "wrp": lambda x, y: [u for u in r if below[u] & below[x] == below[y]],
+        "clp": clp,
+    }
+
+
+def _expected_complement_table(p, kind, value_ix, defining, le):
+    els, r = p.elements, range(p.n)
+    sectional = kind in ("sp", "wrp")
+    cells = [[None] * p.n for _ in r]
+    for x in r:
+        for y in r:
+            if sectional and not le[y][x]:
+                continue
+            members = defining(x, y)
+            greatest = next((u for u in members if all(le[v][u] for v in members)), None)
+            assert value_ix(p, x, y) == greatest, (p.name, kind, x, y)
+            if greatest is None:
+                maximal = [u for u in members if not any(v != u and le[u][v] for v in members)]
+                return MissingWitness(els[x], els[y], tuple(els[u] for u in maximal))
+            cells[x][y] = greatest
+    return PartialTable(p, cells) if sectional else TotalTable(p, cells)
+
+
+def test_complement_tables_equal_their_value_functions(oracle_posets):
+    value_ix = {"sp": sp_value_ix, "rp": rp_value_ix, "wrp": wrp_value_ix, "clp": clp_value_ix}
+    missing = set()
+    for p in oracle_posets:
+        le, defining = _complement_oracles(p)
+        for kind in value_ix:
+            got = complement_table(p, kind)
+            assert got == _expected_complement_table(p, kind, value_ix[kind], defining[kind], le), (
+                p.name, kind)
+            if isinstance(got, MissingWitness):
+                missing.add(kind)
+        assert star_table(p) == complement_table(p, "sp")
+    assert missing == set(value_ix)

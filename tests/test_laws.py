@@ -9,18 +9,17 @@ with one cell changed.  NRMW is left out: the solver has no NRMW constraints
 yet (ROADMAP), so it accepts every table on any poset.
 """
 
-import importlib.resources
 import itertools
 import random
 
 import pytest
 
+from conftest import corpus_posets
 from spposet import (
     PartialTable,
     TotalTable,
     check_system,
     normal_extension,
-    parse_path,
     pure_extension,
     selection_frink,
     selection_union,
@@ -31,14 +30,6 @@ from spposet.enumeration import enumerate_posets, system_column_solutions
 from spposet.errors import StructureMismatch
 
 SOLVED = [s for s in SYSTEMS if s != "NRMW"]
-
-
-def corpus_posets():
-    for f in sorted(importlib.resources.files("spposet.corpus").iterdir()):
-        if f.name.endswith(".sp"):
-            for sec in parse_path(str(f)).sections:
-                if sec.kind == "poset":
-                    yield sec.obj
 
 
 def cases(p):
