@@ -76,7 +76,8 @@ def _extremum_table(p: Poset, masks, greatest: bool, empty_reason: str) -> Exten
         return ExtensionResult(TotalTable._from_checked_rows(p, cells), ())
     els = p.elements
     return ExtensionResult(None, tuple([
-        UndefinedPair(els[x], els[y], tuple([els[u] for u in bits(bound(m))]), reason if m else empty_reason)
+        UndefinedPair(els[x], els[y], tuple([els[u] for u in bits(bound(m))]), reason) if m
+        else UndefinedPair(els[x], els[y], (), empty_reason)
         for x, row in enumerate(masks) for y, m in enumerate(row) if cells[x][y] is None]))
 
 
