@@ -338,8 +338,6 @@ def test_extension_property_all_rules():
 
 
 def test_selection_monotonicity_pointwise():
-    from spposet.extensions import i_natural_cell
-
     for p, st in all_sp_posets(4):
         union = selection_union(p)
         frink = selection_frink(p)
