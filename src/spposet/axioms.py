@@ -73,7 +73,7 @@ class SubalgebraReport:
 # variable by default, the term, or the first of two cells).  So the checker
 # makes one call per prefix and one lookup and one bit test per instance.
 # A law of one cell, or of two cells in the column of its last variable,
-# also drives the column solver (enumeration.column_constraints).
+# also drives the column solver (enumeration._Columns).
 
 
 class Law:
@@ -108,20 +108,6 @@ class Law:
             self.vectors = None if None in vectors or len(vectors) > 2 else tuple(vectors)
         self.by_columns = any(side == 1 for side, _ in self.vectors or ())
 
-    def prefixes(self, e: "LawContext"):
-        """(values of every variable but the last, mask of the last one's
-        values), for every instance, in lexicographic order."""
-        o = self.over
-        if len(o) == 1:
-            return iter([((), o[0](e))])
-        if len(o) == 2:
-            return (((x,), o[1](e, x)) for x in members(o[0](e)))
-        if len(o) == 3:
-            return (((x, y), o[2](e, x, y))
-                    for x in members(o[0](e)) for y in members(o[1](e, x)))
-        return (((x, y, z), o[3](e, x, y, z)) for x in members(o[0](e))
-                for y in members(o[1](e, x)) for z in members(o[2](e, x, y)))
-
 
 class LawContext:
     """What the laws read besides the table: the poset's order tables, each
@@ -139,24 +125,52 @@ class LawContext:
         setattr(self, name, value)
         return value
 
-    def plan(self, law: Law):
+    def plan(self, law: Law, keep: bool = False):
         """Per prefix of the law's instances, in lexicographic order: the
-        values of every variable but the last, the mask of the last one's
-        values, the conclusions, and the term per value of the last variable
-        (None without a term).  Streamed on the first read, kept from the second."""
+        values of every variable but the last, the (nonempty) mask of the last
+        one's values, the conclusions, and the term per value of the last
+        variable (None without a term).  Streamed on the first read, kept from
+        the second, or from the first with `keep`."""
         plan = self._plans.get(law)
-        if plan is None:
+        if plan is None and not keep:
             self._plans[law] = False
             return self._steps(law)
-        if plan is False:
+        if plan is None or plan is False:
             plan = self._plans[law] = list(self._steps(law))
         return plan
 
     def _steps(self, law: Law):
-        for pre, mask in law.prefixes(self):
-            masks = law.allows(self, *pre)
-            yield (pre, mask, (masks,) * self.n if type(masks) is int else masks,
-                   law.term and law.term(self, *pre))
+        o, allows, term, n = law.over, law.allows, law.term, self.n
+        # the two commonest arities spelled out, so that no call takes *pre
+        if len(o) == 2:
+            o0, o1 = o
+            for x in members(o0(self)):
+                mask = o1(self, x)
+                if mask:
+                    masks = allows(self, x)
+                    yield ((x,), mask, (masks,) * n if type(masks) is int else masks,
+                           term and term(self, x))
+            return
+        if len(o) == 3:
+            o0, o1, o2 = o
+            for x in members(o0(self)):
+                for y in members(o1(self, x)):
+                    mask = o2(self, x, y)
+                    if mask:
+                        masks = allows(self, x, y)
+                        yield ((x, y), mask, (masks,) * n if type(masks) is int else masks,
+                               term and term(self, x, y))
+            return
+        if len(o) == 1:
+            prefixes = [((), o[0](self))]
+        else:
+            prefixes = (((x, y, z), o[3](self, x, y, z)) for x in members(o[0](self))
+                        for y in members(o[1](self, x)) for z in members(o[2](self, x, y)))
+        for pre, mask in prefixes:
+            if mask:
+                masks = allows(self, *pre)
+                yield (pre, mask, (masks,) * n if type(masks) is int else masks,
+                       term and term(self, *pre))
 
 
 def _bit(i: int | None) -> int:
@@ -213,9 +227,10 @@ def _singletons(e, *_):  # per value v: {v}
 
 
 def _exchange(e, x, y, *_):  # per value a of y -> z: x <= a implies y <= x -> z
+    ups = e.ups
     masks = [e.full] * e.n
-    for a in members(e.ups[x]):
-        masks[a] = e.ups[y]
+    for a in members(ups[x]):
+        masks[a] = ups[y]
     return masks
 
 
@@ -235,7 +250,8 @@ def _meet_with_join_or_none(e, x):  # per y: the same, or that meet is undefined
 
 
 def _only_if_below(e, x):  # per y: x <= x -> y only if x <= y
-    return [e.full if e.ups[x] >> y & 1 else e.full & ~e.ups[x] for y in range(e.n)]
+    full, up = e.full, e.ups[x]
+    return [full if up >> y & 1 else full & ~up for y in range(e.n)]
 
 
 # name -> Law.  The comment above each entry states it; "y <= x: ..." is a
@@ -460,7 +476,8 @@ def require_system(p: Poset, system: str, sel: LocalSelection | None = None) -> 
         ok = {"lower": rep.is_lower_semilattice, "upper": rep.is_upper_semilattice,
               "lattice": rep.is_lattice}[struct]
         if not ok:
-            raise StructureMismatch(f"system {system} needs a {struct} structure")
+            article = "an" if struct[0] in "aeiou" else "a"
+            raise StructureMismatch(f"system {system} needs {article} {struct} structure")
     if info.get("selection") and sel is None:
         raise MissingSelection(f"system {system} needs a local selection")
     require_owner(p, sel)

@@ -36,6 +36,7 @@ solution sets instead of enumerating the full table space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -77,6 +78,9 @@ from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_tabl
 
 LABELED_CAP = 7
 ISO_CAP = 8
+# values a column solver call may try that lead to no solution: far above
+# any sweep up to LABELED_CAP, about a second of search
+SEARCH_BUDGET = 100_000
 
 _NAMES = tuple(str(i) for i in range(ISO_CAP))
 
@@ -539,65 +543,189 @@ def count_posets_naive(n: int) -> int:
 # -- per-column axiom solving ---------------------------------------------------
 
 
-def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list, object]:
-    """What the laws ask of each column of a total table.
+@functools.cache
+def _column_laws(system: str) -> tuple[tuple, tuple, tuple]:
+    """A system's laws as the column solver reads them: the one-cell laws
+    whose column is the last variable, the other one-cell laws, and the
+    two-cell laws.  NRMW has none: the solver has no NRMW constraints yet, so
+    it yields every extension, on any poset, and the generate benchmark pins
+    those streams."""
+    groups: tuple[list, list, list] = ([], [], [])
+    for law in system_laws(system) if system != "NRMW" else ():
+        last = len(law.over) - 1
+        if law.vectors is None or len(law.reads) == 2 and not (
+                law.keyed and law.term is None and all(k == last for _, k in law.reads)):
+            raise ValueError("only a law of one cell, or of two cells in one column, constrains columns")
+        (r, k), *second = law.reads
+        groups[2 if second else 0 if law.term is None and k == last else 1].append(law)
+    return tuple(map(tuple, groups))
+
+
+class _Columns:
+    """What a system's laws ask of each column of a total table, read per
+    column when that column is searched.
 
     Every law reads one cell, or two cells of the column given by its last
     variable, in rows given by the variables before it, with its conclusion
-    indexed by the first cell's value.  Returns (allowed, keep):
-    allowed[r][c] masks the values of cell (r, c) that the instances reading
-    that cell alone allow (a two-cell instance whose cells coincide among
-    them), and keep(c, k, vals, m) the values in m that row k of column c may
-    hold while each row t < k holds vals[t].
+    indexed by the first cell's value.  Each law's instances are planned once
+    per poset (LawContext.plan), on the first column that reads them, and the
+    two-cell laws only once some column has a value for every row.  A column
+    reads a one-cell law whose column is its last variable by the prefixes
+    that hold it; the other one-cell laws (a term picks their column) are
+    filed by column on the first read.  For the SP system a column's rows are
+    those weakly above the column element; all other systems are total.  The
+    poset must have the structure and the selection the system needs, as in
+    check_system, and a given selection must be over p.
     """
-    n = p.n
-    e = p.laws if sel is None else LawContext(p, sel)
-    allowed = [[p.full] * n for _ in range(n)]
-    # per later row k and earlier row t: the conclusions of the two-cell
-    # instances that read row t first, and of those that read row k first,
-    # each with the columns it covers
-    links: list[dict] = [{} for _ in range(n)]
-    for law in laws:
-        last = len(law.over) - 1
-        if law.vectors is None or len(law.reads) == 2 and not (
-                law.keyed and law.term is None and law.reads[0][1] == last):
-            raise ValueError("only a law of one cell, or of two cells in one column, constrains columns")
-        if len(law.reads) == 2:
+
+    def __init__(self, p: Poset, system: str, sel: LocalSelection | None = None):
+        if system != "NRMW":
+            require_system(p, system, sel)
+        else:
+            require_owner(p, sel)
+        self.p, self.partial = p, system == "SP"
+        self.by_last, self.other, self.two = _column_laws(system)
+        self.e = p.laws if sel is None else LawContext(p, sel)
+        self._filed = self._links = None
+        self.spare = [SEARCH_BUDGET]
+
+    def rows(self, c: int) -> tuple[int, ...]:
+        return members(self.p.ups[c] if self.partial else self.p.full)
+
+    def cells(self, c: int) -> list[int]:
+        """Per row r, the values of cell (r, c) that the one-cell instances allow."""
+        dom = [self.p.full] * self.p.n
+        for law in self.by_last:
+            (r, _), = law.reads
+            for pre, mask, masks, _ in self.e.plan(law, keep=True):
+                if mask >> c & 1:
+                    dom[(pre + (c,))[r]] &= masks[c]
+        if self.other:
+            if self._filed is None:
+                self._filed = self._file_other()
+            for r, m in self._filed[c]:
+                dom[r] &= m
+        return dom
+
+    def _file_other(self) -> list[list[tuple[int, int]]]:
+        """Per column, (row, mask) of each instance of the one-cell laws whose
+        column is not their last variable."""
+        filed: list[list[tuple[int, int]]] = [[] for _ in range(self.p.n)]
+        for law in self.other:
+            (r, k), = law.reads
+            for pre, mask, masks, terms in self.e.plan(law):
+                for u in members(mask):
+                    v = pre + (u, terms[u]) if terms else pre + (u,)
+                    if v[-1] is not None:  # an undefined term: the instance holds
+                        filed[v[k]].append((v[r], masks[v[-1] if law.keyed else u]))
+        return filed
+
+    def links(self, c: int, dom: list[int]) -> list[list[tuple]]:
+        """Per row t, the two-cell instances of column c that link it to a
+        later row k, as (k, conclusions, whether row t is read first).  The
+        instances that read one cell twice narrow dom instead."""
+        if self._links is None:
+            self._links = self._plan_links()
+        everywhere, fixed, some = self._links
+        for r, m in fixed:
+            dom[r] &= m
+        if not some:
+            return everywhere
+        out = [list(row) for row in everywhere]
+        for cover, t, link in some:
+            if cover >> c & 1:
+                if type(link) is int:
+                    dom[t] &= link
+                else:
+                    out[t].append(link)
+        return out
+
+    def _plan_links(self):
+        """The two-cell instances of every column: the links shared by all
+        columns, per row; the one-cell masks of the instances reading one
+        cell twice in all columns; and the rest, each with its columns."""
+        n, full = self.p.n, self.p.full
+        everywhere: list[list[tuple]] = [[] for _ in range(n)]
+        fixed, some = [], []
+        for law in self.two:
             (r1, _), (r2, _) = law.reads
-            for pre, mask, masks, _ in e.plan(law):
-                if not mask:
-                    continue
+            for pre, cover, masks, _ in self.e.plan(law, keep=True):
                 first, other = pre[r1], pre[r2]
                 if first == other:
-                    fixed = sum(1 << a for a in range(n) if masks[a] >> a & 1)
-                    for c in members(mask):
-                        allowed[first][c] &= fixed
+                    t, link = first, sum([1 << a for a in range(n) if masks[a] >> a & 1])
+                    if link == full:
+                        continue
                 elif first < other:
-                    links[other].setdefault(first, ([], []))[0].append((masks, mask))
+                    t, link = first, (other, masks, True)
                 else:
-                    links[first].setdefault(other, ([], []))[1].append((masks, mask))
-            continue
-        (r, k), = law.reads
-        for pre, mask, masks, terms in e.plan(law):
-            for u in members(mask):
-                v = pre + (u, terms[u]) if terms else pre + (u,)
-                if v[-1] is not None:  # an undefined term: the instance holds
-                    allowed[v[r]][v[k]] &= masks[v[-1] if law.keyed else u]
-    by_row = [list(row.items()) for row in links]
+                    t, link = other, (first, masks, False)
+                if cover != full:
+                    some.append((cover, t, link))
+                elif type(link) is int:
+                    fixed.append((t, link))
+                else:
+                    everywhere[t].append(link)
+        return everywhere, fixed, some
 
-    def keep(c, k, vals, m):
-        for t, (reads_t, reads_k) in by_row[k]:
-            a = vals[t]
-            for masks, cover in reads_t:
-                if cover >> c & 1:
-                    m &= masks[a]
-            for masks, cover in reads_k:
-                if cover >> c & 1:
-                    for v in members(m):
-                        if not masks[v] >> a & 1:
-                            m ^= 1 << v
-        return m
-    return allowed, keep
+    def solutions(self, c: int, forced: PartialTable | None = None):
+        """The solutions of column c, as tuples over its rows, in lexicographic
+        order; with `forced`, sectioned cells are pinned to the given star table."""
+        rows, dom = self.rows(c), self.cells(c)
+        if forced is not None:
+            for r in members(self.p.ups[c]):
+                dom[r] &= 1 << forced.cells[r][c]
+        if all(dom[r] for r in rows):
+            links = self.links(c, dom)
+            if all(dom[r] for r in rows):
+                return _column_search(rows, dom, links, self.spare)
+        return iter(())
+
+
+def _narrowed(dom: list[int], links: list[tuple], v: int, prune: bool = True) -> list[int] | None:
+    """dom with each later row linked to the row just given value v narrowed
+    to the values the links allow; with `prune`, None once a row has none left."""
+    dom = dom[:]
+    for k, masks, first in links:
+        m = dom[k]
+        if first:  # the later row holds masks[v]
+            m &= masks[v]
+        else:  # the later row holds the b whose masks[b] holds v
+            for b in members(m):
+                if not masks[b] >> v & 1:
+                    m ^= 1 << b
+        if prune and not m:
+            return None
+        dom[k] = m
+    return dom
+
+
+def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int]):
+    """Every vector over rows, values ascending row by row, that takes each
+    row's value from its mask; assigning a row narrows the later rows linked
+    to it, and an empty mask ends that branch.
+
+    spare[0] counts down the values tried that no solution pays for (each
+    solution pays for one per row); SizeCap once it is spent."""
+    vals = [0] * len(dom)
+    depth = len(rows)
+
+    def rec(i, dom):
+        if i == depth:
+            spare[0] += depth
+            yield tuple([vals[r] for r in rows])
+            return
+        k = rows[i]
+        out = links[k]
+        for v in members(dom[k]):
+            spare[0] -= 1
+            if spare[0] < 0:
+                raise SizeCap(f"the column search tried {SEARCH_BUDGET} values that lead to no solution")
+            narrowed = _narrowed(dom, out, v) if out else dom
+            if narrowed is not None:
+                vals[k] = v
+                yield from rec(i + 1, narrowed)
+
+    return rec(0, dom)
 
 
 def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = None,
@@ -605,49 +733,38 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
     """All per-column assignments satisfying the system's axioms.
 
     A table satisfies the system iff it picks one solution per column, so the
-    full model set is the cartesian product of the returned lists.  For the SP
-    system the column domain is the rows weakly above the column element; all
-    other systems are total.  With `forced`, sectioned cells are pinned to the
-    given star table (extension enumeration).  The poset must have the
-    structure and the selection the system needs, as in check_system, and a
-    given selection must be over p.  Each column is searched row by row,
-    values ascending: a row's values are those its cell allows, narrowed by
-    the links to the rows already assigned.
+    full model set is the cartesian product of the returned lists, each in
+    lexicographic order.  For the SP system the column domain is the rows
+    weakly above the column element; all other systems are total.  With
+    `forced`, sectioned cells are pinned to the given star table (extension
+    enumeration).  The poset must have the structure and the selection the
+    system needs, as in check_system, and a given selection must be over p.
     """
-    laws = []
-    if system != "NRMW":
-        # the solver has no NRMW constraints yet: it yields every extension,
-        # on any poset, and the generate benchmark pins those streams
-        require_system(p, system, sel)
-        laws = system_laws(system)
-    else:
-        require_owner(p, sel)
-    n = p.n
-    allowed, keep = column_constraints(p, laws, sel)
-    out = []
-    for c in range(n):
-        rows = [r for r in range(n) if p.leq_ix(c, r)] if system == "SP" else list(range(n))
-        masks = [allowed[r][c] for r in range(n)]
-        if forced is not None:
-            for r in bits(p.ups[c]):
-                masks[r] &= 1 << forced.cells[r][c]
-        sols: list[tuple] = []
-        out.append(sols)
-        if not all(masks[r] for r in rows):
-            continue
-        vals = [0] * n
+    cols = _Columns(p, system, sel)
+    return [list(cols.solutions(c, forced)) for c in range(p.n)]
 
-        def rec(i):
-            if i == len(rows):
-                sols.append(tuple([vals[r] for r in rows]))
-                return
-            k = rows[i]
-            for v in bits(keep(c, k, vals, masks[k])):
-                vals[k] = v
-                rec(i + 1)
 
-        rec(0)
-    return out
+def system_models_are(p: Poset, system: str, table, sel: LocalSelection | None = None) -> bool:
+    """Whether the tables satisfying the system are exactly `table`, or there
+    are none when table is None.
+
+    The answer is products_equal(system_column_solutions(p, system, sel), e)
+    for e the columns of table (over each column's rows for SP) or [[]], found
+    column by column: a column's search stops at its first solution when
+    nothing is expected, and otherwise at its first solution that differs
+    from table's column or at its second one.  With nothing expected the
+    answer is known at the first column without a solution.
+    """
+    cols = _Columns(p, system, sel)
+    for c in range(p.n):
+        found = cols.solutions(c)
+        first = next(found, None)
+        if first is None:
+            return table is None
+        if table is not None and (first != tuple([table.cells[r][c] for r in cols.rows(c)])
+                                  or next(found, None) is not None):
+            return False
+    return table is not None
 
 
 def products_equal(cols_a: list[list[tuple]], cols_b: list[list[tuple]]) -> bool:
@@ -847,24 +964,16 @@ def _report(claim: str, max_n: int, hypothesis, check) -> VerificationReport:
 # -- individual theorem checks -----------------------------------------------------
 
 
-def _expected_singleton_or_empty(table: TotalTable | None) -> list[list[tuple]]:
-    if table is None:
-        return [[]]
-    return table_as_columns(table)
+def _solution_counts(p: Poset, system: str) -> list[int]:
+    return [len(c) for c in system_column_solutions(p, system)]
 
 
 def _check_spchar(p: Poset):
-    sols = system_column_solutions(p, "SP")
-    rows_per_col = [[r for r in range(p.n) if p.leq_ix(c, r)] for c in range(p.n)]
-    if is_sp(p):
-        expected = table_as_columns(star_table(p), rows_per_col)
-    else:
-        expected = [[]]
-    if not products_equal(sols, expected):
+    if not system_models_are(p, "SP", star_table(p) if is_sp(p) else None):
         return Counterexample(
             _serialize(p),
             "star tables satisfying the axioms differ from the sectional "
-            f"pseudocomplementation (solution counts per column: {[len(c) for c in sols]})")
+            f"pseudocomplementation (solution counts per column: {_solution_counts(p, 'SP')})")
     return None
 
 
@@ -920,15 +1029,12 @@ def _check_nrm_impl(p: Poset):
 
 
 def _check_nrm_ax(p: Poset):
-    sols = system_column_solutions(p, "NRM")
-    table = None
-    if is_sp(p):
-        table = normal_extension(star_table(p)).table
-    if not products_equal(sols, _expected_singleton_or_empty(table)):
+    table = normal_extension(star_table(p)).table if is_sp(p) else None
+    if not system_models_are(p, "NRM", table):
         return Counterexample(
             _serialize(p),
             "tables satisfying the normality axioms differ from the normal extension "
-            f"(solution counts per column: {[len(c) for c in sols]})")
+            f"(solution counts per column: {_solution_counts(p, 'NRM')})")
     return None
 
 
@@ -964,27 +1070,22 @@ def _check_nat_implic(p: Poset):
 
 
 def _check_j_eq_nrm(p: Poset):
-    sols = system_column_solutions(p, "J")
-    table = None
-    if is_sp(p):
-        table = normal_extension(star_table(p)).table
-    if not products_equal(sols, _expected_singleton_or_empty(table)):
+    table = normal_extension(star_table(p)).table if is_sp(p) else None
+    if not system_models_are(p, "J", table):
         return Counterexample(
             _serialize(p),
             "tables satisfying j1-j3 differ from the normal extension "
-            f"(solution counts per column: {[len(c) for c in sols]})")
+            f"(solution counts per column: {_solution_counts(p, 'J')})")
     return None
 
 
 def _check_lat_f_eq_j(p: Poset):
     fnat = i_natural_extension(p, selection_frink(p))
-    sols = system_column_solutions(p, "JWV2")
-    expected = _expected_singleton_or_empty(fnat.table)
-    if not products_equal(sols, expected):
+    if not system_models_are(p, "JWV2", fnat.table):
         return Counterexample(
             _serialize(p),
             "tables satisfying the lattice identities differ from the Frink-natural extension "
-            f"(solution counts per column: {[len(c) for c in sols]})")
+            f"(solution counts per column: {_solution_counts(p, 'JWV2')})")
     if fnat.is_total != is_sp(p):
         return Counterexample(
             _serialize(p), "Frink-natural extension total but the lattice is not sp-complemented")
@@ -1168,29 +1269,30 @@ def _hunt_esp_to_j(p: Poset):
     # completed with the pure extension.
     n = p.n
     star = star_table(p)
-    allowed, keep = column_constraints(p, system_laws("J"), None)
+    cols = _Columns(p, "J")
 
     for c in range(n):
         vals = [0] * n
+        dom = cols.cells(c)
+        links = cols.links(c, dom)
 
-        def rec(k):
+        def rec(k, dom):
             # the first vector, rows k.. in order and values ascending, that
             # breaks j1-j3 at row k or later; None when every vector holds
             if k == n:
                 return None
             values = 1 << star.cells[k][c] if p.leq_ix(c, k) else p.full
-            ok = keep(c, k, vals, allowed[k][c] & values)
             for v in bits(values):
                 vals[k] = v
-                if not ok >> v & 1:
+                if not dom[k] >> v & 1:
                     return vals[:k + 1] + [star.cells[t][c] if p.leq_ix(c, t) else c
                                            for t in range(k + 1, n)]
-                hit = rec(k + 1)
+                hit = rec(k + 1, _narrowed(dom, links[k], v, prune=False))
                 if hit:
                     return hit
             return None
 
-        hit = rec(0)
+        hit = rec(0, dom)
         if hit:
             cells = [list(r) for r in pure_extension(star).cells]
             for r in range(n):

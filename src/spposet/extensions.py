@@ -61,13 +61,14 @@ def _bounded_tops(p: Poset) -> tuple[int, ...]:
     return p.tops
 
 
-def _extremum_table(p: Poset, masks, greatest: bool, empty_reason: str) -> ExtensionResult:
+def _extremum_table(p: Poset, masks, greatest: bool, empty_reason: str | None = None) -> ExtensionResult:
     """The rule whose cell (x, y) is the greatest (least) element of masks[x][y].
 
     Where that element does not exist the pair is undefined: its candidates
     are the maximal (minimal) elements of the mask, and its reason is
     "no-greatest-value" ("no-least-value"), or empty_reason when the mask is
-    empty.  Undefined pairs come in row-major order.
+    empty.  Undefined pairs come in row-major order.  A rule without an
+    empty_reason never has an empty mask, so one is an InternalDisagreement.
     """
     pick, bound, reason = ((p.greatest_of, p.maximal_of, "no-greatest-value") if greatest
                            else (p.least_of, p.minimal_of, "no-least-value"))
@@ -75,10 +76,19 @@ def _extremum_table(p: Poset, masks, greatest: bool, empty_reason: str) -> Exten
     if not any(None in row for row in cells):
         return ExtensionResult(TotalTable._from_checked_rows(p, cells), ())
     els = p.elements
-    return ExtensionResult(None, tuple([
-        UndefinedPair(els[x], els[y], tuple([els[u] for u in bits(bound(m))]), reason) if m
-        else UndefinedPair(els[x], els[y], (), empty_reason)
-        for x, row in enumerate(masks) for y, m in enumerate(row) if cells[x][y] is None]))
+    undefined = []
+    for x, row in enumerate(masks):
+        for y, m in enumerate(row):
+            if cells[x][y] is None:
+                if m:
+                    undefined.append(UndefinedPair(els[x], els[y], tuple([els[u] for u in bits(bound(m))]),
+                                                   reason))
+                elif empty_reason is None:
+                    raise InternalDisagreement(
+                        f"no candidate at ({els[x]}, {els[y]}) on {p.name!r}, where the rule always has one")
+                else:
+                    undefined.append(UndefinedPair(els[x], els[y], (), empty_reason))
+    return ExtensionResult(None, tuple(undefined))
 
 
 def _star_values(s: PartialTable, zmasks) -> list:
@@ -308,7 +318,7 @@ def i_natural_extension(p: Poset, sel: LocalSelection) -> ExtensionResult:
     require_owner(p, sel)
     r = range(p.n)
     masks = [[i_natural_defining_mask(p, sel, x, y) for y in r] for x in r]
-    return _extremum_table(p, masks, True, "empty-defining-set")
+    return _extremum_table(p, masks, True)
 
 
 def i_min_extension(s: PartialTable, sel: LocalSelection) -> ExtensionResult:
@@ -383,7 +393,7 @@ def mlb_extension(p: Poset) -> ExtensionResult:
         for u, urow in enumerate(mlbs):
             same[urow[x]] = same.get(urow[x], 0) | 1 << u
         masks.append([same.get(target, 0) for target in row])
-    return _extremum_table(p, masks, True, "empty-defining-set")
+    return _extremum_table(p, masks, True)
 
 
 def lb_min_extension(s: PartialTable) -> ExtensionResult:

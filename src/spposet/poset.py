@@ -42,6 +42,14 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
+def _pairwise(f, masks) -> tuple[tuple, ...]:
+    """f(a & b) for every pair of masks, as rows; f runs once per distinct
+    intersection (many pairs share one, such as a pair and its swap)."""
+    seen: dict = {}
+    return tuple([tuple([seen[m] if m in seen else seen.setdefault(m, f(m))
+                         for m in [a & b for b in masks]]) for a in masks])
+
+
 class _derived:
     """Decorator for a table that depends only on a poset's order: the
     decorated function builds it on the first read, and the poset keeps it.
@@ -248,14 +256,12 @@ class Poset:
     @_derived
     def meets(self) -> tuple[tuple[int | None, ...], ...]:
         """meets[i][j]: the meet of i and j, None where there is none."""
-        greatest, downs = self.greatest_of, self.downs
-        return tuple([tuple([greatest(a & b) for b in downs]) for a in downs])
+        return _pairwise(self.greatest_of, self.downs)
 
     @_derived
     def joins(self) -> tuple[tuple[int | None, ...], ...]:
         """joins[i][j]: the join of i and j, None where there is none."""
-        least, ups = self.least_of, self.ups
-        return tuple([tuple([least(a & b) for b in ups]) for a in ups])
+        return _pairwise(self.least_of, self.ups)
 
     @_derived
     def meet_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -272,8 +278,7 @@ class Poset:
     @_derived
     def mlbs(self) -> tuple[tuple[int, ...], ...]:
         """mlbs[i][j]: the maximal lower bounds of i and j, as a bitmask."""
-        maximal, downs = self.maximal_of, self.downs
-        return tuple([tuple([maximal(a & b) for b in downs]) for a in downs])
+        return _pairwise(self.maximal_of, self.downs)
 
     def frink_ideal(self, x: str, y: str) -> "ElementSet":
         """L(U({x,y})); the whole carrier when x and y have no common upper bound."""

@@ -120,3 +120,31 @@ def test_failed_run_is_reported(tmp_path):
     with pytest.raises(RuntimeError, match="boom"):
         bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
                           "--claim", "c", "--seeds", "1-2", "--out", str(tmp_path)])
+
+
+def _bench_file(root, label, rels):
+    """A BENCH file whose workload w has these median_change_rel per metric."""
+    out = {"label": label, "parent_commit": f"p-{label}", "change_commit": f"c-{label}",
+           "workloads": {"w": {"metrics": {m: {"median_change_rel": r} for m, r in rels.items()}}}}
+    (root / f"BENCH_{label}.json").write_text(json.dumps(out))
+    return root / f"BENCH_{label}.json"
+
+
+def test_history_chains_the_median_ratios(tmp_path, capsys):
+    # pr9 sorts before pr10 as a number, not as text
+    first = _bench_file(tmp_path, "pr9_a", {"work_per_s": 0.10, "op_ms_p50": -0.5})
+    second = _bench_file(tmp_path, "pr10_b", {"work_per_s": -0.10})
+    lines = bench_pairs.history(first)
+    assert lines[0] == "history from BENCH_pr9_a.json (parent p-pr9_a) to BENCH_pr10_b.json (change c-pr10_b)"
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[2:]}
+    assert rows[("w", "work_per_s")] == ["+10.0%", "-10.0%", "-1.0%"]  # 1.1 * 0.9
+    assert rows[("w", "op_ms_p50")] == ["-50.0%", "-", "-50.0%"]
+    # from the newest file on, only its own ratios are left
+    assert bench_pairs.history(second)[2].split()[2:] == ["-10.0%", "-10.0%"]
+    assert bench_pairs.main(["--history", str(first)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_comparing_needs_both_checkouts(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--label", "t", "--claim", "c", "--out", str(tmp_path)])

@@ -182,6 +182,15 @@ def test_check_structure_mismatch(capsys):
     assert "needs a lower structure" in err
 
 
+@pytest.mark.parametrize("system,needs", [("JWV", "needs an upper structure"),
+                                          ("JWV2", "needs a lattice structure")])
+def test_check_structure_mismatch_article(capsys, system, needs):
+    code, _, err = run(capsys, "check", corpus_path("hexagon-rp.sp"),
+                       "--table", "rp", "--system", system)
+    assert code == 2
+    assert f"error: system {system} {needs}\n" == err
+
+
 def test_props_star(capsys):
     code, out, _ = run(capsys, "props", corpus_path("hexagon.sp"),
                        "--table", "star", "--suite", "sp-prop")

@@ -35,7 +35,13 @@ from spposet.errors import (
     SelectionAxiomViolation,
     StructureMismatch,
 )
-from spposet.extensions import UndefinedPair, i_natural_cell, natural_min_cells
+from spposet.extensions import (
+    UndefinedPair,
+    _extremum_table,
+    i_natural_cell,
+    i_natural_defining_mask,
+    natural_min_cells,
+)
 from spposet.poset import bits
 from spposet.pseudo import clp_value_ix, complement_table, rp_value_ix, sp_value_ix, wrp_value_ix
 
@@ -408,9 +414,9 @@ def _oracle_i_natural(p, sel):
             m = _oracle_i_natural_mask(p, sel, x, y)
             g = p.greatest_of(m)
             if g is None:
+                assert m, "a defining set always holds y"
                 anti = tuple(els[u] for u in bits(p.maximal_of(m)))
-                reason = "no-greatest-value" if m else "empty-defining-set"
-                undef.append(UndefinedPair(els[x], els[y], anti, reason))
+                undef.append(UndefinedPair(els[x], els[y], anti, "no-greatest-value"))
             else:
                 cells[x][y] = g
     return _oracle_result(p, cells, undef)
@@ -474,9 +480,9 @@ def _oracle_mlb(p):
                     m |= 1 << u
             g = p.greatest_of(m)
             if g is None:
+                assert m, "a defining set always holds y"
                 anti = tuple(els[u] for u in bits(p.maximal_of(m)))
-                reason = "no-greatest-value" if m else "empty-defining-set"
-                undef.append(UndefinedPair(els[x], els[y], anti, reason))
+                undef.append(UndefinedPair(els[x], els[y], anti, "no-greatest-value"))
             else:
                 cells[x][y] = g
     return _oracle_result(p, cells, undef)
@@ -633,3 +639,32 @@ def test_complement_tables_equal_their_value_functions(oracle_posets):
                 missing.add(kind)
         assert star_table(p) == complement_table(p, "sp")
     assert missing == set(value_ix)
+
+
+# -- rules without an empty-candidate reason ------------------------------------------
+
+
+def test_i_natural_and_mlb_candidates_are_never_empty():
+    # y is in the selection-natural defining set of (x, y), since I(x, y) holds
+    # y, and u = y gives the pair (u, x) the bound set of (x, y): neither rule
+    # has an empty candidate mask, so neither has an empty-candidate reason
+    posets = [p for n in range(1, 6) for p in enumerate_posets(n)] + list(corpus_posets())
+    for p in posets:
+        mlbs = p.mlbs
+        for sel in (selection_union(p), selection_frink(p)):
+            for x in range(p.n):
+                for y in range(p.n):
+                    assert i_natural_defining_mask(p, sel, x, y) >> y & 1, (p.name, sel.kind, x, y)
+            i_natural_extension(p, sel)
+        for x in range(p.n):
+            for y in range(p.n):
+                assert mlbs[y][x] == mlbs[x][y], (p.name, x, y)
+        mlb_extension(p)
+
+
+def test_empty_candidates_without_a_reason_are_an_internal_disagreement():
+    chain = build_poset("c2", ["0", "1"], [("0", "1")])
+    with pytest.raises(InternalDisagreement, match=r"no candidate at \(0, 1\)"):
+        _extremum_table(chain, [[1, 0], [3, 3]], True)
+    result = _extremum_table(chain, [[1, 0], [3, 3]], True, "no-common-upper-bound")
+    assert result.undefined == (UndefinedPair("0", "1", (), "no-common-upper-bound"),)

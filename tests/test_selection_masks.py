@@ -21,8 +21,7 @@ from spposet import (
     selection_union,
     verify_lemma_suite,
 )
-from spposet.axioms import system_laws
-from spposet.enumeration import column_constraints, enumerate_posets
+from spposet.enumeration import _Columns, enumerate_posets
 from spposet.errors import SelectionAxiomViolation
 from spposet.poset import bits
 
@@ -303,5 +302,9 @@ def test_nati_cell_candidates_match_the_oracle(monkeypatch):
     rng = random.Random(4)
     for p in POSETS:
         for sel in _selections(p, rng, monkeypatch):
-            allowed, _ = column_constraints(p, system_laws("NATI"), sel)
-            assert allowed == _oracle_nati_candidates(p, sel)
+            cols, doms = _Columns(p, "NATI", sel), []
+            for c in range(p.n):
+                dom = cols.cells(c)
+                cols.links(c, dom)
+                doms.append(dom)
+            assert [list(row) for row in zip(*doms)] == _oracle_nati_candidates(p, sel)

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \
         --claim TEXT [--seeds 1-10] [--out DIR]
+    python3 tools/bench_pairs.py --history BENCH_<label>.json
 
 The benchmark command, its workloads, its run length and its end-to-end
 metrics (direction and bound) are read from the change checkout's
@@ -26,14 +27,23 @@ bound, or "unresolved" when the parent's quartile spread is wider than the
 bound, unless every run of the change is better than every run of the
 parent (then "within").  The file's "notes" are left empty, for remarks added by hand,
 such as a traced pair or a metric that moved for a reason outside the
-change.  Standard library only.
+change.
+
+With --history, nothing runs: the BENCH_*.json files beside the given one,
+taken in name order with numbers compared as numbers (pr9 before pr10), are
+chained from the given file to the newest.  Per workload and metric it
+prints each file's own parent-to-change median ratio and their product, the
+cumulative change from the given file's parent to the newest file's change.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -125,15 +135,48 @@ def summarize_workload(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return {"pairs": pairs, "failed_ratio": failed_ratio, "metrics": metrics, "named": named}
 
 
+def _name_order(path: Path) -> list:
+    return [int(part) if part.isdigit() else part for part in re.split(r"(\d+)", path.name)]
+
+
+def history(start: Path) -> list[str]:
+    """The chained median ratios from `start` to the newest BENCH file beside it."""
+    files = sorted(start.resolve().parent.glob("BENCH_*.json"), key=_name_order)
+    chain = files[files.index(start.resolve()):]
+    runs = [json.loads(f.read_text(encoding="utf-8")) for f in chain]
+    labels = [run.get("label") or f.stem[len("BENCH_"):] for run, f in zip(runs, chain)]
+    lines = [f"history from {chain[0].name} (parent {runs[0].get('parent_commit')}) "
+             f"to {chain[-1].name} (change {runs[-1].get('change_commit')})",
+             f"{'workload':10} {'metric':12} " + " ".join(f"{label:>12}" for label in labels)
+             + f" {'cumulative':>12}"]
+    workloads = dict.fromkeys(w for run in runs for w in run["workloads"])
+    for w in workloads:
+        metrics = dict.fromkeys(m for run in runs for m in run["workloads"].get(w, {}).get("metrics", {}))
+        for m in metrics:
+            steps = [run["workloads"].get(w, {}).get("metrics", {}).get(m) for run in runs]
+            ratios = [None if step is None else 1 + step["median_change_rel"] for step in steps]
+            total = math.prod(r for r in ratios if r is not None)
+            lines.append(f"{w:10} {m:12} " + " ".join(
+                f"{'-':>12}" if r is None else f"{r - 1:>+12.1%}" for r in ratios) + f" {total - 1:>+12.1%}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
-    ap.add_argument("--claim", required=True, help="the claimed gain, in words")
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, help="checkout of the change")
+    ap.add_argument("--label", help="the output is BENCH_<label>.json")
+    ap.add_argument("--claim", help="the claimed gain, in words")
     ap.add_argument("--seeds", default="1-10", type=parse_seeds)
     ap.add_argument("--out", type=Path, default=Path("."))
+    ap.add_argument("--history", type=Path, metavar="BENCH_FILE",
+                    help="print the change chained from this file to the newest one, and run nothing")
     args = ap.parse_args(argv)
+    if args.history is not None:
+        print("\n".join(history(args.history)))
+        return 0
+    if None in (args.parent, args.change, args.label, args.claim):
+        ap.error("--parent, --change, --label and --claim are required without --history")
     if len(args.seeds) < 2:
         ap.error("quartiles need at least two seeds")
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
