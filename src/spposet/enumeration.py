@@ -78,8 +78,8 @@ from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_tabl
 
 LABELED_CAP = 7
 ISO_CAP = 8
-# values a column solver call may try that lead to no solution: far above
-# any sweep up to LABELED_CAP, about a second of search
+# values a column solver call may try that lead to no solution: about half a
+# second of search, and a thousand times what the sweeps up to LABELED_CAP need
 SEARCH_BUDGET = 100_000
 
 _NAMES = tuple(str(i) for i in range(ISO_CAP))
@@ -556,7 +556,7 @@ def _column_laws(system: str) -> tuple[tuple, tuple, tuple]:
         if law.vectors is None or len(law.reads) == 2 and not (
                 law.keyed and law.term is None and all(k == last for _, k in law.reads)):
             raise ValueError("only a law of one cell, or of two cells in one column, constrains columns")
-        (r, k), *second = law.reads
+        (_, k), *second = law.reads
         groups[2 if second else 0 if law.term is None and k == last else 1].append(law)
     return tuple(map(tuple, groups))
 
