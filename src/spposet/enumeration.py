@@ -22,10 +22,12 @@ blocks.
 Every theorem and hunted property is a statement about order structure, so
 the sweeps check one representative per isomorphism class and weight it by
 its orbit size n!/|Aut(P)|; the per-n counts are still those of all labeled
-posets.  At the first n where a claim fails, that n is rescanned in labeled
-order with the same loop, so a reported counterexample, its P<n>-<k> name and
-the partial counts are those of a labeled sweep, and a class failure that the
-rescan does not confirm is an InternalDisagreement.
+posets.  At the first n where a claim fails, a descent over the
+one-point-extension tree, memoized by class, finds the first labeled
+counterexample without listing labeled posets (`_ExtensionTree`), so a
+reported counterexample, its P<n>-<k> name and the partial counts are those
+of a labeled sweep, and a class failure that the descent does not reach is an
+InternalDisagreement.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -79,7 +81,8 @@ from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_tabl
 LABELED_CAP = 7
 ISO_CAP = 8
 # values a column solver call may try that lead to no solution: about half a
-# second of search, and a thousand times what the sweeps up to LABELED_CAP need
+# second of search, and nearly six hundred times the 169 that the sweeps up to
+# ISO_CAP need at most
 SEARCH_BUDGET = 100_000
 
 _NAMES = tuple(str(i) for i in range(ISO_CAP))
@@ -907,21 +910,139 @@ def _scan(weighted_posets, hypothesis, check, stop: bool):
     return (posets, instances), first
 
 
+class _ExtensionTree:
+    """The labeled n-posets as the leaves of the one-point-extension tree.
+
+    The children of a labeled j-poset, j < n, are its one-point extensions in
+    `_one_point_extensions` order, so the leaves come in labeled order
+    (P<n>-0, P<n>-1, ...).  Relabeling a j-poset relabels its whole subtree,
+    so G, the number of leaves below it, depends only on its class, and so
+    does any count of leaves by an order-invariant property.  Both are
+    memoized by canonical key (`_search`) for the life of the tree, which is
+    one sweep call; nothing is kept across calls.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._sizes: dict[int, int] = {}
+
+    def size(self, masks) -> int:
+        """G: how many labeled n-posets restrict to the labeled poset `masks`."""
+        if len(masks) == self.n:
+            return 1
+        key = _search(masks)[0]
+        if key not in self._sizes:
+            self._sizes[key] = sum(self.size(e) for e in _one_point_extensions(masks))
+        return self._sizes[key]
+
+    def rank(self, masks) -> int:
+        """The index k of the labeled n-poset `masks` in labeled order (it is
+        P<n>-<k>): G summed, level by level, over the extensions of its
+        restriction that come before its own."""
+        k = 0
+        for j in range(1, self.n):
+            below, keep = (1 << j) - 1, (1 << j + 1) - 1
+            prefix = tuple(m & below for m in masks[:j])
+            step = tuple(m & keep for m in masks[:j + 1])
+            for e in _one_point_extensions(prefix):
+                if e == step:
+                    break
+                k += self.size(e)
+        return k
+
+    def first(self, leaf):
+        """The first leaf, in labeled order, that `leaf` marks as a hit, found
+        by a descent that expands each class's subtree at most once.
+
+        `leaf(masks, k)` is called on the labeled poset P<n>-<k> and returns
+        (instance, hit): whether it counts as an instance, and what the
+        descent looks for, if it is that; both must depend on the class only.
+        At each level the descent enters the first extension whose subtree
+        holds a hit, and adds up G and G_H, the instances among the leaves,
+        over the extensions it passes; a subtree without a hit is kept as
+        (G, G_H) for its class and never expanded again.  Returns (masks, hit,
+        k, instances before it), or None when no leaf is a hit.
+        """
+        passed: dict[int, tuple[int, int]] = {}
+        k = instances = 0
+
+        def descend(masks):
+            nonlocal k, instances
+            if len(masks) == self.n:
+                instance, hit = leaf(masks, k)
+                if hit:
+                    return masks, hit
+                k += 1
+                instances += instance
+                return None
+            key = _search(masks)[0]
+            if key in passed:
+                g, g_h = passed[key]
+                k += g
+                instances += g_h
+                return None
+            start = k, instances
+            for e in _one_point_extensions(masks):
+                found = descend(e)
+                if found:
+                    return found
+            passed[key] = k - start[0], instances - start[1]
+            self._sizes[key] = k - start[0]
+            return None
+
+        found = descend((1,))
+        return found and (*found, k, instances)
+
+
+def _descend(n: int, hypothesis, check, variant: str | None):
+    """The first labeled n-poset that satisfies the hypothesis and fails
+    `variant` of the claim (any variant when None), by rank and descent over
+    the class DAG: (its counterexample per failing variant, its index k, the
+    instances before it).  It is called where the class pass found such a
+    poset, so a descent that reaches none, or whose count of the posets it
+    passed differs from the poset's rank by class sizes, is an
+    InternalDisagreement.
+    """
+    names = _NAMES[:n]
+
+    def leaf(masks, k):
+        p = Poset(f"P{n}-{k}", names, masks)
+        if not hypothesis(p):
+            return False, None
+        failed = check(p)
+        hit = variant in failed if variant else bool(failed)
+        return True, failed if hit else None
+
+    tree = _ExtensionTree(n)
+    found = tree.first(leaf)
+    if found is None:
+        raise InternalDisagreement(
+            f"at n={n} the class pass fails {variant or 'the claim'} but the descent "
+            "reaches no labeled poset that does")
+    masks, failed, k, instances = found
+    if tree.rank(masks) != k:
+        raise InternalDisagreement(
+            f"at n={n} the descent passed {k} labeled posets but P{n}-{k} has rank {tree.rank(masks)}")
+    return failed, k, instances
+
+
 def _sweep(max_n: int, hypothesis, check, stop: bool):
     """Check every poset with up to max_n elements, one isomorphism class at a time.
 
     `check(p)` maps each claim variant the poset violates to its
     counterexample.  Hypotheses and claims are order-invariant, so each class
     representative stands for its whole orbit and counts n!/|Aut| labeled
-    posets.  At the first n where some variant fails, that n is rescanned in
-    labeled order (P<n>-0, P<n>-1, ...), so the first counterexample, its name
-    and the partial counts are those of a labeled sweep; the class pass and
-    the rescan must agree on which variants fail.  With `stop`, the sweep ends
-    at the first counterexample.  Returns posets_per_n, instances_per_n and
-    the first counterexample per failing variant.
+    posets.  At the first n where some variant fails, a descent over the
+    one-point-extension tree of that n, memoized by class (`_descend`), finds
+    the first labeled counterexample (P<n>-<k>) without listing labeled
+    posets, once per newly failing variant; with `stop` it also gives the
+    partial counts up to that poset, so the name and the counts are those of
+    a labeled sweep, and the sweep ends there.  Without `stop` the counts stay
+    those of the class pass.  Returns posets_per_n, instances_per_n and the
+    first counterexample per failing variant.
     """
-    if not 1 <= max_n <= LABELED_CAP:
-        raise SizeCap(f"labeled enumeration supports 1 <= n <= {LABELED_CAP}, got {max_n}")
+    if not 1 <= max_n <= ISO_CAP:
+        raise SizeCap(f"a sweep supports 1 <= n <= {ISO_CAP}, got {max_n}")
     posets_per_n: dict[int, int] = {}
     instances_per_n: dict[int, int] = {}
     found: dict[str, Counterexample] = {}
@@ -930,14 +1051,13 @@ def _sweep(max_n: int, hypothesis, check, stop: bool):
         classes = ((Poset(f"Q{n}-{k}", names, masks), orbit)
                    for k, (masks, orbit) in enumerate(level))
         counts, first = _scan(classes, hypothesis, check, stop)
-        if first.keys() - found.keys():
-            labeled = ((p, 1) for p in enumerate_posets(n))
-            labeled_counts, labeled_first = _scan(labeled, hypothesis, check, stop)
-            if labeled_first.keys() != first.keys() or not stop and labeled_counts != counts:
-                raise InternalDisagreement(
-                    f"at n={n} the class sweep and the labeled rescan disagree: failing "
-                    f"{sorted(first)} vs {sorted(labeled_first)}, counts {counts} vs {labeled_counts}")
-            counts, first = labeled_counts, labeled_first
+        new = sorted(first.keys() - found.keys())
+        if new and stop:
+            first, k, instances = _descend(n, hypothesis, check, None)
+            counts = k + 1, instances + 1
+        elif new:
+            for variant in new:
+                first[variant] = _descend(n, hypothesis, check, variant)[0][variant]
         posets_per_n[n], instances_per_n[n] = counts
         for variant, ce in first.items():
             found.setdefault(variant, ce)
@@ -1213,9 +1333,9 @@ def verify_theorem(theorem: str, max_n: int) -> VerificationReport:
     """Check one built-in claim on every poset with up to max_n elements.
 
     The sweep visits one representative per isomorphism class and weights it
-    by its orbit size, so the counts are those of all labeled posets; a
-    failing n is rescanned in labeled order, so a counterexample is the first
-    labeled one.
+    by its orbit size, so the counts are those of all labeled posets; at a
+    failing n, rank and descent over the class DAG name the first labeled
+    counterexample.
     """
     if theorem == "T-ISO":
         return _verify_iso(max_n)
@@ -1318,14 +1438,14 @@ def _hunt_sp_to_sp(p: Poset):
 PREDICATES = {
     "J⇒ESP": ("total relative pseudocomplementations satisfy j1-j3; are they extended "
               "sectional pseudocomplementations?",
-              lambda p: True, _hunt_rule_to_esp("rp"), LABELED_CAP),
+              lambda p: True, _hunt_rule_to_esp("rp"), ISO_CAP),
     "CLP⇒ESP": ("are total sectional pseudocomplements in the greatest-element sense extended "
                 "sectional pseudocomplementations?",
-                lambda p: True, _hunt_rule_to_esp("clp"), LABELED_CAP),
+                lambda p: True, _hunt_rule_to_esp("clp"), ISO_CAP),
     "ESP⇒J": ("do extended sectional pseudocomplementations satisfy j1-j3?",
               is_sp, _hunt_esp_to_j, 5),
     "sp⇒sp": ("sanity: the computed star table satisfies its own axioms",
-              is_sp, _hunt_sp_to_sp, LABELED_CAP),
+              is_sp, _hunt_sp_to_sp, ISO_CAP),
 }
 
 
@@ -1341,13 +1461,14 @@ def normalize_predicate(predicate: str) -> str:
 def find_counterexample(predicate: str, max_n: int) -> VerificationReport:
     """First instance, in labeled enumeration order, violating a built-in property.
 
-    Isomorphism classes find the smallest failing n; only that n is scanned
-    in labeled order, up to its first counterexample.
+    Isomorphism classes find the smallest failing n; a descent over that
+    n's one-point-extension tree, memoized by class, finds its first labeled
+    counterexample and the labeled counts up to it.
     """
     key = normalize_predicate(predicate)
     _, hyp, check, cap = PREDICATES[key]
-    if max_n > cap:
-        raise SizeCap(f"predicate {key} supports max_n <= {cap}")
+    if not 1 <= max_n <= cap:
+        raise SizeCap(f"predicate {key} supports 1 <= n <= {cap}, got {max_n}")
     return _report(key, max_n, hyp, check)
 
 

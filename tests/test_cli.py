@@ -290,7 +290,7 @@ def test_sweep_below_one_element_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "supports 1 <= n <= 7" in err
+    assert "supports 1 <= n <= 8" in err
 
 
 def test_usage_error_exit_code(capsys):

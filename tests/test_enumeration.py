@@ -3,6 +3,7 @@ import importlib.resources
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -102,7 +103,7 @@ def test_enumeration_caps():
 @pytest.mark.parametrize("max_n", [0, -1])
 def test_sweeps_reject_max_n_below_one(sweep, max_n):
     # an empty sweep would read "verified (n = 1..0, 0 posets)"
-    with pytest.raises(SizeCap, match="1 <= n <= 7"):
+    with pytest.raises(SizeCap, match="1 <= n <= 8"):
         sweep(max_n)
 
 
@@ -392,7 +393,7 @@ def test_probe_sinat_variants_union():
     ("union", {"plain": "verified", "strong": "verified"}),
 ])
 def test_probe_sinat_variants_at_five(selection, expected):
-    # the class sweep with its labeled rescan names the first labeled
+    # the class sweep with its descent names the first labeled
     # counterexample, as the labeled loop it replaced did
     assert probe_sinat_variants(5, selection) == expected
 
@@ -564,6 +565,114 @@ def test_failing_hunt_stops_inside_the_class_level(monkeypatch):
     monkeypatch.setattr(enumeration, "_search", counting)
     assert find_counterexample("J⇒ESP", 5).outcome == "counterexample"
     assert 0 < calls.count(5) < inputs_at_five
+
+
+def test_hunt_reaches_eight_and_stops_at_the_crown(capsys):
+    # the sweep cap is the class generator's; the hunt still stops at n = 5
+    from spposet.cli import main
+
+    outputs = []
+    for max_n in (5, 8):
+        code = main(["hunt", "--predicate", "J=>ESP", "--max-n", str(max_n)])
+        out = capsys.readouterr().out
+        outputs.append((code, re.sub(r"n = 1\.\.\d+, (.*), \d+\.\d+s\)", r"\1", out)))
+    assert outputs[0] == outputs[1]
+    assert outputs[1][0] == 1
+    assert "915 posets, 915 instances" in outputs[1][1]
+    assert "poset P5-914" in outputs[1][1]
+
+
+def test_sweep_counts_every_labeled_eight_poset():
+    # OEIS A001035, from class orbits alone: no hypothesis holds, nothing descends
+    posets_per_n, instances_per_n, found = enumeration._sweep(
+        8, lambda p: False, lambda p: {}, stop=True)
+    assert posets_per_n == LABELED_COUNTS
+    assert posets_per_n[8] == 431723379
+    assert set(instances_per_n.values()) == {0}
+    assert found == {}
+
+
+# -- rank and descent against the labeled oracle ------------------------------------
+
+
+def test_descent_index_disagreeing_with_rank_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(enumeration._ExtensionTree, "rank", lambda tree, masks: -1)
+    with pytest.raises(InternalDisagreement, match="at n=5 the descent passed 914 labeled posets"):
+        find_counterexample("J⇒ESP", 5)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rank_is_the_labeled_index(n):
+    tree = enumeration._ExtensionTree(n)
+    for k, masks in enumerate(enumeration._labeled_masks(n)):
+        assert tree.rank(masks) == k
+
+
+def test_rank_is_the_labeled_index_on_a_sample_at_six():
+    picked = set(random.Random(6).sample(range(LABELED_COUNTS[6]), 200))
+    tree = enumeration._ExtensionTree(6)
+    for k, masks in enumerate(enumeration._labeled_masks(6)):
+        if k in picked:
+            assert tree.rank(masks) == k
+
+
+def _even_relation(masks):
+    """Order-invariant and true for about half of all posets: the relation
+    has an even number of pairs."""
+    return sum(map(int.bit_count, masks)) % 2 == 0
+
+
+def _degrees(masks):
+    """A cheap isomorphism invariant, to skip most canonical keys."""
+    downs = enumeration._downs(masks)
+    return tuple(sorted(zip(map(int.bit_count, masks), map(int.bit_count, downs))))
+
+
+def test_descent_finds_the_first_labeled_poset_of_a_class_set():
+    # the descent against a labeled scan, for random sets of failing classes
+    # at n = 6 under a hypothesis that holds on about half of the posets
+    n = 6
+    *_, level = enumeration._iso_levels(n)
+    classes = [masks for masks, _, _ in level]
+    labeled = enumeration._labeled_masks(n)
+    scanned = []  # (masks, canonical key) of the labeled posets, in order, as far as read
+
+    def labeled_at(k):
+        while len(scanned) <= k:
+            masks = next(labeled)
+            scanned.append((masks, canonical_key(masks)))
+        return scanned[k]
+
+    def hypothesis(p):
+        return _even_relation(p.ups)
+
+    rng = random.Random(2022)
+    hits = 0
+    for _ in range(20):
+        failing = {canonical_key(m) for m in rng.sample(classes, rng.randint(1, 4))}
+        degrees = {_degrees(m) for m in classes if canonical_key(m) in failing}
+
+        def check(p, failing=failing, degrees=degrees):
+            if _degrees(p.ups) in degrees and canonical_key(p.ups) in failing:
+                return {"x": p.name}
+            return {}
+
+        if not any(_even_relation(m) for m in classes if canonical_key(m) in failing):
+            with pytest.raises(InternalDisagreement, match="reaches no labeled poset"):
+                enumeration._descend(n, hypothesis, check, None)
+            continue
+        k = instances = 0
+        while True:
+            masks, key = labeled_at(k)
+            if _even_relation(masks):
+                if key in failing:
+                    break
+                instances += 1
+            k += 1
+        failed, got_k, got_instances = enumeration._descend(n, hypothesis, check, None)
+        assert (failed, got_k, got_instances) == ({"x": f"P6-{k}"}, k, instances)
+        hits += 1
+    assert hits == 15  # the other 5 sets hold no class that satisfies the hypothesis
 
 
 # -- the canonical form against the factorial oracle -------------------------------
