@@ -966,7 +966,7 @@ class _ExtensionTree:
         passed: dict[int, tuple[int, int]] = {}
         k = instances = 0
 
-        def descend(masks):
+        def walk(masks):
             nonlocal k, instances
             if len(masks) == self.n:
                 instance, hit = leaf(masks, k)
@@ -983,14 +983,14 @@ class _ExtensionTree:
                 return None
             start = k, instances
             for e in _one_point_extensions(masks):
-                found = descend(e)
+                found = walk(e)
                 if found:
                     return found
             passed[key] = k - start[0], instances - start[1]
             self._sizes[key] = k - start[0]
             return None
 
-        found = descend((1,))
+        found = walk((1,))
         return found and (*found, k, instances)
 
 
