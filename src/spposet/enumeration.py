@@ -19,15 +19,19 @@ same search yields |Aut(P)| and the automorphisms that prune the next level,
 so the cost follows the search tree, not the factorial of the symmetric
 blocks.
 
-Every theorem and hunted property is a statement about order structure, so
-the sweeps check one representative per isomorphism class and weight it by
-its orbit size n!/|Aut(P)|; the per-n counts are still those of all labeled
-posets.  At the first n where a claim fails, a descent over the
-one-point-extension tree, memoized by class, finds the first labeled
-counterexample without listing labeled posets (`_ExtensionTree`), so a
-reported counterexample, its P<n>-<k> name and the partial counts are those
-of a labeled sweep, and a class failure that the descent does not reach is an
-InternalDisagreement.
+Every theorem, hunted property and probe is a `Claim` record: a hypothesis,
+a check, a size cap and, for a claim read under several hypotheses, its
+variants from weakest to strongest.  One sweep reads them all.  A claim of
+one variant stops at its first counterexample; a claim of several sweeps
+every n, and its report follows the strongest variant.  Every claim is a
+statement about order structure, so the sweep checks one representative per
+isomorphism class and weights it by its orbit size n!/|Aut(P)|; the per-n
+counts are still those of all labeled posets.  At the first n where a claim
+fails, a descent over the one-point-extension tree, memoized by class, finds
+the first labeled counterexample without listing labeled posets
+(`_ExtensionTree`), so a reported counterexample, its P<n>-<k> name and the
+partial counts are those of a labeled sweep, and a class failure that the
+descent does not reach is an InternalDisagreement.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -42,6 +46,7 @@ import functools
 import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .axioms import (
@@ -876,6 +881,29 @@ class VerificationReport:
         return lines
 
 
+@dataclass(frozen=True)
+class Claim:
+    """A statement checked on every poset that satisfies `hypothesis`, on up
+    to `cap` elements.  Without `variants`, `check(p)` returns p's
+    Counterexample or None; with variants, readings of the claim from weakest
+    to strongest, a dict from each variant p violates to its Counterexample.
+    """
+
+    text: str
+    hypothesis: Callable[[Poset], bool]
+    check: Callable[[Poset], Counterexample | dict | None]
+    cap: int = ISO_CAP
+    variants: tuple[str, ...] = ()
+
+    def failures(self, p: Poset) -> dict:
+        """The variants p violates, each with its counterexample; "" names the
+        one variant of a claim without named variants."""
+        failed = self.check(p)
+        if self.variants:
+            return failed
+        return {} if failed is None else {"": failed}
+
+
 def _serialize(p: Poset, tables: dict | None = None) -> str:
     sections = [Section("poset", p.name, p)]
     for name, t in (tables or {}).items():
@@ -890,22 +918,23 @@ def _class_levels(max_n: int):
         yield _Lazy((masks, math.factorial(n) // aut) for masks, aut, _ in level)
 
 
-def _scan(weighted_posets, hypothesis, check, stop: bool):
+def _scan(weighted_posets, claim: Claim):
     """Visit (poset, weight) pairs in order.
 
     Returns the weighted (poset, instance) counts and, per failing variant,
-    the first counterexample met; with `stop`, ends at the first failure.
+    the first counterexample met; a claim of one variant ends at the first
+    failure.
     """
     posets = instances = 0
     first: dict[str, Counterexample] = {}
     for p, weight in weighted_posets:
         posets += weight
-        if not hypothesis(p):
+        if not claim.hypothesis(p):
             continue
         instances += weight
-        for variant, ce in check(p).items():
+        for variant, ce in claim.failures(p).items():
             first.setdefault(variant, ce)
-        if stop and first:
+        if first and len(claim.variants) < 2:
             break
     return (posets, instances), first
 
@@ -996,9 +1025,9 @@ class _ExtensionTree:
 
 def _descend(n: int, hypothesis, check, variant: str | None):
     """The first labeled n-poset that satisfies the hypothesis and fails
-    `variant` of the claim (any variant when None), by rank and descent over
-    the class DAG: (its counterexample per failing variant, its index k, the
-    instances before it).  It is called where the class pass found such a
+    `variant` of the claim (any variant when None or ""), by rank and descent
+    over the class DAG: (its counterexample per failing variant, its index k,
+    the instances before it).  It is called where the class pass found such a
     poset, so a descent that reaches none, or whose count of the posets it
     passed differs from the poset's rank by class sizes, is an
     InternalDisagreement.
@@ -1026,23 +1055,24 @@ def _descend(n: int, hypothesis, check, variant: str | None):
     return failed, k, instances
 
 
-def _sweep(max_n: int, hypothesis, check, stop: bool):
+def _sweep(max_n: int, claim: Claim):
     """Check every poset with up to max_n elements, one isomorphism class at a time.
 
-    `check(p)` maps each claim variant the poset violates to its
-    counterexample.  Hypotheses and claims are order-invariant, so each class
-    representative stands for its whole orbit and counts n!/|Aut| labeled
-    posets.  At the first n where some variant fails, a descent over the
+    Hypotheses and claims are order-invariant, so each class representative
+    stands for its whole orbit and counts n!/|Aut| labeled posets.  At the
+    first n where some variant of the claim fails, a descent over the
     one-point-extension tree of that n, memoized by class (`_descend`), finds
     the first labeled counterexample (P<n>-<k>) without listing labeled
-    posets, once per newly failing variant; with `stop` it also gives the
-    partial counts up to that poset, so the name and the counts are those of
-    a labeled sweep, and the sweep ends there.  Without `stop` the counts stay
-    those of the class pass.  Returns posets_per_n, instances_per_n and the
-    first counterexample per failing variant.
+    posets, once per newly failing variant.  A claim of one variant stops
+    there, and the descent also gives the partial counts up to that poset, so
+    the name and the counts are those of a labeled sweep.  A claim of several
+    variants sweeps every n and keeps the counts of the class pass.  Returns
+    posets_per_n, instances_per_n and the first counterexample per failing
+    variant.
     """
-    if not 1 <= max_n <= ISO_CAP:
-        raise SizeCap(f"a sweep supports 1 <= n <= {ISO_CAP}, got {max_n}")
+    if not 1 <= max_n <= claim.cap:
+        raise SizeCap(f"a sweep of this claim supports 1 <= n <= {claim.cap}, got {max_n}")
+    stop = len(claim.variants) < 2
     posets_per_n: dict[int, int] = {}
     instances_per_n: dict[int, int] = {}
     found: dict[str, Counterexample] = {}
@@ -1050,14 +1080,12 @@ def _sweep(max_n: int, hypothesis, check, stop: bool):
         names = _NAMES[:n]
         classes = ((Poset(f"Q{n}-{k}", names, masks), orbit)
                    for k, (masks, orbit) in enumerate(level))
-        counts, first = _scan(classes, hypothesis, check, stop)
-        new = sorted(first.keys() - found.keys())
-        if new and stop:
-            first, k, instances = _descend(n, hypothesis, check, None)
-            counts = k + 1, instances + 1
-        elif new:
-            for variant in new:
-                first[variant] = _descend(n, hypothesis, check, variant)[0][variant]
+        counts, first = _scan(classes, claim)
+        for variant in sorted(first.keys() - found.keys()):
+            failed, k, instances = _descend(n, claim.hypothesis, claim.failures, variant)
+            first[variant] = failed[variant]
+            if stop:
+                counts = k + 1, instances + 1
         posets_per_n[n], instances_per_n[n] = counts
         for variant, ce in first.items():
             found.setdefault(variant, ce)
@@ -1066,35 +1094,42 @@ def _sweep(max_n: int, hypothesis, check, stop: bool):
     return posets_per_n, instances_per_n, found
 
 
-def _report(claim: str, max_n: int, hypothesis, check) -> VerificationReport:
-    """Sweep for a single-variant claim whose check returns a Counterexample or None."""
+def _claim_report(name: str, max_n: int, claim: Claim) -> VerificationReport:
+    """Sweep a claim and report on it under `name`.
+
+    The outcome and the counterexample follow the last, strongest variant.
+    details gives each named variant's verdict and, when the strongest one
+    held, the first counterexample of each weaker one that failed as
+    "<variant>-first".
+    """
     start = time.perf_counter()
-
-    def variants(p):
-        ce = check(p)
-        return {} if ce is None else {claim: ce}
-
-    posets_per_n, instances_per_n, found = _sweep(max_n, hypothesis, variants, stop=True)
-    ce = found.get(claim)
-    return VerificationReport(
-        claim, max_n, posets_per_n, instances_per_n,
-        "verified" if ce is None else "counterexample", ce, time.perf_counter() - start)
+    posets_per_n, instances_per_n, found = _sweep(max_n, claim)
+    *weaker, strongest = claim.variants or ("",)
+    ce = found.get(strongest)
+    details = {v: "counterexample" if v in found else "verified" for v in claim.variants}
+    if ce is None:
+        details |= {f"{v}-first": found[v].serialized.replace("\n", "; ")
+                    for v in weaker if v in found}
+    return VerificationReport(name, max_n, posets_per_n, instances_per_n,
+                              "verified" if ce is None else "counterexample", ce,
+                              time.perf_counter() - start, details)
 
 
 # -- individual theorem checks -----------------------------------------------------
 
 
-def _solution_counts(p: Poset, system: str) -> list[int]:
-    return [len(c) for c in system_column_solutions(p, system)]
+def _unique_model(p: Poset, system: str, table, text: str):
+    """None when the tables satisfying the system on p are exactly `table`,
+    or there are none and table is None; otherwise a counterexample that says
+    `text` and gives the solution counts per column."""
+    if system_models_are(p, system, table):
+        return None
+    counts = [len(c) for c in system_column_solutions(p, system)]
+    return Counterexample(_serialize(p), f"{text} (solution counts per column: {counts})")
 
 
-def _check_spchar(p: Poset):
-    if not system_models_are(p, "SP", star_table(p) if is_sp(p) else None):
-        return Counterexample(
-            _serialize(p),
-            "star tables satisfying the axioms differ from the sectional "
-            f"pseudocomplementation (solution counts per column: {_solution_counts(p, 'SP')})")
-    return None
+def _normal_table(p: Poset):
+    return normal_extension(star_table(p)).table if is_sp(p) else None
 
 
 def _check_glb(p: Poset):
@@ -1148,16 +1183,6 @@ def _check_nrm_impl(p: Poset):
     return None
 
 
-def _check_nrm_ax(p: Poset):
-    table = normal_extension(star_table(p)).table if is_sp(p) else None
-    if not system_models_are(p, "NRM", table):
-        return Counterexample(
-            _serialize(p),
-            "tables satisfying the normality axioms differ from the normal extension "
-            f"(solution counts per column: {_solution_counts(p, 'NRM')})")
-    return None
-
-
 def _check_str_nrm(p: Poset):
     for make in (selection_union, selection_frink):
         sel = make(p)
@@ -1189,23 +1214,11 @@ def _check_nat_implic(p: Poset):
     return None
 
 
-def _check_j_eq_nrm(p: Poset):
-    table = normal_extension(star_table(p)).table if is_sp(p) else None
-    if not system_models_are(p, "J", table):
-        return Counterexample(
-            _serialize(p),
-            "tables satisfying j1-j3 differ from the normal extension "
-            f"(solution counts per column: {_solution_counts(p, 'J')})")
-    return None
-
-
 def _check_lat_f_eq_j(p: Poset):
     fnat = i_natural_extension(p, selection_frink(p))
-    if not system_models_are(p, "JWV2", fnat.table):
-        return Counterexample(
-            _serialize(p),
-            "tables satisfying the lattice identities differ from the Frink-natural extension "
-            f"(solution counts per column: {_solution_counts(p, 'JWV2')})")
+    if ce := _unique_model(p, "JWV2", fnat.table, "tables satisfying the lattice identities "
+                           "differ from the Frink-natural extension"):
+        return ce
     if fnat.is_total != is_sp(p):
         return Counterexample(
             _serialize(p), "Frink-natural extension total but the lattice is not sp-complemented")
@@ -1259,6 +1272,8 @@ def _check_right_impl(p: Poset):
 
 
 def _iso_variants(p: Poset):
+    """Whether the natural table is the Frink-natural one: "up-directed" asks
+    it always, "up-directed+strong" only of a strong natural table."""
     nat = natural_extension(star_table(p))
     fnat = i_natural_extension(p, selection_frink(p))
     if fnat.is_total and fnat.table == nat:
@@ -1271,61 +1286,45 @@ def _iso_variants(p: Poset):
     return {"up-directed": ce}
 
 
-def _verify_iso(max_n: int) -> VerificationReport:
-    """Selection-monotonicity corollary, tested under both hypothesis readings.
-
-    Variant "up-directed": every up-directed naturally extended poset is also
-    Frink-naturally extended by the same table.  Variant "up-directed+strong"
-    adds strongness of the natural table.  The report's outcome follows the
-    strong variant; both verdicts are recorded in details.
-    """
-    start = time.perf_counter()
-    posets_per_n, instances_per_n, found = _sweep(
-        max_n, lambda p: is_sp(p) and p.classify().is_up_directed, _iso_variants, stop=False)
-    elapsed = time.perf_counter() - start
-    details = {
-        "up-directed": "counterexample" if "up-directed" in found else "verified",
-        "up-directed+strong": "counterexample" if "up-directed+strong" in found else "verified",
-    }
-    strong_ce = found.get("up-directed+strong") or found.get("up-directed")
-    if "up-directed+strong" in found:
-        return VerificationReport("T-ISO", max_n, posets_per_n, instances_per_n,
-                                  "counterexample", strong_ce, elapsed, details)
-    if "up-directed" in found:
-        details["up-directed-first"] = found["up-directed"].serialized.replace("\n", "; ")
-    return VerificationReport("T-ISO", max_n, posets_per_n, instances_per_n,
-                              "verified", None, elapsed, details)
-
-
 THEOREMS = {
-    "T-SPCHAR": ("star tables satisfying sp1-sp3 are exactly the sectional pseudocomplementation",
-                 lambda p: True, _check_spchar),
-    "T-GLB": ("maximal lower bound = meet = local meet in semilattices",
-              lambda p: p.classify().is_upper_semilattice or p.classify().is_lower_semilattice,
-              _check_glb),
-    "T-NAT-EQ": ("natural extension max form equals both min forms",
-                 is_sp, _check_nat_eq),
-    "T-JEXT-FIN": ("normal extension is total exactly on upper semilattices",
-                   is_sp, _check_jext_fin),
-    "T-NRM-IMPL": ("total normal extensions are implicative",
-                   lambda p: is_sp(p) and normal_extension(star_table(p)).is_total,
-                   _check_nrm_impl),
-    "T-NRM-AX": ("tables satisfying nrm0-nrm3 are exactly the total normal extensions",
-                 lambda p: True, _check_nrm_ax),
-    "T-STR-NRM": ("strong selection-natural tables are normal (union and Frink selections)",
-                  is_sp, _check_str_nrm),
-    "T-NAT-IMPLIC": ("natural extension implicativity matches the lower-section structure",
-                     is_sp, _check_nat_implic),
-    "T-J-EQ-NRM": ("on lower semilattices with a greatest element, j1-j3 tables are the normal extensions",
-                   lambda p: p.classify().is_lower_semilattice and p.classify().has_greatest,
-                   _check_j_eq_nrm),
-    "T-LAT-F-EQ-J": ("on lattices the Frink-natural extension is the join extension and the unique "
-                     "model of the lattice identities",
-                     lambda p: p.classify().is_lattice, _check_lat_f_eq_j),
-    "T-MONO": ("growing the selection shrinks the extension pointwise",
-               is_sp, _check_mono),
-    "T-RIGHT-IMPL": ("right-implicative tables with y <= x->y are left-implicative",
-                     is_sp, _check_right_impl),
+    "T-SPCHAR": Claim(
+        "star tables satisfying sp1-sp3 are exactly the sectional pseudocomplementation",
+        lambda p: True,
+        lambda p: _unique_model(p, "SP", star_table(p) if is_sp(p) else None,
+                                "star tables satisfying the axioms differ from the sectional "
+                                "pseudocomplementation")),
+    "T-GLB": Claim("maximal lower bound = meet = local meet in semilattices",
+                   lambda p: p.classify().is_upper_semilattice or p.classify().is_lower_semilattice,
+                   _check_glb),
+    "T-NAT-EQ": Claim("natural extension max form equals both min forms", is_sp, _check_nat_eq),
+    "T-JEXT-FIN": Claim("normal extension is total exactly on upper semilattices",
+                        is_sp, _check_jext_fin),
+    "T-NRM-IMPL": Claim("total normal extensions are implicative",
+                        lambda p: is_sp(p) and normal_extension(star_table(p)).is_total,
+                        _check_nrm_impl),
+    "T-NRM-AX": Claim(
+        "tables satisfying nrm0-nrm3 are exactly the total normal extensions",
+        lambda p: True,
+        lambda p: _unique_model(p, "NRM", _normal_table(p), "tables satisfying the normality axioms "
+                                "differ from the normal extension")),
+    "T-STR-NRM": Claim("strong selection-natural tables are normal (union and Frink selections)",
+                       is_sp, _check_str_nrm),
+    "T-NAT-IMPLIC": Claim("natural extension implicativity matches the lower-section structure",
+                          is_sp, _check_nat_implic),
+    "T-J-EQ-NRM": Claim(
+        "on lower semilattices with a greatest element, j1-j3 tables are the normal extensions",
+        lambda p: p.classify().is_lower_semilattice and p.classify().has_greatest,
+        lambda p: _unique_model(p, "J", _normal_table(p),
+                                "tables satisfying j1-j3 differ from the normal extension")),
+    "T-LAT-F-EQ-J": Claim("on lattices the Frink-natural extension is the join extension and the "
+                          "unique model of the lattice identities",
+                          lambda p: p.classify().is_lattice, _check_lat_f_eq_j),
+    "T-ISO": Claim("on up-directed posets the natural table is the Frink-natural table",
+                   lambda p: is_sp(p) and p.classify().is_up_directed, _iso_variants,
+                   variants=("up-directed", "up-directed+strong")),
+    "T-MONO": Claim("growing the selection shrinks the extension pointwise", is_sp, _check_mono),
+    "T-RIGHT-IMPL": Claim("right-implicative tables with y <= x->y are left-implicative",
+                          is_sp, _check_right_impl),
 }
 
 
@@ -1337,17 +1336,13 @@ def verify_theorem(theorem: str, max_n: int) -> VerificationReport:
     failing n, rank and descent over the class DAG name the first labeled
     counterexample.
     """
-    if theorem == "T-ISO":
-        return _verify_iso(max_n)
     if theorem not in THEOREMS:
-        known = ", ".join(sorted(THEOREMS) + ["T-ISO"])
-        raise UnknownTheorem(f"unknown theorem {theorem!r}; known: {known}")
-    _, hyp, check = THEOREMS[theorem]
-    return _report(theorem, max_n, hyp, check)
+        raise UnknownTheorem(f"unknown theorem {theorem!r}; known: {', '.join(theorem_ids())}")
+    return _claim_report(theorem, max_n, THEOREMS[theorem])
 
 
 def theorem_ids() -> tuple[str, ...]:
-    return tuple(sorted(list(THEOREMS) + ["T-ISO"]))
+    return tuple(sorted(THEOREMS))
 
 
 # -- counterexample hunts -----------------------------------------------------------
@@ -1436,16 +1431,16 @@ def _hunt_sp_to_sp(p: Poset):
 
 
 PREDICATES = {
-    "J⇒ESP": ("total relative pseudocomplementations satisfy j1-j3; are they extended "
-              "sectional pseudocomplementations?",
-              lambda p: True, _hunt_rule_to_esp("rp"), ISO_CAP),
-    "CLP⇒ESP": ("are total sectional pseudocomplements in the greatest-element sense extended "
-                "sectional pseudocomplementations?",
-                lambda p: True, _hunt_rule_to_esp("clp"), ISO_CAP),
-    "ESP⇒J": ("do extended sectional pseudocomplementations satisfy j1-j3?",
-              is_sp, _hunt_esp_to_j, 5),
-    "sp⇒sp": ("sanity: the computed star table satisfies its own axioms",
-              is_sp, _hunt_sp_to_sp, ISO_CAP),
+    "J⇒ESP": Claim("total relative pseudocomplementations satisfy j1-j3; are they extended "
+                   "sectional pseudocomplementations?",
+                   lambda p: True, _hunt_rule_to_esp("rp")),
+    "CLP⇒ESP": Claim("are total sectional pseudocomplements in the greatest-element sense extended "
+                     "sectional pseudocomplementations?",
+                     lambda p: True, _hunt_rule_to_esp("clp")),
+    "ESP⇒J": Claim("do extended sectional pseudocomplementations satisfy j1-j3?",
+                   is_sp, _hunt_esp_to_j, cap=5),
+    "sp⇒sp": Claim("sanity: the computed star table satisfies its own axioms",
+                   is_sp, _hunt_sp_to_sp),
 }
 
 
@@ -1466,10 +1461,7 @@ def find_counterexample(predicate: str, max_n: int) -> VerificationReport:
     counterexample and the labeled counts up to it.
     """
     key = normalize_predicate(predicate)
-    _, hyp, check, cap = PREDICATES[key]
-    if not 1 <= max_n <= cap:
-        raise SizeCap(f"predicate {key} supports 1 <= n <= {cap}, got {max_n}")
-    return _report(key, max_n, hyp, check)
+    return _claim_report(key, max_n, PREDICATES[key])
 
 
 def predicate_ids() -> tuple[str, ...]:
@@ -1488,9 +1480,12 @@ def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
     tables; variant "strong" restricts both directions to strong tables, and
     is "inconclusive" at the first poset with more than 100000 models.
     """
-    make = {"frink": selection_frink, "union": selection_union}[selection]
+    makers = {"frink": selection_frink, "union": selection_union}
+    if selection not in makers:
+        raise ValueError(f"selection must be 'frink' or 'union', got {selection!r}")
+    make = makers[selection]
 
-    def variants(p: Poset):
+    def check(p: Poset):
         sel = make(p)
         sols = system_column_solutions(p, "NATI", sel=sel)
         ext = i_natural_extension(p, sel)
@@ -1508,6 +1503,8 @@ def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
                 found["strong"] = f"counterexample at n={p.n}: {p.name}"
         return {variant: Counterexample(_serialize(p), text) for variant, text in found.items()}
 
-    *_, found = _sweep(max_n, lambda p: p.classify().is_up_directed, variants, stop=False)
+    claim = Claim("selection-natural iff nat1, nat2 and the selection variant of nat3",
+                  lambda p: p.classify().is_up_directed, check, variants=("plain", "strong"))
+    *_, found = _sweep(max_n, claim)
     return {variant: found[variant].witness if variant in found else "verified"
-            for variant in ("plain", "strong")}
+            for variant in claim.variants}

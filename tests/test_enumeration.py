@@ -29,6 +29,8 @@ from spposet import enumeration
 from spposet.axioms import SYSTEMS
 from spposet.enumeration import (
     LABELED_CAP,
+    Claim,
+    Counterexample,
     are_isomorphic,
     automorphism_count,
     canonical_key,
@@ -268,10 +270,12 @@ def test_enumerate_extensions_empty_column_checks_nothing(monkeypatch):
 
 
 def test_unknown_ids():
-    with pytest.raises(UnknownTheorem):
+    with pytest.raises(UnknownTheorem, match="known: T-GLB, T-ISO, T-J-EQ-NRM, .*, T-STR-NRM$"):
         verify_theorem("T-NOPE", 3)
     with pytest.raises(UnknownPredicate):
         find_counterexample("nonsense", 3)
+    with pytest.raises(ValueError, match="'frink' or 'union', got 'nope'"):
+        probe_sinat_variants(4, "nope")
     assert normalize_predicate("J => ESP") == "J⇒ESP"
     assert normalize_predicate("j⇒esp") == "J⇒ESP"
 
@@ -299,6 +303,34 @@ def test_iso_theorem_reports_both_variants():
     # smallest divergence: two incomparable elements under a top, where the
     # natural table sends each to the top but the Frink rule keeps the target
     assert "P3-" in report.details["up-directed-first"]
+
+
+@pytest.mark.parametrize("strong_fails", [True, False], ids=["strong fails", "only weak fails"])
+def test_report_follows_the_strongest_variant(monkeypatch, strong_fails):
+    # "weak" fails on every chain of two or more elements, "strong" only on
+    # the three-element chain, and only when planted; both are order-invariant
+    def check(p):
+        failed = {}
+        if p.n > 1 and p.classify().is_chain:
+            failed["weak"] = Counterexample(f"poset {p.name}\n", "weak")
+            if strong_fails and p.n == 3:
+                failed["strong"] = Counterexample(f"poset {p.name}\n", "strong")
+        return failed
+
+    claim = Claim("planted", lambda p: True, check, variants=("weak", "strong"))
+    monkeypatch.setitem(enumeration.THEOREMS, "T-PLANTED", claim)
+    report = verify_theorem("T-PLANTED", 4)
+    assert report.posets_per_n == {1: 1, 2: 3, 3: 19, 4: 219}
+    if strong_fails:
+        assert report.outcome == "counterexample"
+        assert report.counterexample.witness == "strong"
+        assert report.counterexample.serialized.startswith("poset P3-")
+        assert report.details == {"weak": "counterexample", "strong": "counterexample"}
+    else:
+        assert report.outcome == "verified"
+        assert report.counterexample is None
+        assert report.details == {"weak": "counterexample", "strong": "verified",
+                                  "weak-first": "poset P2-1; "}
 
 
 def test_counterexample_reports_are_replayable():
@@ -407,17 +439,17 @@ def test_products_equal_empty_care():
 # -- the class sweep against the labeled oracle ------------------------------------
 
 
-def _labeled_sweep(max_n, hypothesis, check, stop):
+def _labeled_sweep(max_n, claim):
     """Every labeled poset in enumeration order, each counted once: the sweep
-    the class sweep must reproduce."""
+    the class sweep must reproduce.  A claim of one variant stops at its
+    first counterexample."""
     posets_per_n, instances_per_n, found = {}, {}, {}
     for n in range(1, max_n + 1):
         labeled = ((p, 1) for p in enumerate_posets(n))
-        (posets_per_n[n], instances_per_n[n]), first = enumeration._scan(
-            labeled, hypothesis, check, stop)
+        (posets_per_n[n], instances_per_n[n]), first = enumeration._scan(labeled, claim)
         for variant, ce in first.items():
             found.setdefault(variant, ce)
-        if stop and found:
+        if len(claim.variants) < 2 and found:
             break
     return posets_per_n, instances_per_n, found
 
@@ -544,9 +576,9 @@ def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
         return {"x": "bogus"} if p.name.startswith("Q") else {}
 
     with pytest.raises(InternalDisagreement, match="at n=1"):
-        enumeration._sweep(3, lambda p: True, by_name, stop=True)
+        enumeration._sweep(3, Claim("by name", lambda p: True, by_name, variants=("x",)))
     with pytest.raises(InternalDisagreement, match="at n=1"):
-        enumeration._sweep(3, lambda p: True, by_name, stop=False)
+        enumeration._sweep(3, Claim("by name", lambda p: True, by_name, variants=("x", "y")))
 
 
 def test_failing_hunt_stops_inside_the_class_level(monkeypatch):
@@ -585,7 +617,7 @@ def test_hunt_reaches_eight_and_stops_at_the_crown(capsys):
 def test_sweep_counts_every_labeled_eight_poset():
     # OEIS A001035, from class orbits alone: no hypothesis holds, nothing descends
     posets_per_n, instances_per_n, found = enumeration._sweep(
-        8, lambda p: False, lambda p: {}, stop=True)
+        8, Claim("nothing", lambda p: False, lambda p: None))
     assert posets_per_n == LABELED_COUNTS
     assert posets_per_n[8] == 431723379
     assert set(instances_per_n.values()) == {0}

@@ -133,19 +133,19 @@ def test_solver_matches_the_oracle():
     assert answers == {True, False}
 
 
-@pytest.mark.parametrize("check,system,text", [
-    ("_check_spchar", "SP", "star tables satisfying the axioms differ from the sectional "
-                            "pseudocomplementation"),
-    ("_check_nrm_ax", "NRM", "tables satisfying the normality axioms differ from the normal extension"),
-    ("_check_j_eq_nrm", "J", "tables satisfying j1-j3 differ from the normal extension"),
-    ("_check_lat_f_eq_j", "JWV2", "tables satisfying the lattice identities differ from the "
-                                  "Frink-natural extension"),
+@pytest.mark.parametrize("theorem,system,text", [
+    ("T-SPCHAR", "SP", "star tables satisfying the axioms differ from the sectional "
+                       "pseudocomplementation"),
+    ("T-NRM-AX", "NRM", "tables satisfying the normality axioms differ from the normal extension"),
+    ("T-J-EQ-NRM", "J", "tables satisfying j1-j3 differ from the normal extension"),
+    ("T-LAT-F-EQ-J", "JWV2", "tables satisfying the lattice identities differ from the "
+                             "Frink-natural extension"),
 ])
-def test_a_failing_check_reports_the_solution_counts(monkeypatch, diamond, check, system, text):
+def test_a_failing_check_reports_the_solution_counts(monkeypatch, diamond, theorem, system, text):
     # the checks ask yes or no, and list the solutions only to report a "no"
     counts = [len(c) for c in system_column_solutions(diamond, system)]
     monkeypatch.setattr(enumeration, "system_models_are", lambda *a, **k: False)
-    ce = getattr(enumeration, check)(diamond)
+    ce = enumeration.THEOREMS[theorem].check(diamond)
     assert ce.witness == f"{text} (solution counts per column: {counts})"
 
 
