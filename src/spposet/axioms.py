@@ -666,12 +666,12 @@ def verify_lemma_suite(p: Poset, op, suite: str, sel: LocalSelection | None = No
 
     Items whose stated hypotheses the table does not meet are reported as
     skipped (e.g. the greatest-element items of jext-prop on an unbounded
-    poset).  The simplI suite is a pure poset/selection statement and ignores
-    the table.
+    poset).  The simplI suite, the one that needs a selection, is a pure
+    poset/selection statement and ignores the table; a given one must be over p.
     """
     if suite not in LEMMA_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {LEMMA_SUITES}")
-    if suite in ("Inat-prop", "simplI") and sel is None:
+    if suite == "simplI" and sel is None:
         raise MissingSelection(f"suite {suite} needs a local selection")
     require_owner(p, sel)
     if suite == "simplI":

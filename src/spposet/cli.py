@@ -48,10 +48,6 @@ STAR_KINDS = ("sp", "rp", "wrp", "clp")
 SUITES = ("sp-prop", "esp-prop", "jext-prop", "Inat-prop", "simplI")
 
 
-def _load(path) -> fileformat.Document:
-    return fileformat.parse_path(path)
-
-
 def _resolve_selection(doc, token, p):
     if token == "union":
         return extensions.selection_union(p)
@@ -72,13 +68,13 @@ def _emit_result(p, name, table) -> str:
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.file)
+    doc = fileformat.parse_path(args.file)
     print(f"ok: {len(doc.sections)} sections ({', '.join(doc.names())})")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    doc = _load(args.file)
+    doc = fileformat.parse_path(args.file)
     p = doc.poset(args.poset)
     rep = p.classify()
     print(f"poset {p.name}: {p.n} elements")
@@ -100,7 +96,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_star(args) -> int:
-    doc = _load(args.file)
+    doc = fileformat.parse_path(args.file)
     p = doc.poset(args.poset)
     kind = args.kind
     table = pseudo.complement_table(p, kind)
@@ -116,7 +112,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    doc = _load(args.file)
+    doc = fileformat.parse_path(args.file)
     p = doc.poset(args.poset)
     method = args.method
     st = pseudo.star_table(p)
@@ -124,8 +120,7 @@ def cmd_extend(args) -> int:
         print(f"poset is not sectionally pseudocomplemented: pair ({st.x}, {st.y}), "
               f"maximal candidates {' '.join(st.candidates) or '(none)'}")
         return 1
-    sel = None
-    name = method
+    sel, name = None, method
     if method in ("i-natural", "i-min"):
         if not args.selection:
             raise SpposetError(f"method {method} requires --selection")
@@ -144,7 +139,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = _load(args.file)
+    doc = fileformat.parse_path(args.file)
     table = doc.table(args.table)
     p = table.owner
     sel = _resolve_selection(doc, args.selection, p) if args.selection else None
@@ -158,7 +153,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_props(args) -> int:
-    doc = _load(args.file)
+    doc = fileformat.parse_path(args.file)
     table = doc.table(args.table)
     p = table.owner
     sel = _resolve_selection(doc, args.selection, p) if args.selection else None
@@ -192,6 +187,13 @@ def cmd_verify(args) -> int:
 
 def cmd_hunt(args) -> int:
     return _print_report(enumeration.find_counterexample(args.predicate, args.max_n))
+
+
+def _claim_list(heading: str, claims: dict) -> dict:
+    """A help epilog that lists each claim id with what it states."""
+    width = max(map(len, claims))
+    lines = [f"{heading}:"] + [f"  {key:<{width}}  {claims[key].text}" for key in sorted(claims)]
+    return {"epilog": "\n".join(lines), "formatter_class": argparse.RawDescriptionHelpFormatter}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,12 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--selection")
     s.set_defaults(fn=cmd_props)
 
-    s = sub.add_parser("verify", help="verify a built-in claim over all small posets")
+    s = sub.add_parser("verify", help="verify a built-in claim over all small posets",
+                       **_claim_list("theorems", enumeration.THEOREMS))
     s.add_argument("--theorem", required=True, choices=enumeration.theorem_ids())
     s.add_argument("--max-n", type=int, required=True)
     s.set_defaults(fn=cmd_verify)
 
-    s = sub.add_parser("hunt", help="search small posets for a counterexample")
+    s = sub.add_parser("hunt", help="search small posets for a counterexample",
+                       **_claim_list("predicates", enumeration.PREDICATES))
     s.add_argument("--predicate", required=True)
     s.add_argument("--max-n", type=int, required=True)
     s.set_defaults(fn=cmd_hunt)

@@ -43,7 +43,6 @@ solution sets instead of enumerating the full table space.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from collections.abc import Callable
@@ -85,9 +84,9 @@ from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_tabl
 
 LABELED_CAP = 7
 ISO_CAP = 8
-# values a column solver call may try that lead to no solution: about half a
-# second of search, and nearly six hundred times the 169 that the sweeps up to
-# ISO_CAP need at most
+# values a column solver call, or an extension stream over all its columns, may
+# try that lead to no solution: about half a second of search, and nearly six
+# hundred times the 169 that the sweeps up to ISO_CAP need at most
 SEARCH_BUDGET = 100_000
 
 _NAMES = tuple(str(i) for i in range(ISO_CAP))
@@ -150,7 +149,7 @@ def _labeled_masks(n: int):
 
 class _Lazy:
     """A sequence produced on demand: iteration streams and keeps the items of
-    `source`, and len() finishes it."""
+    `source`, then replays them once it is spent, and len() finishes it."""
 
     __slots__ = ("_source", "_items")
 
@@ -159,18 +158,22 @@ class _Lazy:
         self._items: list = []
 
     def __iter__(self):
+        return iter(self._items) if self._source is None else self._stream()
+
+    def _stream(self):
         i = 0
         while True:
             if i == len(self._items):
-                item = next(self._source, self)
+                item = next(self._source, self) if self._source is not None else self
                 if item is self:
+                    self._source = None
                     return
                 self._items.append(item)
             yield self._items[i]
             i += 1
 
     def __len__(self) -> int:
-        self._items.extend(self._source)
+        self._items.extend(self._source or ())
         return len(self._items)
 
 
@@ -528,12 +531,9 @@ def count_posets_naive(n: int) -> int:
         return True
 
     def naive(m):
-        out = []
-        for packed in range(1 << (m * m)):
-            rows = [(packed >> (m * i)) & ((1 << m) - 1) for i in range(m)]
-            if is_order(rows, m):
-                out.append(rows)
-        return out
+        mask = (1 << m) - 1
+        relations = ([packed >> (m * i) & mask for i in range(m)] for packed in range(1 << (m * m)))
+        return [rows for rows in relations if is_order(rows, m)]
 
     if n <= 4:
         return len(naive(n))
@@ -744,9 +744,10 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
     full model set is the cartesian product of the returned lists, each in
     lexicographic order.  For the SP system the column domain is the rows
     weakly above the column element; all other systems are total.  With
-    `forced`, sectioned cells are pinned to the given star table (extension
-    enumeration).  The poset must have the structure and the selection the
-    system needs, as in check_system, and a given selection must be over p.
+    `forced`, sectioned cells are pinned to the given star table: the product
+    is what enumerate_extensions streams.  The poset must have the structure
+    and the selection the system needs, as in check_system, and a given
+    selection must be over p.
     """
     cols = _Columns(p, system, sel)
     return [list(cols.solutions(c, forced)) for c in range(p.n)]
@@ -786,57 +787,63 @@ def products_equal(cols_a: list[list[tuple]], cols_b: list[list[tuple]]) -> bool
 
 def table_as_columns(t, rows_per_col=None) -> list[list[tuple]]:
     """A single table viewed as a column-factored singleton set."""
-    p = t.owner
-    out = []
-    for c in range(p.n):
-        rows = rows_per_col[c] if rows_per_col is not None else range(p.n)
-        out.append([tuple(t.cells[r][c] for r in rows)])
-    return out
+    n = t.owner.n
+    rows = rows_per_col or [range(n)] * n
+    return [[tuple(t.cells[r][c] for r in rows[c])] for c in range(n)]
 
 
-def _tables_from_columns(p: Poset, cols: list[list[tuple]]):
-    """The total tables that pick one solution per column, rightmost column
-    fastest: the cartesian product of the column solutions, each pick
-    transposed into rows.
-
-    Every solution must hold n ints in range(n); that is checked once per
-    column solution, before the first table, so the tables themselves are
-    built unchecked.  When some column has no solution there are no tables
-    and nothing is checked.
-    """
-    n = p.n
-    if all(cols):
-        if len(cols) != n or any(len(sol) != n for sols in cols for sol in sols):
-            raise ValueError(f"table must be {n}x{n}")
-        for sols in cols:
-            for sol in sols:
-                for v in sol:
-                    if not isinstance(v, int) or not 0 <= v < n:
-                        raise ValueError("total table must map every pair to an element")
+def _product_tables(p: Poset, cols):
+    """The cartesian product of the re-iterable column solutions `cols` as total
+    tables, rightmost column fastest.  Each column's first solution is read, in
+    column order, before the first table, and an empty column ends the product.
+    Every solution must hold n ints in range(n)."""
+    its, pick = [iter(col) for col in cols], []
+    for it in its:
+        if (sol := next(it, None)) is None:
+            return
+        pick.append(sol)
     make = TotalTable._from_checked_rows
-    for pick in itertools.product(*cols):
-        yield make(p, tuple(zip(*pick)))
+    while True:
+        for sol in cols[-1]:
+            pick[-1] = sol
+            yield make(p, tuple(zip(*pick)))
+        k = len(cols) - 2
+        while k >= 0 and (sol := next(its[k], None)) is None:
+            its[k] = iter(cols[k])  # column k starts over, and the one to its left steps
+            pick[k] = next(its[k])
+            k -= 1
+        if k < 0:
+            return
+        pick[k] = sol
 
 
-def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | None = None,
-                         max_free_cells: int = 25):
+def _checked(n: int, sols):
+    """The column solutions `sols`, each checked once to hold n ints in range(n)."""
+    for sol in sols:
+        if len(sol) != n:
+            raise ValueError(f"table must be {n}x{n}")
+        if not all(isinstance(v, int) and 0 <= v < n for v in sol):
+            raise ValueError("total table must map every pair to an element")
+        yield sol
+
+
+def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | None = None):
     """All total tables extending the star table s that satisfy the given system.
 
-    Streamed deterministically: column assignments vary rightmost-column
-    fastest.  The values are checked once per column solution, not once per
-    table cell, and a bad solution raises ValueError before the first table.
-    Raises SizeCap when the number of free (non-sectioned) cells exceeds the
-    budget, StructureMismatch for the partial-table system SP, a selection
-    over another poset or a poset without the structure the system needs,
-    and MissingSelection when the system needs a selection and none is given.
+    Streamed deterministically: rightmost column fastest, each column's
+    solutions in lexicographic order.  Each column is searched only as far as
+    the stream reads it, and each solution is checked once, when first
+    reached: a bad one raises ValueError before any table that holds it.
+    Raises SizeCap when the column searches spend their shared SEARCH_BUDGET,
+    StructureMismatch for the partial-table system SP, a selection over
+    another poset or a poset without the structure the system needs, and
+    MissingSelection when the system needs a selection and none is given.
     """
     if SYSTEMS.get(system, {}).get("kind") == "partial":
         raise StructureMismatch(f"system {system} needs a partial table; extensions are total")
     p = s.owner
-    free = sum(1 for x in range(p.n) for y in range(p.n) if not p.leq_ix(y, x))
-    if free > max_free_cells:
-        raise SizeCap(f"{free} free cells exceed the budget of {max_free_cells}")
-    yield from _tables_from_columns(p, system_column_solutions(p, system, sel=sel, forced=s))
+    cols = _Columns(p, system, sel)
+    yield from _product_tables(p, [_Lazy(_checked(p.n, cols.solutions(c, s))) for c in range(p.n)])
 
 
 # -- verification reports ---------------------------------------------------------
@@ -868,11 +875,9 @@ class VerificationReport:
         return sum(self.instances_per_n.values())
 
     def summary_lines(self) -> list[str]:
-        lines = [
-            f"claim {self.theorem}: {self.outcome} (n = 1..{self.max_n}, "
-            f"{self.posets_checked} posets, {self.instances_checked} instances, "
-            f"{self.elapsed:.2f}s)"
-        ]
+        lines = [f"claim {self.theorem}: {self.outcome} (n = 1..{self.max_n}, "
+                 f"{self.posets_checked} posets, {self.instances_checked} instances, "
+                 f"{self.elapsed:.2f}s)"]
         for n in sorted(self.instances_per_n):
             lines.append(
                 f"  n={n}: {self.posets_per_n[n]} posets, {self.instances_per_n[n]} instances")
@@ -905,10 +910,8 @@ class Claim:
 
 
 def _serialize(p: Poset, tables: dict | None = None) -> str:
-    sections = [Section("poset", p.name, p)]
-    for name, t in (tables or {}).items():
-        sections.append(Section("optable", name, t))
-    return emit(Document(tuple(sections)))
+    optables = [Section("optable", name, t) for name, t in (tables or {}).items()]
+    return emit(Document((Section("poset", p.name, p), *optables)))
 
 
 def _class_levels(max_n: int):
@@ -1187,11 +1190,7 @@ def _check_str_nrm(p: Poset):
     for make in (selection_union, selection_frink):
         sel = make(p)
         ext = i_natural_extension(p, sel)
-        if not ext.is_total:
-            continue
-        if not is_strong(p, ext.table).holds:
-            continue
-        if not is_normal(p, star_table(p), ext.table):
+        if ext.is_total and is_strong(p, ext.table).holds and not is_normal(p, star_table(p), ext.table):
             return Counterexample(
                 _serialize(p, {f"inat-{sel.kind}": ext.table}),
                 f"strong {sel.kind}-natural table is not normal")
@@ -1238,9 +1237,7 @@ def _check_mono(p: Poset):
         for y in range(p.n):
             vu = i_natural_cell(p, union, x, y)
             vf = i_natural_cell(p, frink, x, y)
-            if vu is None or vf is None:
-                continue
-            if not p.leq_ix(vf, vu):
+            if vu is not None and vf is not None and not p.leq_ix(vf, vu):
                 return Counterexample(
                     _serialize(p),
                     f"larger selection did not shrink the value at "
@@ -1425,9 +1422,7 @@ def _hunt_esp_to_j(p: Poset):
 
 def _hunt_sp_to_sp(p: Poset):
     rep = check_system(p, star_table(p), "SP")
-    if rep.holds:
-        return None
-    return Counterexample(_serialize(p), f"star table violates {rep.violations[0]}")
+    return None if rep.holds else Counterexample(_serialize(p), f"star table violates {rep.violations[0]}")
 
 
 PREDICATES = {
@@ -1497,7 +1492,7 @@ def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
         if size > 100_000:
             found["strong"] = f"inconclusive at n={p.n}: {p.name} ({size} models)"
         else:
-            strong_sols = {t for t in _tables_from_columns(p, sols) if is_strong(p, t).holds}
+            strong_sols = {t for t in _product_tables(p, sols) if is_strong(p, t).holds}
             want = {ext.table} if ext.is_total and is_strong(p, ext.table).holds else set()
             if strong_sols != want:
                 found["strong"] = f"counterexample at n={p.n}: {p.name}"

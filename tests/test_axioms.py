@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from spposet import (
     is_strong,
     natural_extension,
     normal_extension,
+    parse_path,
     pure_extension,
     restrict,
     selection_frink,
@@ -343,6 +345,17 @@ def test_inat_prop_suite(hexagon):
     fnat = i_natural_extension(hexagon, frink).table
     rep = verify_lemma_suite(hexagon, fnat, "Inat-prop", sel=frink)
     assert rep.passed
+
+
+def test_inat_prop_suite_reads_no_selection():
+    # no Inat-prop item reads the selection, so none is needed
+    doc = parse_path(importlib.resources.files("spposet.corpus") / "hexagon-fnat.sp")
+    t = doc.table("i-natural-frink")
+    p = t.owner
+    rep = verify_lemma_suite(p, t, "Inat-prop")
+    assert len(rep.items) == 7 and rep.passed
+    for sel in (selection_union(p), selection_frink(p)):
+        assert verify_lemma_suite(p, t, "Inat-prop", sel=sel) == rep
 
 
 def test_simpl_i_suite(hexagon, hexagon_star):

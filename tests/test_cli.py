@@ -1,4 +1,5 @@
 import importlib.resources
+import re
 
 import pytest
 
@@ -221,6 +222,13 @@ def test_props_inat_with_selection(capsys):
     assert out.count("pass") == 7
 
 
+def test_props_inat_without_selection(capsys):
+    code, out, _ = run(capsys, "props", corpus_path("hexagon-fnat.sp"),
+                       "--table", "i-natural-frink", "--suite", "Inat-prop")
+    assert code == 0
+    assert out.count("pass") == 7
+
+
 def test_props_simpl_i(capsys):
     code, out, _ = run(capsys, "props", corpus_path("hexagon.sp"),
                        "--table", "star", "--suite", "simplI", "--selection", "union")
@@ -373,6 +381,16 @@ def test_stray_key_error_is_internal(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert "KeyError: 'lost'" in err
+
+
+@pytest.mark.parametrize("command, claims", [("verify", "THEOREMS"), ("hunt", "PREDICATES")])
+def test_help_lists_every_claim_with_its_text(capsys, command, claims):
+    from spposet import enumeration
+
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    for key, claim in getattr(enumeration, claims).items():
+        assert re.search(rf"^  {re.escape(key)} +{re.escape(claim.text)}$", out, re.M), key
 
 
 def test_reused_parser_matches_a_fresh_one(capsys):

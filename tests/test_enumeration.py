@@ -134,7 +134,7 @@ def test_are_isomorphic(hexagon):
 
 def test_enumerate_extensions_two_chains(twochains):
     st = star_table(twochains)
-    tables = list(enumerate_extensions(st, "ESP", max_free_cells=10))
+    tables = list(enumerate_extensions(st, "ESP"))
     # ten free cells, each of the four values allowed
     assert len(tables) == 4 ** 10
     wanted = [TotalTable.from_ids(twochains, rows_in_order(d, twochains.elements))
@@ -155,18 +155,13 @@ def test_enumerate_extensions_nrm_hexagon_empty(hexagon, hexagon_star):
     assert list(enumerate_extensions(hexagon_star, "NRM")) == []
 
 
-def test_enumerate_extensions_budget(hexagon, hexagon_star):
-    with pytest.raises(SizeCap):
-        list(enumerate_extensions(hexagon_star, "ESP", max_free_cells=5))
-
-
 @pytest.mark.parametrize("system", ["ESPW", "JWV", "JWV2"])
 @pytest.mark.parametrize("poset", ["hexagon", "twochains"])
 def test_enumerate_extensions_needs_structure(poset, system, request):
     # neither poset is a lower or an upper semilattice
     p = request.getfixturevalue(poset)
     with pytest.raises(StructureMismatch, match=f"system {system} needs a"):
-        next(enumerate_extensions(star_table(p), system, max_free_cells=40))
+        next(enumerate_extensions(star_table(p), system))
 
 
 def test_enumerate_extensions_needs_selection(hexagon_star):
@@ -205,9 +200,9 @@ def _assert_same_stream(s, system, sel, cap):
         want = list(itertools.islice(_reference_extensions(s, system, sel), cap))
     except SpposetError as exc:
         with pytest.raises(type(exc)):
-            next(enumerate_extensions(s, system, sel=sel, max_free_cells=40))
+            next(enumerate_extensions(s, system, sel=sel))
         return 0
-    got = list(itertools.islice(enumerate_extensions(s, system, sel=sel, max_free_cells=40), cap))
+    got = list(itertools.islice(enumerate_extensions(s, system, sel=sel), cap))
     assert [t.cells for t in got] == [t.cells for t in want]
     assert all(t.owner is s.owner for t in got)
     return len(got)
@@ -233,7 +228,7 @@ def test_enumerate_extensions_matches_reference_on_corpus():
                 streamed += _assert_same_stream(st, system, sel, 3000)
         # SP is the partial-table system, so it has no total extensions
         with pytest.raises(StructureMismatch, match="system SP needs a partial table"):
-            next(enumerate_extensions(st, "SP", max_free_cells=40))
+            next(enumerate_extensions(st, "SP"))
     assert streamed > 5 * 3000
 
 
@@ -247,25 +242,33 @@ def test_enumerate_extensions_matches_reference_on_small_posets():
                 _assert_same_stream(st, system, None, 1000)
 
 
+def _patch_columns(monkeypatch, cols):
+    monkeypatch.setattr(enumeration._Columns, "solutions", lambda self, c, forced=None: iter(cols[c]))
+
+
 @pytest.mark.parametrize("bad", [(1, 2), (1, "1"), (1,)],
                          ids=["out-of-range", "not-an-int", "short"])
 def test_enumerate_extensions_rejects_bad_column_solution(bad, monkeypatch):
     chain = build_poset("c2", ["0", "1"], [("0", "1")])
-    # the bad solution comes second, after a good one: a per-table check
-    # would yield a table before it fails
-    cols = [[(0, 1)], [(1, 1), bad]]
-    monkeypatch.setattr(enumeration, "system_column_solutions", lambda *a, **k: cols)
-    yielded = []
-    with pytest.raises(ValueError):
-        for t in enumerate_extensions(star_table(chain), "ESP"):
-            yielded.append(t)
-    assert yielded == []
+    message = "table must be 2x2" if len(bad) == 1 else "total table must map every pair to an element"
+    # first in its column: raised before any table; later, in the last or in
+    # an outer column: raised when the stream reaches it, after the tables
+    # before it and in none of them
+    for cols, good in [([[(0, 1)], [bad, (1, 1)]], 0),
+                       ([[(0, 1)], [(1, 1), bad]], 1),
+                       ([[(0, 1), bad], [(1, 1), (0, 1)]], 2)]:
+        _patch_columns(monkeypatch, cols)
+        yielded = []
+        with pytest.raises(ValueError, match=message):
+            for t in enumerate_extensions(star_table(chain), "ESP"):
+                yielded.append(t)
+        assert len(yielded) == good
+        assert all(tuple(t.cells[r][c] for r in range(2)) != bad for t in yielded for c in range(2))
 
 
 def test_enumerate_extensions_empty_column_checks_nothing(monkeypatch):
     chain = build_poset("c2", ["0", "1"], [("0", "1")])
-    monkeypatch.setattr(enumeration, "system_column_solutions",
-                        lambda *a, **k: [[], [(1, 2)]])
+    _patch_columns(monkeypatch, [[], [(1, 2)]])
     assert list(enumerate_extensions(star_table(chain), "ESP")) == []
 
 

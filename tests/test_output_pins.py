@@ -1,10 +1,13 @@
-"""The `verify`/`hunt` output that the benchmark pins, checked in Tier-1.
+"""The `verify`/`hunt` output and the extension streams that the benchmark
+pins, checked in Tier-1.
 
 The benchmark's `sweep` workload compares each command's exit code and
-stdout digest (elapsed time masked) with `perfbench/expected.json` and
-refuses a run whose output drifted.  This test replays the benchmark's own
-recorder for all 17 claims at `--max-n` 3 and 5 and compares it with the
-pinned file, which it only reads, so drift fails here first.
+stdout digest (elapsed time masked) with `perfbench/expected.json`, and its
+`generate` workload compares each extension stream's table count and digest;
+both refuse a run whose output drifted.  These tests replay the benchmark's
+own recorders (all 17 claims at `--max-n` 3 and 5, all 18 streams at caps 300
+and 15000) and compare them with the pinned file, which they only read, so
+drift fails here first.
 """
 
 import importlib.util
@@ -31,4 +34,14 @@ def test_sweep_output_matches_the_benchmark_pins():
     sweep = _workloads().Sweep(spposet, seed=0, quick=False, expected={"sweep": pinned})
     recorded = sweep.record()
     assert len(recorded) == 34
+    assert recorded == pinned
+
+
+def test_stream_output_matches_the_benchmark_pins():
+    # the `generate` workload's extension streams: count and digest of the
+    # first 300 and the first 15000 tables of each of its 18 streams
+    pinned = json.loads((BENCH_DIR / "expected.json").read_text(encoding="utf-8"))["stream"]
+    generate = _workloads().Generate(spposet, seed=0, quick=False, expected={"stream": pinned})
+    recorded = generate.record()
+    assert len(recorded) == 36
     assert recorded == pinned

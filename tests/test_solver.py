@@ -20,8 +20,10 @@ from conftest import corpus_posets
 import solver_oracle
 from spposet import (
     build_poset,
+    check_system,
     i_natural_extension,
     normal_extension,
+    restrict,
     selection_frink,
     selection_union,
     star_table,
@@ -29,6 +31,7 @@ from spposet import (
 from spposet import enumeration
 from spposet.axioms import SYSTEMS, require_system
 from spposet.enumeration import (
+    enumerate_extensions,
     enumerate_posets,
     products_equal,
     system_column_solutions,
@@ -232,3 +235,21 @@ def test_solution_lists_on_sixteen_elements(name, system):
     outcome, took = _returns_or_refuses(lambda: [len(c) for c in system_column_solutions(p, system)])
     print(f"{name} {system}: {outcome} in {took:.3f} s")
     assert took < CEILING_S
+
+
+@pytest.mark.parametrize("system", sorted(s for s in SYSTEMS if SYSTEMS[s]["kind"] == "total"))
+@pytest.mark.parametrize("name", sorted(SIXTEEN))
+def test_streams_on_sixteen_elements(name, system):
+    p = SIXTEEN[name]
+    star = star_table(p)
+    sel = selection_frink(p) if system == "NATI" else None
+    outcome, took = _returns_or_refuses(
+        lambda: list(itertools.islice(enumerate_extensions(star, system, sel=sel), 10)))
+    print(f"{name} {system}: {outcome if isinstance(outcome, str) else len(outcome)} in {took:.3f} s")
+    assert took < CEILING_S
+    if name == "2^4" and system in ("J", "NRM", "NAT"):
+        assert len(outcome) == 1  # the one table, among 175 free cells
+    for t in outcome if isinstance(outcome, list) else ():
+        assert restrict(t) == star
+        # NRMW constrains no column, so its tables need not satisfy it
+        assert system == "NRMW" or check_system(p, t, system, sel=sel).holds
