@@ -31,7 +31,12 @@ fails, a descent over the one-point-extension tree, memoized by class, finds
 the first labeled counterexample without listing labeled posets
 (`_ExtensionTree`), so a reported counterexample, its P<n>-<k> name and the
 partial counts are those of a labeled sweep, and a class failure that the
-descent does not reach is an InternalDisagreement.
+descent does not reach is an InternalDisagreement.  The class levels n <= 7
+(2450 representatives) are kept for the life of the process as Q<n>-<k>
+posets, filled as sweeps read them, so later sweeps reuse them and the
+derived tables the claims built on them (`_class_levels`); with the tables
+of every claim they take about 45 MB.  Level 8 is built from level 7 by each
+sweep that reaches it, then dropped.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -149,13 +154,16 @@ def _labeled_masks(n: int):
 
 class _Lazy:
     """A sequence produced on demand: iteration streams and keeps the items of
-    `source`, then replays them once it is spent, and len() finishes it."""
+    `source`, then replays them once it is spent, and len() finishes it.  An
+    error raised by the source is kept in `failed` and raised again wherever
+    the source then ends, so a failed sequence never reads as a short one."""
 
-    __slots__ = ("_source", "_items")
+    __slots__ = ("_source", "_items", "failed")
 
     def __init__(self, source):
         self._source = iter(source)
         self._items: list = []
+        self.failed: BaseException | None = None
 
     def __iter__(self):
         return iter(self._items) if self._source is None else self._stream()
@@ -164,8 +172,16 @@ class _Lazy:
         i = 0
         while True:
             if i == len(self._items):
-                item = next(self._source, self) if self._source is not None else self
+                if self._source is None:
+                    return
+                try:
+                    item = next(self._source, self)
+                except BaseException as exc:
+                    self.failed = exc
+                    raise
                 if item is self:
+                    if self.failed is not None:  # a generator that raised ends
+                        raise self.failed
                     self._source = None
                     return
                 self._items.append(item)
@@ -173,7 +189,8 @@ class _Lazy:
             i += 1
 
     def __len__(self) -> int:
-        self._items.extend(self._source or ())
+        for _ in self:
+            pass
         return len(self._items)
 
 
@@ -243,15 +260,15 @@ def _maximal_extensions(base: tuple[int, ...], gens: list[list[int]]):
         yield masks + (newbit,), downs + [d | newbit]
 
 
-def _new_classes(level):
-    """The extensions of the representatives in `level` by a new maximal
-    element (`_maximal_extensions`, pruned by the automorphisms each
-    representative's search recorded) that start a new class, in order, each
-    as (masks, |Aut|, automorphisms recorded) from its one search.  Every
-    class one level up is reached: removing a maximal element of any poset
-    leaves one isomorphic to a representative in `level`."""
+def _new_classes(bases):
+    """The extensions of the representatives `bases`, as (masks, automorphisms
+    recorded), by a new maximal element (`_maximal_extensions`, pruned by
+    those automorphisms) that start a new class, in order, each as (masks,
+    |Aut|, automorphisms recorded) from its one search.  Every class one level
+    up is reached: removing a maximal element of any poset leaves one
+    isomorphic to a representative in `bases`."""
     seen: set[int] = set()
-    for base, _, gens in level:
+    for base, gens in bases:
         for masks, downs in _maximal_extensions(base, gens):
             key, aut, found = _search(masks, downs)
             if key not in seen:
@@ -274,9 +291,9 @@ def _iso_levels(max_n: int):
     class never builds the rest of that level.  Each representative comes
     as (masks, |Aut|, automorphisms its search recorded).
     """
-    level = _Lazy([((), 1, [])])
+    level = [((), 1, [])]
     for _ in range(max_n):
-        level = _Lazy(_new_classes(level))
+        level = _Lazy(_new_classes((masks, gens) for masks, _, gens in level))
         yield level
 
 
@@ -914,11 +931,47 @@ def _serialize(p: Poset, tables: dict | None = None) -> str:
     return emit(Document((Section("poset", p.name, p), *optables)))
 
 
+# Levels 1..7, 2450 classes, are kept for the life of the process.  With the
+# derived tables of the 16 claims that reach n = 7 they raised the peak RSS of
+# those claims from 19 to 64 MB (Python 3.11, 2-vCPU Xeon); keeping level 8
+# as well took the same claims at n = 8 from 27 to 450 MB.
+_KEPT_LEVELS = 7
+_kept: list[_Lazy] = []  # level n at index n - 1
+
+
+def _named(n: int, classes):
+    """The level-n classes (masks, |Aut|, automorphisms) as (Poset Q<n>-<k>,
+    orbit size n!/|Aut|, automorphisms)."""
+    names, labelings = _NAMES[:n], math.factorial(n)
+    for k, (masks, aut, gens) in enumerate(classes):
+        yield Poset(f"Q{n}-{k}", names, masks), labelings // aut, gens
+
+
 def _class_levels(max_n: int):
-    """Per n, each isomorphism class as (representative masks, orbit size n!/|Aut|),
-    found as the level is read."""
-    for n, level in enumerate(_iso_levels(max_n), 1):
-        yield _Lazy((masks, math.factorial(n) // aut) for masks, aut, _ in level)
+    """Per n, each isomorphism class as (representative Poset Q<n>-<k>, orbit
+    size n!/|Aut|, automorphisms recorded), in `_iso_levels` order.
+
+    Levels n <= _KEPT_LEVELS are kept in `_kept` for the life of the process,
+    each filled as a sweep reads it and built from the kept level below it
+    (`_new_classes`), so every derived table a representative builds on its
+    first read serves every later sweep.  A kept level whose source raised is
+    dropped, with the levels above it, and built again.  Levels above
+    _KEPT_LEVELS are built from the one below them on every call, and their
+    posets are made as they are read and kept by no one.
+    """
+    below = [((), [])]  # the level under n, as (masks, automorphisms)
+    for n in range(1, max_n + 1):
+        if n > _KEPT_LEVELS:
+            classes = _Lazy(_new_classes(below))
+            yield _named(n, classes)
+            below = ((masks, gens) for masks, _, gens in classes)
+            continue
+        if len(_kept) < n or _kept[n - 1].failed is not None:
+            del _kept[n - 1:]
+            _kept.append(_Lazy(_named(n, _new_classes(below))))
+        level = _kept[n - 1]
+        yield level
+        below = ((p.ups, gens) for p, _, gens in level)
 
 
 def _scan(weighted_posets, claim: Claim):
@@ -1072,6 +1125,11 @@ def _sweep(max_n: int, claim: Claim):
     variants sweeps every n and keeps the counts of the class pass.  Returns
     posets_per_n, instances_per_n and the first counterexample per failing
     variant.
+
+    For n <= _KEPT_LEVELS the representatives are the process's kept Q<n>-<k>
+    posets (`_class_levels`), so the derived tables a check builds on one
+    (star table, classify(), law plans) serve every later sweep; above that,
+    they are made for this sweep alone.
     """
     if not 1 <= max_n <= claim.cap:
         raise SizeCap(f"a sweep of this claim supports 1 <= n <= {claim.cap}, got {max_n}")
@@ -1080,10 +1138,7 @@ def _sweep(max_n: int, claim: Claim):
     instances_per_n: dict[int, int] = {}
     found: dict[str, Counterexample] = {}
     for n, level in enumerate(_class_levels(max_n), 1):
-        names = _NAMES[:n]
-        classes = ((Poset(f"Q{n}-{k}", names, masks), orbit)
-                   for k, (masks, orbit) in enumerate(level))
-        counts, first = _scan(classes, claim)
+        counts, first = _scan(((p, orbit) for p, orbit, _ in level), claim)
         for variant in sorted(first.keys() - found.keys()):
             failed, k, instances = _descend(n, claim.hypothesis, claim.failures, variant)
             first[variant] = failed[variant]

@@ -56,7 +56,7 @@ from spposet.errors import (
     UnknownTheorem,
 )
 from spposet.fileformat import parse
-from spposet.poset import bits
+from spposet.poset import Poset, bits
 
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023, 7: 6129859, 8: 431723379}
 ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
@@ -470,14 +470,21 @@ def test_class_sweep_matches_labeled_sweep(kind, claim, max_n, monkeypatch):
     assert dataclasses.replace(by_class, elapsed=0.0) == dataclasses.replace(labeled, elapsed=0.0)
 
 
-def test_orbit_sizes_sum_to_labeled_counts():
+@pytest.fixture
+def cold_store(monkeypatch):
+    """An empty class store for the test, for tests that count the work of
+    class generation; the store before it is back afterwards."""
+    monkeypatch.setattr(enumeration, "_kept", [])
+
+
+def test_orbit_sizes_sum_to_labeled_counts(cold_store):
     for n, level in enumerate(enumeration._class_levels(6), 1):
         assert len(level) == ISO_COUNTS[n]
-        assert sum(orbit for _, orbit in level) == LABELED_COUNTS[n]
-        assert all(orbit * automorphism_count(masks) == math.factorial(n) for masks, orbit in level)
+        assert sum(orbit for _, orbit, _ in level) == LABELED_COUNTS[n]
+        assert all(orbit * automorphism_count(p.ups) == math.factorial(n) for p, orbit, _ in level)
 
 
-def test_class_generation_searches_each_input_once(monkeypatch):
+def test_class_generation_searches_each_input_once(cold_store, monkeypatch):
     # the 132 extensions of the classes below n = 5 by a new maximal element
     # that orbit pruning keeps are each searched once; the 87 representatives
     # take |Aut| from that search
@@ -510,7 +517,7 @@ def _one_point_class_levels(max_n):
         yield classes
 
 
-def test_maximal_element_classes_match_the_one_point_oracle(monkeypatch):
+def test_maximal_element_classes_match_the_one_point_oracle(cold_store, monkeypatch):
     calls = []
     search = enumeration._search
 
@@ -524,8 +531,8 @@ def test_maximal_element_classes_match_the_one_point_oracle(monkeypatch):
     assert len(calls) == 4870  # 18710 for the oracle
     for n, (oracle, level) in enumerate(zip(_one_point_class_levels(7), levels), 1):
         assert len(level) == len(oracle) == ISO_COUNTS[n]
-        assert {canonical_key(masks) for masks, _ in level} == oracle.keys()
-        assert sum(orbit for _, orbit in level) == LABELED_COUNTS[n]
+        assert {canonical_key(p.ups) for p, _, _ in level} == oracle.keys()
+        assert sum(orbit for _, orbit, _ in level) == LABELED_COUNTS[n]
 
 
 def _first_reached(extensions):
@@ -584,7 +591,7 @@ def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
         enumeration._sweep(3, Claim("by name", lambda p: True, by_name, variants=("x", "y")))
 
 
-def test_failing_hunt_stops_inside_the_class_level(monkeypatch):
+def test_failing_hunt_stops_inside_the_class_level(cold_store, monkeypatch):
     # J=>ESP first fails at n = 5; the class pass stops at its first failing
     # class, so the level-5 classes after it are never generated
     *_, fours = enumeration._iso_levels(4)
@@ -625,6 +632,70 @@ def test_sweep_counts_every_labeled_eight_poset():
     assert posets_per_n[8] == 431723379
     assert set(instances_per_n.values()) == {0}
     assert found == {}
+    # level 8 was built from the kept level 7 and dropped
+    assert [len(level) for level in enumeration._kept] == [ISO_COUNTS[n] for n in range(1, 8)]
+
+
+# -- the class store ------------------------------------------------------------------
+
+
+def _run_claim(kind, claim, max_n):
+    run = verify_theorem if kind == "verify" else find_counterexample
+    return dataclasses.replace(run(claim, max_n), elapsed=0.0)
+
+
+def test_reports_do_not_depend_on_what_the_store_holds(cold_store):
+    # every claim at each max_n, from an empty store and then in reverse
+    # order, where every derived table another claim built is already there
+    runs = [(kind, claim, max_n) for max_n in (3, 5, 6) for kind, claim in CLAIMS
+            if not (claim == "ESP⇒J" and max_n > 5)]
+    forward = [_run_claim(*run) for run in runs]
+    backward = [_run_claim(*run) for run in reversed(runs)]
+    assert forward == backward[::-1]
+
+
+def test_a_second_sweep_reads_the_kept_classes(cold_store, monkeypatch):
+    first = verify_theorem("T-GLB", 5)
+    calls = []
+    search, init = enumeration._search, Poset.__init__
+
+    def counting_search(masks, downs=None):
+        calls.append("search")
+        return search(masks, downs)
+
+    def counting_init(self, *args):
+        calls.append("poset")
+        init(self, *args)
+
+    monkeypatch.setattr(enumeration, "_search", counting_search)
+    monkeypatch.setattr(Poset, "__init__", counting_init)
+    second = verify_theorem("T-GLB", 5)
+    assert calls == []
+    assert dataclasses.replace(second, elapsed=0.0) == dataclasses.replace(first, elapsed=0.0)
+
+
+def test_a_level_whose_build_raised_is_built_again(cold_store, monkeypatch):
+    # a fault at the 30th search of level 5 kills that level's source; the
+    # level must not be kept as the 29 classes found before it
+    search = enumeration._search
+    at_five = []
+
+    def failing(masks, downs=None):
+        if len(masks) == 5:
+            at_five.append(masks)
+            if len(at_five) == 30:
+                raise MemoryError("injected")
+        return search(masks, downs)
+
+    monkeypatch.setattr(enumeration, "_search", failing)
+    with pytest.raises(MemoryError, match="injected"):
+        verify_theorem("T-GLB", 5)
+    with pytest.raises(MemoryError, match="injected"):
+        len(enumeration._kept[4])  # read directly, it fails again
+    monkeypatch.setattr(enumeration, "_search", search)
+    report = verify_theorem("T-GLB", 5)
+    assert report.posets_per_n == {n: LABELED_COUNTS[n] for n in range(1, 6)}
+    assert report.outcome == "verified"
 
 
 # -- rank and descent against the labeled oracle ------------------------------------
