@@ -31,12 +31,14 @@ fails, a descent over the one-point-extension tree, memoized by class, finds
 the first labeled counterexample without listing labeled posets
 (`_ExtensionTree`), so a reported counterexample, its P<n>-<k> name and the
 partial counts are those of a labeled sweep, and a class failure that the
-descent does not reach is an InternalDisagreement.  The class levels n <= 7
-(2450 representatives) are kept for the life of the process as Q<n>-<k>
-posets, filled as sweeps read them, so later sweeps reuse them and the
-derived tables the claims built on them (`_class_levels`); with the tables
-of every claim they take about 45 MB.  Level 8 is built from level 7 by each
-sweep that reaches it, then dropped.
+descent does not reach is an InternalDisagreement.  From the second sweep
+of a process on, the class levels n <= 7 (2450 representatives) are kept
+for the life of the process as Q<n>-<k> posets, filled as sweeps read them,
+so later sweeps reuse them and the derived tables the claims built on them
+(`_class_levels`); with the tables of every claim they take about 45 MB.
+The first sweep keeps nothing, so a process that sweeps once pays no more
+than that sweep.  Level 8 is built from level 7 by each sweep that reaches
+it, then dropped.  Sweeps take turns on one lock.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -154,16 +157,13 @@ def _labeled_masks(n: int):
 
 class _Lazy:
     """A sequence produced on demand: iteration streams and keeps the items of
-    `source`, then replays them once it is spent, and len() finishes it.  An
-    error raised by the source is kept in `failed` and raised again wherever
-    the source then ends, so a failed sequence never reads as a short one."""
+    `source`, then replays them once it is spent, and len() finishes it."""
 
-    __slots__ = ("_source", "_items", "failed")
+    __slots__ = ("_source", "_items")
 
     def __init__(self, source):
         self._source = iter(source)
         self._items: list = []
-        self.failed: BaseException | None = None
 
     def __iter__(self):
         return iter(self._items) if self._source is None else self._stream()
@@ -172,16 +172,8 @@ class _Lazy:
         i = 0
         while True:
             if i == len(self._items):
-                if self._source is None:
-                    return
-                try:
-                    item = next(self._source, self)
-                except BaseException as exc:
-                    self.failed = exc
-                    raise
+                item = next(self._source, self) if self._source is not None else self
                 if item is self:
-                    if self.failed is not None:  # a generator that raised ends
-                        raise self.failed
                     self._source = None
                     return
                 self._items.append(item)
@@ -189,8 +181,7 @@ class _Lazy:
             i += 1
 
     def __len__(self) -> int:
-        for _ in self:
-            pass
+        self._items.extend(self._source or ())
         return len(self._items)
 
 
@@ -931,12 +922,16 @@ def _serialize(p: Poset, tables: dict | None = None) -> str:
     return emit(Document((Section("poset", p.name, p), *optables)))
 
 
-# Levels 1..7, 2450 classes, are kept for the life of the process.  With the
-# derived tables of the 16 claims that reach n = 7 they raised the peak RSS of
-# those claims from 19 to 64 MB (Python 3.11, 2-vCPU Xeon); keeping level 8
-# as well took the same claims at n = 8 from 27 to 450 MB.
+# Levels 1..7, 2450 classes, are kept for the rest of the process from its
+# second sweep on.  With the derived tables of the 16 claims that reach n = 7
+# they raised the peak RSS of those claims, run in one process, from 19 to
+# 64 MB (Python 3.11, 2-vCPU Xeon); keeping level 8 as well took the same
+# claims at n = 8 from 27 to 450 MB.  The first sweep keeps nothing: a process
+# that ran one T-NRM-AX sweep at n = 7 and kept level 7 took 58 MB and 1.16 s
+# of CPU against 20 MB and 1.00 s, with nothing to gain.
 _KEPT_LEVELS = 7
-_kept: list[_Lazy] = []  # level n at index n - 1
+_kept: list[_Lazy] | None = None  # level n at index n - 1; None until a sweep ends
+_store_lock = threading.RLock()  # held by each sweep, so sweeps take turns
 
 
 def _named(n: int, classes):
@@ -951,23 +946,22 @@ def _class_levels(max_n: int):
     """Per n, each isomorphism class as (representative Poset Q<n>-<k>, orbit
     size n!/|Aut|, automorphisms recorded), in `_iso_levels` order.
 
-    Levels n <= _KEPT_LEVELS are kept in `_kept` for the life of the process,
-    each filled as a sweep reads it and built from the kept level below it
-    (`_new_classes`), so every derived table a representative builds on its
-    first read serves every later sweep.  A kept level whose source raised is
-    dropped, with the levels above it, and built again.  Levels above
-    _KEPT_LEVELS are built from the one below them on every call, and their
-    posets are made as they are read and kept by no one.
+    Once `_kept` is a list, the levels n <= _KEPT_LEVELS are kept in it for
+    the life of the process, each filled as a sweep reads it and built from
+    the kept level below it (`_new_classes`), so every derived table a
+    representative builds on its first read serves every later sweep.  Other
+    levels are built from the one below them on every call, and their posets
+    are made as they are read and kept by no one.  A reader of the kept levels
+    holds `_store_lock`, and drops the store if it raises while reading.
     """
     below = [((), [])]  # the level under n, as (masks, automorphisms)
     for n in range(1, max_n + 1):
-        if n > _KEPT_LEVELS:
+        if _kept is None or n > _KEPT_LEVELS:
             classes = _Lazy(_new_classes(below))
             yield _named(n, classes)
             below = ((masks, gens) for masks, _, gens in classes)
             continue
-        if len(_kept) < n or _kept[n - 1].failed is not None:
-            del _kept[n - 1:]
+        if len(_kept) < n:
             _kept.append(_Lazy(_named(n, _new_classes(below))))
         level = _kept[n - 1]
         yield level
@@ -1126,29 +1120,40 @@ def _sweep(max_n: int, claim: Claim):
     posets_per_n, instances_per_n and the first counterexample per failing
     variant.
 
-    For n <= _KEPT_LEVELS the representatives are the process's kept Q<n>-<k>
-    posets (`_class_levels`), so the derived tables a check builds on one
-    (star table, classify(), law plans) serve every later sweep; above that,
-    they are made for this sweep alone.
+    The first sweep of a process makes its representatives for itself alone.
+    From the second on, for n <= _KEPT_LEVELS they are the process's kept
+    Q<n>-<k> posets (`_class_levels`), so the derived tables a check builds on
+    one (star table, classify(), law plans) serve every later sweep; above
+    that, they are made for the sweep alone.  Sweeps hold `_store_lock`, so
+    sweeps in several threads run one at a time, and one that raises empties
+    the store, since a level whose build raised would read as short.
     """
+    global _kept
     if not 1 <= max_n <= claim.cap:
         raise SizeCap(f"a sweep of this claim supports 1 <= n <= {claim.cap}, got {max_n}")
     stop = len(claim.variants) < 2
     posets_per_n: dict[int, int] = {}
     instances_per_n: dict[int, int] = {}
     found: dict[str, Counterexample] = {}
-    for n, level in enumerate(_class_levels(max_n), 1):
-        counts, first = _scan(((p, orbit) for p, orbit, _ in level), claim)
-        for variant in sorted(first.keys() - found.keys()):
-            failed, k, instances = _descend(n, claim.hypothesis, claim.failures, variant)
-            first[variant] = failed[variant]
-            if stop:
-                counts = k + 1, instances + 1
-        posets_per_n[n], instances_per_n[n] = counts
-        for variant, ce in first.items():
-            found.setdefault(variant, ce)
-        if stop and found:
-            break
+    with _store_lock:
+        try:
+            for n, level in enumerate(_class_levels(max_n), 1):
+                counts, first = _scan(((p, orbit) for p, orbit, _ in level), claim)
+                for variant in sorted(first.keys() - found.keys()):
+                    failed, k, instances = _descend(n, claim.hypothesis, claim.failures, variant)
+                    first[variant] = failed[variant]
+                    if stop:
+                        counts = k + 1, instances + 1
+                posets_per_n[n], instances_per_n[n] = counts
+                for variant, ce in first.items():
+                    found.setdefault(variant, ce)
+                if stop and found:
+                    break
+        except BaseException:
+            _kept = []
+            raise
+        if _kept is None:
+            _kept = []
     return posets_per_n, instances_per_n, found
 
 

@@ -4,6 +4,8 @@ import itertools
 import math
 import random
 import re
+import sys
+import threading
 import time
 
 import pytest
@@ -472,8 +474,9 @@ def test_class_sweep_matches_labeled_sweep(kind, claim, max_n, monkeypatch):
 
 @pytest.fixture
 def cold_store(monkeypatch):
-    """An empty class store for the test, for tests that count the work of
-    class generation; the store before it is back afterwards."""
+    """An empty class store, kept from the test's first sweep on, for tests
+    that count or read the work of class generation; the store before it is
+    back afterwards."""
     monkeypatch.setattr(enumeration, "_kept", [])
 
 
@@ -624,7 +627,7 @@ def test_hunt_reaches_eight_and_stops_at_the_crown(capsys):
     assert "poset P5-914" in outputs[1][1]
 
 
-def test_sweep_counts_every_labeled_eight_poset():
+def test_sweep_counts_every_labeled_eight_poset(cold_store):
     # OEIS A001035, from class orbits alone: no hypothesis holds, nothing descends
     posets_per_n, instances_per_n, found = enumeration._sweep(
         8, Claim("nothing", lambda p: False, lambda p: None))
@@ -674,7 +677,47 @@ def test_a_second_sweep_reads_the_kept_classes(cold_store, monkeypatch):
     assert dataclasses.replace(second, elapsed=0.0) == dataclasses.replace(first, elapsed=0.0)
 
 
-def test_a_level_whose_build_raised_is_built_again(cold_store, monkeypatch):
+def test_the_first_sweep_of_a_process_keeps_nothing(monkeypatch):
+    monkeypatch.setattr(enumeration, "_kept", None)
+    first = verify_theorem("T-GLB", 5)
+    assert enumeration._kept == []
+    second = verify_theorem("T-GLB", 5)
+    assert [len(level) for level in enumeration._kept] == [ISO_COUNTS[n] for n in range(1, 6)]
+    assert dataclasses.replace(second, elapsed=0.0) == dataclasses.replace(first, elapsed=0.0)
+
+
+def test_sweeps_in_threads_match_serial_ones(cold_store, monkeypatch):
+    # the threads start on an empty store and fill it together; switching
+    # threads every few microseconds interleaves their reads of each level
+    runs = [(kind, claim, max_n) for max_n in (5, 6) for kind, claim in CLAIMS
+            if claim in ("T-GLB", "T-NRM-AX", "J⇒ESP", "sp⇒sp")]
+    serial = [_run_claim(*run) for run in runs]
+    monkeypatch.setattr(enumeration, "_kept", [])
+    names = "abc"  # more threads than the 2 cores of a small runner
+    start, results = threading.Barrier(len(names), timeout=60), {}
+
+    def worker(name):
+        start.wait()
+        try:
+            results[name] = [_run_claim(*run) for run in runs]
+        except BaseException as exc:
+            results[name] = exc
+
+    threads = [threading.Thread(target=worker, args=(name,), daemon=True) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == dict.fromkeys(names, serial)
+
+
+def test_a_sweep_that_raised_leaves_an_empty_store(cold_store, monkeypatch):
     # a fault at the 30th search of level 5 kills that level's source; the
     # level must not be kept as the 29 classes found before it
     search = enumeration._search
@@ -690,8 +733,7 @@ def test_a_level_whose_build_raised_is_built_again(cold_store, monkeypatch):
     monkeypatch.setattr(enumeration, "_search", failing)
     with pytest.raises(MemoryError, match="injected"):
         verify_theorem("T-GLB", 5)
-    with pytest.raises(MemoryError, match="injected"):
-        len(enumeration._kept[4])  # read directly, it fails again
+    assert enumeration._kept == []
     monkeypatch.setattr(enumeration, "_search", search)
     report = verify_theorem("T-GLB", 5)
     assert report.posets_per_n == {n: LABELED_COUNTS[n] for n in range(1, 6)}
