@@ -20,25 +20,26 @@ so the cost follows the search tree, not the factorial of the symmetric
 blocks.
 
 Every theorem, hunted property and probe is a `Claim` record: a hypothesis,
-a check, a size cap and, for a claim read under several hypotheses, its
-variants from weakest to strongest.  One sweep reads them all.  A claim of
-one variant stops at its first counterexample; a claim of several sweeps
-every n, and its report follows the strongest variant.  Every claim is a
-statement about order structure, so the sweep checks one representative per
-isomorphism class and weights it by its orbit size n!/|Aut(P)|; the per-n
-counts are still those of all labeled posets.  At the first n where a claim
-fails, a descent over the one-point-extension tree, memoized by class, finds
-the first labeled counterexample without listing labeled posets
-(`_ExtensionTree`), so a reported counterexample, its P<n>-<k> name and the
-partial counts are those of a labeled sweep, and a class failure that the
-descent does not reach is an InternalDisagreement.  From the second sweep
+a check and, for a claim read under several hypotheses, its variants from
+weakest to strongest.  One sweep reads them all, on up to ISO_CAP elements
+for every claim.  A claim of one variant stops at its first counterexample;
+a claim of several sweeps every n, and its report follows the strongest
+variant.  Every claim is a statement about order structure, so the sweep
+checks one representative per isomorphism class and weights it by its orbit
+size n!/|Aut(P)|; the per-n counts are still those of all labeled posets.
+At the first n where a claim fails, a descent over the one-point-extension
+tree, memoized by class, finds the first labeled counterexample without
+listing labeled posets (`_ExtensionTree`), so a reported counterexample, its
+P<n>-<k> name and the partial counts are those of a labeled sweep, and a
+class failure that the descent does not reach is an InternalDisagreement.  From the second sweep
 of a process on, the class levels n <= 7 (2450 representatives) are kept
 for the life of the process as Q<n>-<k> posets, filled as sweeps read them,
 so later sweeps reuse them and the derived tables the claims built on them
 (`_class_levels`); with the tables of every claim they take about 45 MB.
 The first sweep keeps nothing, so a process that sweeps once pays no more
 than that sweep.  Level 8 is built from level 7 by each sweep that reaches
-it, then dropped.  Sweeps take turns on one lock.
+it, then dropped.  Sweeps take turns on one lock.  Class enumeration
+(`enumerate_posets`) runs the same generator without the store.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -87,7 +88,7 @@ from .extensions import (
     selection_union,
 )
 from .fileformat import Document, Section, emit
-from .poset import Poset, bits, members
+from .poset import Poset, bits, members, transpose
 from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_table, wrp_value_ix
 
 LABELED_CAP = 7
@@ -101,16 +102,6 @@ _NAMES = tuple(str(i) for i in range(ISO_CAP))
 
 
 # -- generation ---------------------------------------------------------------
-
-
-def _downs(masks) -> list[int]:
-    downs = [0] * len(masks)
-    for i, m in enumerate(masks):
-        while m:
-            low = m & -m
-            m ^= low
-            downs[low.bit_length() - 1] |= 1 << i
-    return downs
 
 
 def _closed_sets(rel) -> list[int]:
@@ -136,7 +127,7 @@ def _one_point_extensions(base: tuple[int, ...]):
     m = len(base)
     newbit = 1 << m
     up_sets = _closed_sets(base)
-    for d in _closed_sets(_downs(base)):
+    for d in _closed_sets(transpose(base)):
         allowed = newbit - 1
         for i in bits(d):
             allowed &= base[i]
@@ -238,7 +229,7 @@ def _maximal_extensions(base: tuple[int, ...], gens: list[list[int]]):
     """
     m = len(base)
     newbit = 1 << m
-    downs = _downs(base)
+    downs = transpose(base)
     swaps = []
     for v, twins in enumerate(_twins(base, downs)):
         first = (twins & -twins).bit_length() - 1
@@ -265,27 +256,6 @@ def _new_classes(bases):
             if key not in seen:
                 seen.add(key)
                 yield masks, aut, found
-
-
-def _iso_levels(max_n: int):
-    """One representative per isomorphism class for n = 1..max_n, level by level.
-
-    Every n-poset has a maximal element, and removing it leaves a poset
-    isomorphic to some (n-1)-representative B; so adding a new maximal
-    element to each representative, over each down-set, and deduplicating by
-    canonical key reaches every class.  Down-sets that an automorphism of B
-    maps onto an earlier one are skipped (`_maximal_extensions`), which
-    changes neither the classes nor their order.  Class order is the order
-    in which this generator first reaches each class.  Each level is built
-    once, from the level before it, starting from the empty poset, and only
-    as far as its consumer reads it: a sweep that stops at its first failing
-    class never builds the rest of that level.  Each representative comes
-    as (masks, |Aut|, automorphisms its search recorded).
-    """
-    level = [((), 1, [])]
-    for _ in range(max_n):
-        level = _Lazy(_new_classes((masks, gens) for masks, _, gens in level))
-        yield level
 
 
 def _refine(cells: list[int], splitters: list[int], ups, downs) -> list[int]:
@@ -390,7 +360,7 @@ def _search(masks, downs=None) -> tuple[int, int, list[list[int]]]:
     """
     n = len(masks)
     if downs is None:
-        downs = _downs(masks)
+        downs = transpose(masks)
     full = (1 << n) - 1
     root = _refine([full] if n else [], [full], masks, downs)
     if len(root) == n:
@@ -492,26 +462,27 @@ def enumerate_posets(n: int, dedup: str = "labeled"):
     """Stream the posets of size n, labeled or one representative per isomorphism class.
 
     Labeled posets come in one-point-extension order (P<n>-0, P<n>-1, ...).
-    Classes come in the order the maximal-element generator of `_iso_levels`
+    Classes come in the order the maximal-element generator of `_class_levels`
     first reaches them (Q<n>-0, Q<n>-1, ...): each (n-1)-representative, in
     its own order, gains a new maximal element over its down-sets in
     increasing order, and down-sets that one of its automorphisms maps onto
     an earlier one are skipped, which reaches the same classes in the same
-    order.
+    order.  Class enumeration never reads the process's class store, so it
+    neither waits for a sweep nor hands out a sweep's kept posets.
     """
     if dedup not in ("labeled", "up-to-iso"):
         raise ValueError(f"dedup must be 'labeled' or 'up-to-iso', got {dedup!r}")
     cap = LABELED_CAP if dedup == "labeled" else ISO_CAP
     if not 1 <= n <= cap:
         raise SizeCap(f"{dedup} enumeration supports 1 <= n <= {cap}, got {n}")
-    names = _NAMES[:n]
     if dedup == "labeled":
+        names = _NAMES[:n]
         for k, masks in enumerate(_labeled_masks(n)):
             yield Poset(f"P{n}-{k}", names, masks)
     else:
-        *_, level = _iso_levels(n)
-        for k, (masks, _, _) in enumerate(level):
-            yield Poset(f"Q{n}-{k}", names, masks)
+        *_, level = _class_levels(n)
+        for p, _, _ in level:
+            yield p
 
 
 def count_posets_naive(n: int) -> int:
@@ -897,7 +868,7 @@ class VerificationReport:
 @dataclass(frozen=True)
 class Claim:
     """A statement checked on every poset that satisfies `hypothesis`, on up
-    to `cap` elements.  Without `variants`, `check(p)` returns p's
+    to ISO_CAP elements.  Without `variants`, `check(p)` returns p's
     Counterexample or None; with variants, readings of the claim from weakest
     to strongest, a dict from each variant p violates to its Counterexample.
     """
@@ -905,7 +876,6 @@ class Claim:
     text: str
     hypothesis: Callable[[Poset], bool]
     check: Callable[[Poset], Counterexample | dict | None]
-    cap: int = ISO_CAP
     variants: tuple[str, ...] = ()
 
     def failures(self, p: Poset) -> dict:
@@ -942,28 +912,42 @@ def _named(n: int, classes):
         yield Poset(f"Q{n}-{k}", names, masks), labelings // aut, gens
 
 
-def _class_levels(max_n: int):
-    """Per n, each isomorphism class as (representative Poset Q<n>-<k>, orbit
-    size n!/|Aut|, automorphisms recorded), in `_iso_levels` order.
+def _class_levels(max_n: int, kept: list[_Lazy] | None = None):
+    """Per n = 1..max_n, each isomorphism class as (representative Poset
+    Q<n>-<k>, orbit size n!/|Aut|, automorphisms recorded), level by level.
 
-    Once `_kept` is a list, the levels n <= _KEPT_LEVELS are kept in it for
-    the life of the process, each filled as a sweep reads it and built from
-    the kept level below it (`_new_classes`), so every derived table a
-    representative builds on its first read serves every later sweep.  Other
-    levels are built from the one below them on every call, and their posets
-    are made as they are read and kept by no one.  A reader of the kept levels
-    holds `_store_lock`, and drops the store if it raises while reading.
+    Every n-poset has a maximal element, and removing it leaves a poset
+    isomorphic to some (n-1)-representative B; so adding a new maximal
+    element to each representative, over each down-set, and deduplicating by
+    canonical key reaches every class (`_new_classes`).  Down-sets that an
+    automorphism of B maps onto an earlier one are skipped
+    (`_maximal_extensions`), which changes neither the classes nor their
+    order.  Class order is the order in which this generator first reaches
+    each class.  Each level is built from the level before it, starting from
+    the empty poset, and only as far as its consumer reads it: a sweep that
+    stops at its first failing class never builds the rest of that level.
+
+    With a list `kept` (the process's store, `_kept`), the levels n <=
+    _KEPT_LEVELS are kept in it as Posets, each filled as it is read and
+    built from the kept level below it, so every derived table a
+    representative builds on its first read serves every later reader; a
+    reader of the store holds `_store_lock`.  Every other level keeps only
+    (masks, |Aut|, automorphisms) and makes each Poset as it is read, for no
+    one to keep: a level of Posets would hold the derived tables of all its
+    classes until the sweep ends, which took the peak RSS of one cold
+    `verify --theorem T-NRM-AX --max-n 7` process from 19 to 57 MB, and of
+    `verify --theorem T-GLB --max-n 8` from 23 to 60 MB.
     """
     below = [((), [])]  # the level under n, as (masks, automorphisms)
     for n in range(1, max_n + 1):
-        if _kept is None or n > _KEPT_LEVELS:
+        if kept is None or n > _KEPT_LEVELS:
             classes = _Lazy(_new_classes(below))
             yield _named(n, classes)
             below = ((masks, gens) for masks, _, gens in classes)
             continue
-        if len(_kept) < n:
-            _kept.append(_Lazy(_named(n, _new_classes(below))))
-        level = _kept[n - 1]
+        if len(kept) < n:
+            kept.append(_Lazy(_named(n, _new_classes(below))))
+        level = kept[n - 1]
         yield level
         below = ((p.ups, gens) for p, _, gens in level)
 
@@ -1106,7 +1090,8 @@ def _descend(n: int, hypothesis, check, variant: str | None):
 
 
 def _sweep(max_n: int, claim: Claim):
-    """Check every poset with up to max_n elements, one isomorphism class at a time.
+    """Check every poset with up to max_n <= ISO_CAP elements, one isomorphism
+    class at a time.
 
     Hypotheses and claims are order-invariant, so each class representative
     stands for its whole orbit and counts n!/|Aut| labeled posets.  At the
@@ -1120,24 +1105,25 @@ def _sweep(max_n: int, claim: Claim):
     posets_per_n, instances_per_n and the first counterexample per failing
     variant.
 
-    The first sweep of a process makes its representatives for itself alone.
-    From the second on, for n <= _KEPT_LEVELS they are the process's kept
-    Q<n>-<k> posets (`_class_levels`), so the derived tables a check builds on
-    one (star table, classify(), law plans) serve every later sweep; above
-    that, they are made for the sweep alone.  Sweeps hold `_store_lock`, so
+    The classes come from `_class_levels` over the process's store `_kept`.
+    The first sweep of a process finds it None and makes its representatives
+    for itself alone.  From the second on, for n <= _KEPT_LEVELS they are the
+    store's Q<n>-<k> posets, so the derived tables a check builds on one (star
+    table, classify(), law plans) serve every later sweep; above that, they
+    are made for the sweep alone.  Sweeps hold `_store_lock`, so
     sweeps in several threads run one at a time, and one that raises empties
     the store, since a level whose build raised would read as short.
     """
     global _kept
-    if not 1 <= max_n <= claim.cap:
-        raise SizeCap(f"a sweep of this claim supports 1 <= n <= {claim.cap}, got {max_n}")
+    if not 1 <= max_n <= ISO_CAP:
+        raise SizeCap(f"a sweep supports 1 <= n <= {ISO_CAP}, got {max_n}")
     stop = len(claim.variants) < 2
     posets_per_n: dict[int, int] = {}
     instances_per_n: dict[int, int] = {}
     found: dict[str, Counterexample] = {}
     with _store_lock:
         try:
-            for n, level in enumerate(_class_levels(max_n), 1):
+            for n, level in enumerate(_class_levels(max_n, _kept), 1):
                 counts, first = _scan(((p, orbit) for p, orbit, _ in level), claim)
                 for variant in sorted(first.keys() - found.keys()):
                     failed, k, instances = _descend(n, claim.hypothesis, claim.failures, variant)
@@ -1493,7 +1479,7 @@ PREDICATES = {
                      "sectional pseudocomplementations?",
                      lambda p: True, _hunt_rule_to_esp("clp")),
     "ESP⇒J": Claim("do extended sectional pseudocomplementations satisfy j1-j3?",
-                   is_sp, _hunt_esp_to_j, cap=5),
+                   is_sp, _hunt_esp_to_j),
     "sp⇒sp": Claim("sanity: the computed star table satisfies its own axioms",
                    is_sp, _hunt_sp_to_sp),
 }

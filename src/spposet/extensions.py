@@ -276,7 +276,7 @@ def selection_frink(p: Poset) -> LocalSelection:
     return LocalSelection(p, "frink", masks)
 
 
-def selection_custom(p: Poset, table, kind: str = "custom-table") -> LocalSelection:
+def selection_custom(p: Poset, table) -> LocalSelection:
     """Selection from an explicit pair table {(x, y): members}; comparable pairs default to (max].
 
     The table may list each unordered pair in either or both orders; listing a
@@ -301,7 +301,7 @@ def selection_custom(p: Poset, table, kind: str = "custom-table") -> LocalSelect
             else:
                 raise SelectionAxiomViolation(
                     "missing-pair", (p.elements[i], p.elements[j]))
-    return LocalSelection(p, kind, masks)
+    return LocalSelection(p, "custom-table", masks)
 
 
 def i_natural_defining_mask(p: Poset, sel: LocalSelection, x: int, y: int) -> int:

@@ -35,6 +35,18 @@ def bits(mask: int):
         mask ^= low
 
 
+def transpose(masks) -> list[int]:
+    """The relation of the bitmask rows `masks` transposed: bit i of row j is
+    bit j of masks[i], so up-masks give down-masks and back."""
+    out = [0] * len(masks)
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            m ^= low
+            out[low.bit_length() - 1] |= 1 << i
+    return out
+
+
 @lru_cache(maxsize=4096)
 def members(mask: int) -> tuple[int, ...]:
     """The set bits of mask, ascending, as a tuple kept for the next call with
@@ -98,11 +110,7 @@ class Poset:
         self.elements = tuple(elements)
         self.n = len(self.elements)
         self.ups = tuple(ups)
-        downs = [0] * self.n
-        for i in range(self.n):
-            for j in bits(self.ups[i]):
-                downs[j] |= 1 << i
-        self.downs = tuple(downs)
+        self.downs = tuple(transpose(self.ups))
         self.full = (1 << self.n) - 1
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._tables: dict = {}
@@ -481,15 +489,14 @@ class StructureReport:
     witnesses: MappingProxyType
 
 
-def build_poset(name: str, elements, pairs, cap: int | None = None) -> Poset:
+def build_poset(name: str, elements, pairs) -> Poset:
     """Build a poset from declared order pairs (cover and le declarations alike).
 
     The relation is the reflexive-transitive closure of the pairs; construction
     fails if the closure violates antisymmetry, reporting the offending cycle.
     """
     elements = tuple(elements)
-    if cap is None:
-        cap = size_cap()
+    cap = size_cap()
     if not 1 <= len(elements) <= cap:
         raise SizeCap(f"poset {name!r} must have between 1 and {cap} elements, got {len(elements)}")
     index: dict[str, int] = {}

@@ -283,6 +283,12 @@ def test_hunt_counterexample_exit_code(capsys):
     assert "poset" in out  # replayable serialization follows
 
 
+def test_hunt_esp_j_at_the_sweep_cap_exit_code(capsys):
+    code, out, _ = run(capsys, "hunt", "--predicate", "ESP=>J", "--max-n", "8")
+    assert code == 1
+    assert "poset P2-0" in out
+
+
 def test_hunt_verified_exit_code(capsys):
     code, out, _ = run(capsys, "hunt", "--predicate", "sp⇒sp", "--max-n", "3")
     assert code == 0

@@ -58,7 +58,7 @@ from spposet.errors import (
     UnknownTheorem,
 )
 from spposet.fileformat import parse
-from spposet.poset import Poset, bits
+from spposet.poset import Poset, bits, transpose
 
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023, 7: 6129859, 8: 431723379}
 ISO_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
@@ -411,8 +411,15 @@ def test_hunt_sanity_predicate():
 
 
 def test_hunt_esp_j_cap():
-    with pytest.raises(SizeCap):
-        find_counterexample("ESP⇒J", 6)
+    # ESP⇒J has the sweep cap of every claim, and its hunt stops at P2-0 at any max_n
+    first = find_counterexample("ESP⇒J", 3)
+    assert first.counterexample.serialized.startswith("poset P2-0")
+    for max_n in (6, 8):
+        report = find_counterexample("ESP⇒J", max_n)
+        assert report.max_n == max_n
+        assert dataclasses.replace(report, max_n=3, elapsed=first.elapsed) == first
+    with pytest.raises(SizeCap, match="supports 1 <= n <= 8"):
+        find_counterexample("ESP⇒J", 9)
 
 
 def test_probe_sinat_variants():
@@ -480,8 +487,8 @@ def cold_store(monkeypatch):
     monkeypatch.setattr(enumeration, "_kept", [])
 
 
-def test_orbit_sizes_sum_to_labeled_counts(cold_store):
-    for n, level in enumerate(enumeration._class_levels(6), 1):
+def test_orbit_sizes_sum_to_labeled_counts():
+    for n, level in enumerate(enumeration._class_levels(6, []), 1):
         assert len(level) == ISO_COUNTS[n]
         assert sum(orbit for _, orbit, _ in level) == LABELED_COUNTS[n]
         assert all(orbit * automorphism_count(p.ups) == math.factorial(n) for p, orbit, _ in level)
@@ -520,7 +527,7 @@ def _one_point_class_levels(max_n):
         yield classes
 
 
-def test_maximal_element_classes_match_the_one_point_oracle(cold_store, monkeypatch):
+def test_maximal_element_classes_match_the_one_point_oracle(monkeypatch):
     calls = []
     search = enumeration._search
 
@@ -548,11 +555,12 @@ def _first_reached(extensions):
 
 def test_orbit_pruning_reaches_the_same_classes_in_the_same_order():
     kept = every = 0
-    for level in enumeration._iso_levels(6):
-        for base, _, gens in level:
+    for level in enumeration._class_levels(6):
+        for p, _, gens in level:
+            base = p.ups
             pruned = []
             for masks, downs in enumeration._maximal_extensions(base, gens):
-                assert downs == enumeration._downs(masks)
+                assert downs == transpose(masks)
                 pruned.append(masks)
             # every extension whose new element has no strict upper bound
             unpruned = [masks for masks in enumeration._one_point_extensions(base)
@@ -597,9 +605,9 @@ def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
 def test_failing_hunt_stops_inside_the_class_level(cold_store, monkeypatch):
     # J=>ESP first fails at n = 5; the class pass stops at its first failing
     # class, so the level-5 classes after it are never generated
-    *_, fours = enumeration._iso_levels(4)
-    inputs_at_five = sum(1 for base, _, gens in fours
-                         for _ in enumeration._maximal_extensions(base, gens))
+    *_, fours = enumeration._class_levels(4)
+    inputs_at_five = sum(1 for p, _, gens in fours
+                         for _ in enumeration._maximal_extensions(p.ups, gens))
     calls = []
     search = enumeration._search
 
@@ -650,8 +658,7 @@ def _run_claim(kind, claim, max_n):
 def test_reports_do_not_depend_on_what_the_store_holds(cold_store):
     # every claim at each max_n, from an empty store and then in reverse
     # order, where every derived table another claim built is already there
-    runs = [(kind, claim, max_n) for max_n in (3, 5, 6) for kind, claim in CLAIMS
-            if not (claim == "ESP⇒J" and max_n > 5)]
+    runs = [(kind, claim, max_n) for max_n in (3, 5, 6) for kind, claim in CLAIMS]
     forward = [_run_claim(*run) for run in runs]
     backward = [_run_claim(*run) for run in reversed(runs)]
     assert forward == backward[::-1]
@@ -717,6 +724,36 @@ def test_sweeps_in_threads_match_serial_ones(cold_store, monkeypatch):
     assert results == dict.fromkeys(names, serial)
 
 
+def test_class_enumeration_stays_off_the_store(monkeypatch):
+    # enumerate_posets gives the cold store's classes from a filled store,
+    # none of them a kept poset, while another thread holds the store's lock
+    monkeypatch.setattr(enumeration, "_kept", None)
+    cold = {n: [(p.name, p.ups) for p in enumerate_posets(n, "up-to-iso")] for n in range(1, 7)}
+    for _ in range(2):  # the first sweep of a process keeps nothing
+        enumeration._sweep(6, Claim("nothing", lambda p: False, lambda p: None))
+    kept = {id(p) for level in enumeration._kept for p, _, _ in level}
+    assert len(kept) == sum(ISO_COUNTS[n] for n in range(1, 7))
+    held, done, waited = threading.Event(), threading.Event(), []
+
+    def hold():
+        with enumeration._store_lock:
+            held.set()
+            waited.append(done.wait(timeout=30))
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(timeout=30)
+    try:
+        for n in range(1, 7):
+            posets = list(enumerate_posets(n, "up-to-iso"))
+            assert [(p.name, p.ups) for p in posets] == cold[n]
+            assert not any(id(p) in kept for p in posets)
+    finally:
+        done.set()
+        holder.join(timeout=30)
+    assert waited == [True]  # the lock was never released before the classes ended
+
+
 def test_a_sweep_that_raised_leaves_an_empty_store(cold_store, monkeypatch):
     # a fault at the 30th search of level 5 kills that level's source; the
     # level must not be kept as the 29 classes found before it
@@ -772,7 +809,7 @@ def _even_relation(masks):
 
 def _degrees(masks):
     """A cheap isomorphism invariant, to skip most canonical keys."""
-    downs = enumeration._downs(masks)
+    downs = transpose(masks)
     return tuple(sorted(zip(map(int.bit_count, masks), map(int.bit_count, downs))))
 
 
@@ -780,8 +817,8 @@ def test_descent_finds_the_first_labeled_poset_of_a_class_set():
     # the descent against a labeled scan, for random sets of failing classes
     # at n = 6 under a hypothesis that holds on about half of the posets
     n = 6
-    *_, level = enumeration._iso_levels(n)
-    classes = [masks for masks, _, _ in level]
+    *_, level = enumeration._class_levels(n)
+    classes = [p.ups for p, _, _ in level]
     labeled = enumeration._labeled_masks(n)
     scanned = []  # (masks, canonical key) of the labeled posets, in order, as far as read
 
@@ -848,7 +885,7 @@ def _oracle_key(masks):
     """The minimal relation matrix over every relabeling that keeps each element
     inside its invariant block: factorial in the block sizes."""
     n = len(masks)
-    inv = _oracle_refine(masks, enumeration._downs(masks))
+    inv = _oracle_refine(masks, transpose(masks))
     blocks = {}
     for i in range(n):
         blocks.setdefault(inv[i], []).append(i)

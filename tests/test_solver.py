@@ -44,11 +44,17 @@ from spposet.pseudo import MissingWitness, TotalTable
 WIDE = ("ESP", "ESPW", "NRMW")  # compared at n <= 4 only (see above)
 
 
-def cases(p):
-    """(system, selection) pairs the poset has the structure for."""
+def selections(p):
+    """The union and Frink selections over p, built once for cases and
+    expected_tables."""
+    return selection_union(p), selection_frink(p)
+
+
+def cases(p, sels):
+    """(system, selection) pairs the poset has the structure for; NATI under
+    each of the selections `sels`."""
     for system in SYSTEMS:
-        sels = [selection_union(p), selection_frink(p)] if system == "NATI" else [None]
-        for sel in sels:
+        for sel in sels if system == "NATI" else [None]:
             if system != "NRMW":
                 try:
                     require_system(p, system, sel)
@@ -57,11 +63,12 @@ def cases(p):
             yield system, sel
 
 
-def expected_tables(p):
+def expected_tables(p, sels):
     """None, and the star, normal, Frink-natural and union-natural tables p
-    has, each once."""
+    has, each once; `sels` are p's selections."""
+    union, frink = sels
     star = star_table(p)
-    tables = [i_natural_extension(p, make(p)).table for make in (selection_frink, selection_union)]
+    tables = [i_natural_extension(p, sel).table for sel in (frink, union)]
     if not isinstance(star, MissingWitness):
         tables += [star, normal_extension(star).table]
     distinct = {}
@@ -115,15 +122,15 @@ def comparisons():
     selection, unforced, forced) comparisons, as the module notes say."""
     labeled = [(p, True) for n in range(1, 6) for p in enumerate_posets(n)]
     for p, is_labeled in labeled + [(p, False) for p in corpus_posets()]:
-        runs = []
-        for system, sel in cases(p):
+        runs, sels = [], selections(p)
+        for system, sel in cases(p, sels):
             wide = system in WIDE
             if is_labeled and p.n == 5:
                 if not wide:
                     runs.append((system, sel, True, False))
             else:
                 runs.append((system, sel, is_labeled or not wide, True))
-        yield p, expected_tables(p), star_table(p), runs
+        yield p, expected_tables(p, sels), star_table(p), runs
 
 
 def test_solver_matches_the_oracle():
@@ -157,9 +164,13 @@ def test_a_failing_check_reports_the_solution_counts(monkeypatch, diamond, theor
 
 def _differs(posets, kind):
     """Whether some comparison of the kind ("lists" or "yes/no") differs from the oracle."""
-    return any(kind in (f if isinstance(f, str) else f[0])
-               for p in posets for system, sel in cases(p)
-               for f in disagreements(p, system, sel, expected_tables(p), star_table(p))[0])
+    for p in posets:
+        sels = selections(p)
+        tables = expected_tables(p, sels)
+        if any(kind in (f if isinstance(f, str) else f[0]) for system, sel in cases(p, sels)
+               for f in disagreements(p, system, sel, tables, star_table(p))[0]):
+            return True
+    return False
 
 
 SMALL = [p for n in range(1, 5) for p in enumerate_posets(n)]
@@ -222,7 +233,7 @@ def _returns_or_refuses(call):
 def test_yes_no_on_sixteen_elements(name, system):
     p = SIXTEEN[name]
     sel = selection_frink(p) if system == "NATI" else None
-    for table in expected_tables(p):
+    for table in expected_tables(p, selections(p)):
         outcome, took = _returns_or_refuses(lambda: system_models_are(p, system, table, sel=sel))
         print(f"{name} {system} {'table' if table else 'None'}: {outcome} in {took:.3f} s")
         assert took < CEILING_S
