@@ -540,36 +540,21 @@ def is_strong(p: Poset, t: TotalTable) -> Verdict:
     return Verdict(w is None, w)
 
 
-def _bound_witness_holds(p: Poset, t: TotalTable) -> bool:
-    # v <= x->y  iff  some u >= v and z >= x satisfy [y,u] n [y,z] = {y}.
-    for v in range(p.n):
-        for x in range(p.n):
-            for y in range(p.n):
-                by = 1 << y
-                found = False
-                for u in bits(p.ups[v]):
-                    du = p.downs[u] & p.ups[y]
-                    if found:
-                        break
-                    for z in bits(p.ups[x]):
-                        if du & p.downs[z] == by:
-                            found = True
-                            break
-                if p.leq_ix(v, t.cells[x][y]) != found:
-                    return False
-    return True
-
-
 def is_normal(p: Poset, s: PartialTable, t: TotalTable) -> bool:
     """True iff t is the (total) normal extension of the star table s.
 
-    Cross-checked against the equivalent bound-witness condition
-    v <= x->y iff exist u >= v, z >= x with [y,u] n [y,z] = {y}; the two
-    answers must agree when s is the sectional pseudocomplementation.
+    Cross-checked on every call against the equivalent bound-witness
+    condition: v <= x->y iff some u >= v and z >= x have [y,u] n [y,z] = {y}.
+    Per cell, the v on the right are one mask (Poset.bound_witness_masks),
+    so t meets the condition iff (x->y] equals that mask at every (x, y).
+    The two answers must agree when s is the sectional pseudocomplementation;
+    a disagreement is an InternalDisagreement.
     """
     ext = normal_extension(s)
     by_rule = ext.is_total and ext.table == t
-    by_witness = _bound_witness_holds(p, t)
+    downs = p.downs
+    by_witness = all(tuple([downs[v] for v in row]) == w
+                     for row, w in zip(t.cells, p.bound_witness_masks))
     if by_rule != by_witness:
         raise InternalDisagreement(
             "normal-extension equality and the bound-witness condition disagree")

@@ -77,7 +77,6 @@ from .errors import (
 )
 from .extensions import (
     LocalSelection,
-    i_natural_cell,
     i_natural_extension,
     natural_extension,
     natural_min_cells,
@@ -89,7 +88,7 @@ from .extensions import (
 )
 from .fileformat import Document, Section, emit
 from .poset import Poset, bits, members, transpose
-from .pseudo import PartialTable, TotalTable, complement_table, is_sp, star_table, wrp_value_ix
+from .pseudo import PartialTable, TotalTable, _total_table, is_sp, star_table, wrp_value_ix
 
 LABELED_CAP = 7
 ISO_CAP = 8
@@ -1277,12 +1276,10 @@ def _check_lat_f_eq_j(p: Poset):
 
 
 def _check_mono(p: Poset):
-    union = selection_union(p)
-    frink = selection_frink(p)
+    union, frink = selection_union(p).inat_cells, selection_frink(p).inat_cells
     for x in range(p.n):
         for y in range(p.n):
-            vu = i_natural_cell(p, union, x, y)
-            vf = i_natural_cell(p, frink, x, y)
+            vu, vf = union[x][y], frink[x][y]
             if vu is not None and vf is not None and not p.leq_ix(vf, vu):
                 return Counterexample(
                     _serialize(p),
@@ -1398,8 +1395,8 @@ def _hunt_rule_to_esp(kind: str):
     def check(p: Poset):
         if kind == "rp" and p.greatest() is None:
             return None  # x -> x would need a greatest element
-        t = complement_table(p, kind)
-        if not isinstance(t, TotalTable):
+        t = _total_table(p, kind)
+        if t is None:
             return None
         if kind == "rp":
             jrep = check_system(p, t, "J")

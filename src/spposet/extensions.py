@@ -22,7 +22,7 @@ from .errors import (
     SelectionAxiomViolation,
     StructureMismatch,
 )
-from .poset import ElementSet, Poset, bits
+from .poset import ElementSet, Poset, _derived, bits
 from .pseudo import PartialTable, TotalTable, _defining_mask
 
 
@@ -199,17 +199,20 @@ class LocalSelection:
     consequences need no check of their own: (x] u (y] <= I(x, y) holds for a
     down-set holding x and y, and I(x, y) <= (z] for a common upper bound z is
     growth in x up to z, since I(z, y) = (z].
-    ``rows[i][j]`` is the mask of I(i, j), for both orders of every pair.
+    ``rows[i][j]`` is the mask of I(i, j), for both orders of every pair;
+    the constructor reads it from `masks`, keyed by (min(i,j), max(i,j)), and
+    validates it.  A selection keeps its i-natural cells the same way a poset
+    keeps its derived tables.
     """
 
-    __slots__ = ("owner", "kind", "_masks", "rows")
+    __slots__ = ("owner", "kind", "rows", "_tables")
 
     def __init__(self, owner: Poset, kind: str, masks: dict):
         self.owner = owner
         self.kind = kind
-        self._masks = masks  # keyed by (min(i,j), max(i,j))
         r = range(owner.n)
         self.rows = tuple(tuple(masks[(i, j) if i <= j else (j, i)] for j in r) for i in r)
+        self._tables: dict = {}
         self._validate()
 
     def mask_ix(self, i: int, j: int) -> int:
@@ -222,11 +225,18 @@ class LocalSelection:
         return (
             isinstance(other, LocalSelection)
             and self.owner == other.owner
-            and self._masks == other._masks
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.owner, tuple(sorted(self._masks.items()))))
+        return hash((self.owner, self.rows))
+
+    @_derived
+    def inat_cells(self) -> tuple[tuple[int | None, ...], ...]:
+        """inat_cells[x][y]: the i-natural value max{u : (u] n I(x,y) n [y) = {y}},
+        None where that set has no greatest element."""
+        p, r = self.owner, range(self.owner.n)
+        return tuple([tuple([i_natural_cell(p, self, x, y) for y in r]) for x in r])
 
     def _validate(self):
         p = self.owner
@@ -259,21 +269,17 @@ def require_owner(p: Poset, sel: LocalSelection | None) -> None:
 
 
 def selection_union(p: Poset) -> LocalSelection:
-    """I(x, y) = (x] u (y], the smallest legal selection."""
-    masks = {}
-    for i in range(p.n):
-        for j in range(i, p.n):
-            masks[(i, j)] = p.downs[i] | p.downs[j]
-    return LocalSelection(p, "union", masks)
+    """I(x, y) = (x] u (y], the smallest legal selection.  It is built and
+    validated once per poset (Poset.union_selection), and every call returns
+    that one value."""
+    return p.union_selection
 
 
 def selection_frink(p: Poset) -> LocalSelection:
-    """I(x, y) = L(U({x, y})), the largest legal selection."""
-    masks = {}
-    for i in range(p.n):
-        for j in range(i, p.n):
-            masks[(i, j)] = p.frink_mask(i, j)
-    return LocalSelection(p, "frink", masks)
+    """I(x, y) = L(U({x, y})), the largest legal selection.  It is built and
+    validated once per poset (Poset.frink_selection), and every call returns
+    that one value."""
+    return p.frink_selection
 
 
 def selection_custom(p: Poset, table) -> LocalSelection:
@@ -314,11 +320,14 @@ def i_natural_cell(p: Poset, sel: LocalSelection, x: int, y: int) -> int | None:
 
 
 def i_natural_extension(p: Poset, sel: LocalSelection) -> ExtensionResult:
-    """x -> y as max{u : (u] n I(x,y) n [y) = {y}} for a local selection I over p."""
+    """x -> y as max{u : (u] n I(x,y) n [y) = {y}} for a local selection I
+    over p, from the cells the selection keeps (LocalSelection.inat_cells)."""
     require_owner(p, sel)
+    cells = sel.inat_cells
+    if not any(None in row for row in cells):
+        return ExtensionResult(TotalTable._from_checked_rows(p, cells), ())
     r = range(p.n)
-    masks = [[i_natural_defining_mask(p, sel, x, y) for y in r] for x in r]
-    return _extremum_table(p, masks, True)
+    return _extremum_table(p, [[i_natural_defining_mask(p, sel, x, y) for y in r] for x in r], True)
 
 
 def i_min_extension(s: PartialTable, sel: LocalSelection) -> ExtensionResult:

@@ -94,10 +94,12 @@ class Poset:
 
     The tables derived from the order (meets, joins, meet masks, maximal
     lower bounds, section tops, the local disjointness and meet masks, the
-    classify() report and the star table) are immutable values, each built
-    once, on its first read, and kept for the poset's lifetime.  The law
-    context (laws) is built the same way and then keeps the plans of the
-    laws it checks, which depend on the order alone.
+    bound-witness masks, the classify() report, the star table, and the
+    union and Frink selections, each validated once, with their i-natural
+    cells) are immutable values, each built once, on its first read, and
+    kept for the poset's lifetime.  The law context (laws) is built the same
+    way and then keeps the plans of the laws it checks, which depend on the
+    order alone.
 
     The constructor trusts its input; use :func:`build_poset` to validate
     declarations and take the reflexive-transitive closure.
@@ -246,6 +248,27 @@ class Poset:
                     for z in range(n):
                         if downs[z] & between == only:
                             m |= 1 << z
+                row.append(m)
+            out.append(tuple(row))
+        return tuple(out)
+
+    @_derived
+    def bound_witness_masks(self) -> tuple[tuple[int, ...], ...]:
+        """bound_witness_masks[x][y]: the v for which some u >= v and z >= x
+        have [y,u] n [y,z] = {y}, as a bitmask.
+
+        That is the union of (u] over the u with meet_over_masks[u][y] n [x)
+        nonempty; axioms.is_normal compares it with (x -> y].
+        """
+        n, ups, downs, meets = self.n, self.ups, self.downs, self.meet_over_masks
+        out = []
+        for x in range(n):
+            up, row = ups[x], []
+            for y in range(n):
+                m = 0
+                for u in range(n):
+                    if meets[u][y] & up:
+                        m |= downs[u]
                 row.append(m)
             out.append(tuple(row))
         return tuple(out)
@@ -420,6 +443,20 @@ class Poset:
         """The star table, as pseudo.star_table returns it."""
         from .pseudo import complement_table  # pseudo builds on this module
         return complement_table(self, "sp")
+
+    @_derived
+    def union_selection(self):
+        """The union selection, as extensions.selection_union returns it."""
+        from .extensions import LocalSelection  # extensions builds on this module
+        downs, r = self.downs, range(self.n)
+        return LocalSelection(self, "union", {(i, j): downs[i] | downs[j] for i in r for j in r if i <= j})
+
+    @_derived
+    def frink_selection(self):
+        """The Frink selection, as extensions.selection_frink returns it."""
+        from .extensions import LocalSelection  # extensions builds on this module
+        r = range(self.n)
+        return LocalSelection(self, "frink", {(i, j): self.frink_mask(i, j) for i in r for j in r if i <= j})
 
     @_derived
     def laws(self):

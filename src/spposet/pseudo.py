@@ -247,6 +247,25 @@ def section_top(p: Poset, x: str) -> str | None:
     return None if t is None else p.elements[t]
 
 
+def _fill(p: Poset, kind: str, cells: list) -> tuple[int, int, int] | None:
+    """Fill the rows `cells` with the complement of each pair in kind's domain,
+    in row-major order, up to the first pair whose defining set has no
+    greatest element; return that pair and its defining set, or None."""
+    mask, sectional = _KINDS[kind]
+    greatest, r = p.greatest_of, range(p.n)
+    for x in r:
+        row = cells[x]
+        for y in r:
+            if sectional and not p.leq_ix(y, x):
+                continue
+            m = mask(p, x, y)
+            v = greatest(m)
+            if v is None:
+                return x, y, m
+            row[y] = v
+    return None
+
+
 def complement_table(p: Poset, kind: str):
     """The sp, rp, wrp or clp complement of every pair in its domain, as a table.
 
@@ -256,19 +275,23 @@ def complement_table(p: Poset, kind: str):
     MissingWitness naming the first such pair, in row-major order, and the
     maximal elements of its defining set.
     """
-    mask, sectional = _KINDS[kind]
-    n, els, greatest = p.n, p.elements, p.greatest_of
-    cells = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if sectional and not p.leq_ix(y, x):
-                continue
-            m = mask(p, x, y)
-            v = greatest(m)
-            if v is None:
-                return MissingWitness(els[x], els[y], tuple(els[u] for u in bits(p.maximal_of(m))))
-            cells[x][y] = v
-    return PartialTable(p, cells) if sectional else TotalTable(p, cells)
+    cells = [[None] * p.n for _ in range(p.n)]
+    missing = _fill(p, kind, cells)
+    if missing is not None:
+        x, y, m = missing
+        els = p.elements
+        return MissingWitness(els[x], els[y], tuple(els[u] for u in bits(p.maximal_of(m))))
+    return PartialTable(p, cells) if _KINDS[kind][1] else TotalTable(p, cells)
+
+
+def _total_table(p: Poset, kind: str) -> TotalTable | None:
+    """complement_table(p, kind) for the total kinds rp and clp, or None where
+    that is a MissingWitness, which is not built: the path of the hunts,
+    which ask only whether the table is total."""
+    cells = [[None] * p.n for _ in range(p.n)]
+    if _fill(p, kind, cells) is not None:
+        return None
+    return TotalTable._from_checked_rows(p, tuple(map(tuple, cells)))
 
 
 def star_table(p: Poset):

@@ -24,7 +24,7 @@ with open(Path.cwd().parent / "runs.log", "a") as fh:
     fh.write(f"{{Path.cwd().name}} {{arg('--workload')}} {{seed}} {{arg('--seconds')}}\\n")
 metrics = {{"work_per_s": RATE + seed, "op_ms_p50": 100.0 / RATE}}
 print("progress")
-print(json.dumps({{"git_commit": "{commit}", "machine": {{"nproc": 2}},
+print(json.dumps({{"git_commit": {commit!r}, "machine": {{"nproc": 2}},
                   "named": {{"classes_per_s": 2 * RATE, "label": "x"}}}}))
 print(json.dumps({{"correct": {failed} == 0, "attempted": 5, "failed": {failed},
                   "metrics": {{k: {{"value": v, "unit": "-"}} for k, v in metrics.items()}}}}))
@@ -74,6 +74,32 @@ def test_pairs_alternate_and_summarize(tmp_path):
     assert "label" not in w["named"]
     assert w["pairs"][0]["attempted"] == {"parent": 5, "change": 5}
     assert w["failed_ratio"] == {"parent": 0, "change": 0}
+
+
+def test_a_side_without_a_commit_is_named_by_its_tree(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", 100, None)
+    change = _checkout(tmp_path, "change", 200, "b" * 40)
+    for side in (parent, change):
+        (side / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+        (side / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    digest = bench_pairs.tree_digest(parent)
+    assert digest == bench_pairs.tree_digest(change) and len(digest) == 12
+    # compiled files do not count; a changed source file, or a renamed one, does
+    (parent / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    assert bench_pairs.tree_digest(parent) == digest
+    (change / "src" / "pkg" / "mod.py").write_text("x = 2\n")
+    edited = bench_pairs.tree_digest(change)
+    (change / "src" / "pkg" / "mod.py").rename(change / "src" / "pkg" / "other.py")
+    assert len({digest, edited, bench_pairs.tree_digest(change)}) == 3
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--claim", "c", "--seeds", "1-2", "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (out["parent_commit"], out["change_commit"], out["parent_tree"]) == (None, "bbbbbbb", digest)
+    assert "change_tree" not in out
+    capsys.readouterr()
+    assert bench_pairs.main(["--history", str(tmp_path / "BENCH_t.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"history from BENCH_t.json (parent {digest}) to BENCH_t.json (change bbbbbbb)")
 
 
 def test_failures_are_kept_per_side(tmp_path, capsys):

@@ -4,7 +4,8 @@ Each oracle reads the order through leq_ix alone and follows the definition
 of its table literally: a meet is the common lower bound above all the others,
 a section top the member of [x) above all of [x), and so on.  Every cached
 table must equal its oracle, be an immutable value, be built on its first read
-only, and come back as the same object on every later read.
+only, and come back as the same object on every later read.  For the union
+and Frink selections the value compared is the selection's rows.
 """
 
 import dataclasses
@@ -12,12 +13,23 @@ import dataclasses
 import pytest
 
 from conftest import corpus_posets
-from spposet import MissingWitness, PartialTable, StructureReport, build_poset, star_table
+from spposet import (
+    LocalSelection,
+    MissingWitness,
+    PartialTable,
+    StructureReport,
+    build_poset,
+    selection_frink,
+    selection_union,
+    star_table,
+)
 from spposet.enumeration import enumerate_posets
 from spposet.poset import Poset
 
+# bound_witness_masks reads meet_over_masks, so it comes after it: each table
+# is built on its own first read
 TABLES = ("meets", "joins", "meet_masks", "mlbs", "tops", "disjoint_over_masks", "meet_over_masks",
-          "_structure", "star")
+          "_structure", "star", "bound_witness_masks", "union_selection", "frink_selection")
 
 
 def _greatest(le, members):
@@ -51,6 +63,8 @@ def oracle_tables(p):
         return [w for w in between[b][u] if le[w][z]]
 
     meets = tuple(tuple(_greatest(le, lower[i][j]) for j in r) for i in r)
+    # the (u, z) with [b,u] n [b,z] = {b}, per b
+    only = [[(u, z) for u in r for z in r if common(b, u, z) == [b]] for b in r]
     return {
         "meets": meets,
         "meet_masks": tuple(tuple(_mask(j for j in r if meets[i][j] == w) for w in r) for i in r),
@@ -65,6 +79,13 @@ def oracle_tables(p):
             _mask(z for z in r if common(b, u, z) == [b]) for b in r) for u in r),
         "_structure": oracle_structure(p, le),
         "star": oracle_star(p, le, common),
+        # the v below some u with [y,u] n [y,z] = {y} for some z >= x
+        "bound_witness_masks": tuple(tuple(
+            _mask(v for v in r if any(le[v][u] and le[x][z] for u, z in only[y])) for y in r) for x in r),
+        # I(x, y) = (x] u (y], and L(U({x, y}))
+        "union_selection": tuple(tuple(_mask(z for z in r if le[z][i] or le[z][j]) for j in r) for i in r),
+        "frink_selection": tuple(tuple(
+            _mask(z for z in r if all(le[z][u] for u in upper[i][j])) for j in r) for i in r),
     }
 
 
@@ -128,6 +149,8 @@ def comparable(name, value):
         return fields, dict(fields.pop("witnesses"))
     if name == "star" and isinstance(value, PartialTable):
         return value.cells
+    if isinstance(value, LocalSelection):
+        return value.rows
     return value
 
 
@@ -143,6 +166,8 @@ def assert_immutable(value):
         assert_immutable(tuple(value.witnesses.values()))
     elif isinstance(value, PartialTable):
         assert_immutable(value.cells)
+    elif isinstance(value, LocalSelection):
+        assert_immutable(value.rows)
     elif isinstance(value, MissingWitness):
         with pytest.raises(dataclasses.FrozenInstanceError):
             value.x = "x"
@@ -186,4 +211,5 @@ def test_cached_tables_equal_their_oracles_and_are_built_once(monkeypatch):
             assert getattr(p, name) is value
             assert builds[name] == before[name] + 1
         assert p.classify() is p._structure and star_table(p) is p.star
+        assert selection_union(p) is p.union_selection and selection_frink(p) is p.frink_selection
     assert set(builds.values()) == {len(posets)}

@@ -6,6 +6,7 @@ import tables_data as td
 from conftest import corpus_posets, rows_in_order
 from spposet import (
     ExtensionResult,
+    LocalSelection,
     MissingWitness,
     PartialTable,
     TotalTable,
@@ -26,6 +27,7 @@ from spposet import (
     selection_union,
     star_table,
 )
+from spposet import enumeration
 from spposet.axioms import verify_lemma_suite
 from spposet.enumeration import enumerate_extensions, enumerate_posets, system_column_solutions
 from spposet.errors import (
@@ -341,6 +343,60 @@ def test_extension_property_all_rules():
                 for y in p.elements:
                     if p.leq(y, x):
                         assert t.value(x, y) == st.value(x, y)
+
+
+def test_builtin_selections_are_built_and_validated_once_per_poset(monkeypatch):
+    validated = []
+    validate = LocalSelection._validate
+    monkeypatch.setattr(LocalSelection, "_validate", lambda sel: validated.append(sel.kind) or validate(sel))
+    p = build_poset("hex", td.HEXAGON_ELEMENTS, td.HEXAGON_COVERS)
+    st = star_table(p)
+    for _ in range(3):
+        for sel in (selection_union(p), selection_frink(p)):
+            i_natural_extension(p, sel)
+            i_min_extension(st, sel)
+        dual_j_extension(st)
+    assert sorted(validated) == ["frink", "union"]
+    assert selection_frink(p) is selection_frink(p) and selection_union(p) is selection_union(p)
+    assert selection_frink(p).inat_cells is selection_frink(p).inat_cells
+    # an equal poset built again keeps selections of its own, equal to the first ones
+    q = build_poset("hex", td.HEXAGON_ELEMENTS, td.HEXAGON_COVERS)
+    assert selection_frink(q) is not selection_frink(p) and selection_frink(q) == selection_frink(p)
+    assert hash(selection_union(q)) == hash(selection_union(p))
+    assert selection_union(q) != selection_frink(q)
+    assert sorted(validated) == ["frink", "frink", "union", "union"]
+
+
+def test_custom_selections_are_validated_on_every_call(monkeypatch, hexagon):
+    frink = selection_frink(hexagon)
+    validated = []
+    validate = LocalSelection._validate
+    monkeypatch.setattr(LocalSelection, "_validate", lambda sel: validated.append(sel.kind) or validate(sel))
+    table = {("a", "b"): ["0", "a", "b"], ("c", "d"): hexagon.elements}
+    table |= {(x, y): hexagon.lower_section(x).members + hexagon.lower_section(y).members
+              for x, y in (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"))}
+    first, second = selection_custom(hexagon, table), selection_custom(hexagon, table)
+    assert validated == ["custom-table", "custom-table"]
+    assert first is not second and first == second == frink
+    with pytest.raises(SelectionAxiomViolation):
+        selection_custom(hexagon, {**table, ("a", "b"): ["a", "b"]})
+    assert len(validated) == 3
+
+
+def test_mono_check_reads_the_i_natural_cells():
+    # _check_mono compares the i-natural cells the two selections keep: they
+    # are i_natural_cell at every pair, and the check gives the verdict of
+    # its earlier per-cell form
+    for p in (p for n in range(1, 5) for p in enumerate_posets(n)):
+        r = range(p.n)
+        union, frink = selection_union(p), selection_frink(p)
+        for sel in (union, frink):
+            assert sel.inat_cells == tuple(tuple(i_natural_cell(p, sel, x, y) for y in r) for x in r)
+        if isinstance(star_table(p), PartialTable):
+            holds = all(vu is None or vf is None or p.leq_ix(vf, vu)
+                        for x in r for y in r
+                        for vu, vf in [(i_natural_cell(p, union, x, y), i_natural_cell(p, frink, x, y))])
+            assert (enumeration._check_mono(p) is None) == holds, p.name
 
 
 def test_selection_monotonicity_pointwise():

@@ -19,6 +19,7 @@ from spposet import (
 from spposet.enumeration import enumerate_posets
 from spposet.errors import NotInSection
 from spposet.poset import bits
+from spposet.pseudo import _total_table, complement_table
 
 
 def test_sp_complement_hexagon(hexagon):
@@ -232,3 +233,21 @@ def test_sp_equals_wrp_on_meet_semilattices():
                 for y in p.elements:
                     if p.leq(y, x):
                         assert wrp_complement(p, x, y) == st.value(x, y)
+
+
+def test_the_hunts_total_table_is_complement_table_without_the_witness():
+    # the rp and clp hunts read _total_table, which builds no MissingWitness:
+    # it is complement_table where that is total and None where it is not
+    seen = set()
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for kind in ("rp", "clp"):
+                full = complement_table(p, kind)
+                fast = _total_table(p, kind)
+                if isinstance(full, MissingWitness):
+                    assert fast is None, (p.name, kind)
+                else:
+                    assert isinstance(full, TotalTable) and fast == full, (p.name, kind)
+                    assert type(fast.cells) is tuple and all(type(row) is tuple for row in fast.cells)
+                seen.add((kind, fast is None))
+    assert seen == {("rp", True), ("rp", False), ("clp", True), ("clp", False)}

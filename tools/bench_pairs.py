@@ -16,8 +16,11 @@ workloads of ten pairs of 40 s runs take about 20 min instead of 40).
 
 The result is written to BENCH_<label>.json: per pair, both sides' metrics,
 operations attempted and failed, and the record's named figures (such as
-`classes_per_s`); per workload, each side's failed share of the operations
-it attempted, so the change's can be set against the parent's; per metric,
+`classes_per_s`); the commit of each side, or, for a side whose run record
+names no git commit (a checkout without .git), a digest of its src/ files
+as `parent_tree` / `change_tree`; per workload, each side's failed share of
+the operations it attempted, so the change's can be set against the
+parent's; per metric,
 each side's median and quartiles (statistics.quantiles, method
 'inclusive'), the change's wins, the median's relative change, the parent's
 quartile spread, whether it shows a gain (wins in at least nine tenths of
@@ -40,6 +43,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -60,6 +64,20 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def tree_digest(checkout: Path) -> str:
+    """The first 12 hex digits of a SHA-256 over the checkout's src/ files, each
+    as its path, its length and its bytes, in path order; compiled files are
+    left out.  It names the tree a run measured when no commit does."""
+    h = hashlib.sha256()
+    files = sorted(f for f in (checkout / "src").rglob("*")
+                   if f.is_file() and "__pycache__" not in f.parts and f.suffix != ".pyc")
+    for f in files:
+        data = f.read_bytes()
+        h.update(f"{f.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()[:12]
 
 
 def run_side(checkout: Path, command: list[str], workload: str, seed: int, seconds: float):
@@ -145,8 +163,9 @@ def history(start: Path) -> list[str]:
     chain = files[files.index(start.resolve()):]
     runs = [json.loads(f.read_text(encoding="utf-8")) for f in chain]
     labels = [run.get("label") or f.stem[len("BENCH_"):] for run, f in zip(runs, chain)]
-    lines = [f"history from {chain[0].name} (parent {runs[0].get('parent_commit')}) "
-             f"to {chain[-1].name} (change {runs[-1].get('change_commit')})",
+    first = runs[0].get("parent_commit") or runs[0].get("parent_tree")
+    last = runs[-1].get("change_commit") or runs[-1].get("change_tree")
+    lines = [f"history from {chain[0].name} (parent {first}) to {chain[-1].name} (change {last})",
              f"{'workload':10} {'metric':12} " + " ".join(f"{label:>12}" for label in labels)
              + f" {'cumulative':>12}"]
     workloads = dict.fromkeys(w for run in runs for w in run["workloads"])
@@ -193,6 +212,8 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "parent_commit": (commits["parent"] or "")[:7] or None,
         "change_commit": (commits["change"] or "")[:7] or None,
+        **{f"{side}_tree": tree_digest(checkouts[side]) for side in ("parent", "change")
+           if not commits[side]},
         "command": " ".join(bench["command"]) + f" --workload W --seed S --seconds {seconds:g}",
         "protocol": (f"{len(args.seeds)} alternating parent/change pairs per workload, seeds "
                      f"{','.join(map(str, args.seeds))}; odd seeds run the parent first, even "
