@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalDisagreement, MissingSelection, NotSectionallyBounded, StructureMismatch
-from .extensions import LocalSelection, normal_extension, require_owner
+from .extensions import LocalSelection, require_owner
 from .pseudo import (
     ItemResult,
     MissingWitness,
@@ -112,8 +112,9 @@ class Law:
 class LawContext:
     """What the laws read besides the table: the poset's order tables, each
     fetched from the poset on its first read and kept as a plain attribute,
-    and the local selection.  Without a selection it is built once per poset
-    (Poset.laws), so a law checked again on the same poset reuses its plan."""
+    and the local selection.  It is built once per poset (Poset.laws), or
+    per selection (LocalSelection.laws), so a law checked again on the same
+    poset and selection reuses its plan."""
 
     def __init__(self, p: Poset, sel: LocalSelection | None = None):
         self.p, self.sel = p, sel
@@ -131,6 +132,8 @@ class LawContext:
         one's values, the conclusions, and the term per value of the last
         variable (None without a term).  Streamed on the first read, kept from
         the second, or from the first with `keep`."""
+        # A law read once, as by most one-off requests, keeps no plan: keeping every
+        # plan from its first read cost perfbench's documents workload 5-7 % of work_per_s.
         plan = self._plans.get(law)
         if plan is None and not keep:
             self._plans[law] = False
@@ -484,6 +487,12 @@ def require_system(p: Poset, system: str, sel: LocalSelection | None = None) -> 
     return info
 
 
+def _own_table(p: Poset, t) -> None:
+    """Raise StructureMismatch unless the table t is over p."""
+    if t.owner != p:
+        raise StructureMismatch("table does not belong to the given poset")
+
+
 def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
                  reading: str = "existential") -> AxiomReport:
     """Decide one axiom system against a concrete (poset, operation) pair."""
@@ -493,12 +502,11 @@ def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
         raise StructureMismatch(f"system {system} needs a partial table")
     if not want_partial and not isinstance(op, TotalTable):
         raise StructureMismatch(f"system {system} needs a total table")
-    if op.owner != p:
-        raise StructureMismatch("table does not belong to the given poset")
+    _own_table(p, op)
     if reading not in ("existential", "both-defined", "one-defined"):
         raise ValueError(f"unknown reading {reading!r}")
 
-    e = p.laws if sel is None else LawContext(p, sel)
+    e = (p if sel is None else sel).laws
     violations = []
     for axiom, law in {**info["laws"], **info.get("readings", {}).get(reading, {})}.items():
         w = _witness(LAWS[law], e, op.cells)
@@ -512,6 +520,7 @@ def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
 
 def is_esp(p: Poset, t: TotalTable) -> Verdict:
     """True iff the restriction of t to sectioned pairs is the sectional pseudocomplementation."""
+    _own_table(p, t)
     st = star_table(p)
     if isinstance(st, MissingWitness):
         return Verdict(False, (st.x, st.y))
@@ -528,6 +537,7 @@ def implicativity(p: Poset, t: TotalTable) -> ImplicativityReport:
 
     Left: x <= y iff x -> y is the top of [x); right: the same with [y).
     """
+    _own_table(p, t)
     if None in p.tops:
         raise NotSectionallyBounded(f"{p.name!r} is not sectionally bounded")
     left, right = (_witness(LAWS[law], p.laws, t.cells) for law in ("left-implicative", "right-implicative"))
@@ -536,22 +546,22 @@ def implicativity(p: Poset, t: TotalTable) -> ImplicativityReport:
 
 def is_strong(p: Poset, t: TotalTable) -> Verdict:
     """The law x <= (x -> y) -> y, swept over all pairs."""
+    _own_table(p, t)
     w = _witness(LAWS["nrm^1"], p.laws, t.cells)
     return Verdict(w is None, w)
 
 
-def is_normal(p: Poset, s: PartialTable, t: TotalTable) -> bool:
-    """True iff t is the (total) normal extension of the star table s.
+def is_normal(p: Poset, t: TotalTable) -> bool:
+    """True iff t is the total normal extension of p's star table (Poset.normal_table).
 
     Cross-checked on every call against the equivalent bound-witness
     condition: v <= x->y iff some u >= v and z >= x have [y,u] n [y,z] = {y}.
     Per cell, the v on the right are one mask (Poset.bound_witness_masks),
     so t meets the condition iff (x->y] equals that mask at every (x, y).
-    The two answers must agree when s is the sectional pseudocomplementation;
-    a disagreement is an InternalDisagreement.
+    The two answers must agree; a disagreement is an InternalDisagreement.
     """
-    ext = normal_extension(s)
-    by_rule = ext.is_total and ext.table == t
+    _own_table(p, t)
+    by_rule = t == p.normal_table
     downs = p.downs
     by_witness = all(tuple([downs[v] for v in row]) == w
                      for row, w in zip(t.cells, p.bound_witness_masks))
@@ -661,8 +671,9 @@ def verify_lemma_suite(p: Poset, op, suite: str, sel: LocalSelection | None = No
     require_owner(p, sel)
     if suite == "simplI":
         return PropertyReport(suite, tuple(_suite_simpl_i(p, sel)))
-    if not isinstance(op, TotalTable) or op.owner != p:
-        raise StructureMismatch(f"suite {suite} needs a total table over the given poset")
+    if not isinstance(op, TotalTable):
+        raise StructureMismatch(f"suite {suite} needs a total table")
+    _own_table(p, op)
     return PropertyReport(suite, lemma_items(p, op, suite))
 
 
@@ -677,6 +688,7 @@ def subalgebra_closed(p: Poset, op, subset) -> SubalgebraReport:
     exactly the sub-poset's own sectional pseudocomplementation; for a total
     table, when its restriction to the sub-poset passes is_esp.
     """
+    _own_table(p, op)
     members = tuple(subset)
     if not members:
         raise ValueError("subset must be nonempty")

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 
 from .axioms import (
     SYSTEMS,
-    LawContext,
     check_system,
     implicativity,
     is_esp,
@@ -80,7 +79,6 @@ from .extensions import (
     i_natural_extension,
     natural_extension,
     natural_min_cells,
-    normal_extension,
     pure_extension,
     require_owner,
     selection_frink,
@@ -571,7 +569,7 @@ class _Columns:
             require_owner(p, sel)
         self.p, self.partial = p, system == "SP"
         self.by_last, self.other, self.two = _column_laws(system)
-        self.e = p.laws if sel is None else LawContext(p, sel)
+        self.e = (p if sel is None else sel).laws
         self._filed = self._links = None
         self.spare = [SEARCH_BUDGET]
 
@@ -1176,10 +1174,6 @@ def _unique_model(p: Poset, system: str, table, text: str):
     return Counterexample(_serialize(p), f"{text} (solution counts per column: {counts})")
 
 
-def _normal_table(p: Poset):
-    return normal_extension(star_table(p)).table if is_sp(p) else None
-
-
 def _check_glb(p: Poset):
     meets, mlbs = p.meets, p.mlbs
     for x in range(p.n):
@@ -1211,7 +1205,7 @@ def _check_nat_eq(p: Poset):
 
 
 def _check_jext_fin(p: Poset):
-    total = normal_extension(star_table(p)).is_total
+    total = p.normal_table is not None
     upper = p.classify().is_upper_semilattice
     if total != upper:
         return Counterexample(
@@ -1220,7 +1214,7 @@ def _check_jext_fin(p: Poset):
 
 
 def _check_nrm_impl(p: Poset):
-    t = normal_extension(star_table(p)).table
+    t = p.normal_table
     rep = implicativity(p, t)
     if not (rep.left.holds and rep.right.holds):
         side = "left" if not rep.left.holds else "right"
@@ -1235,7 +1229,7 @@ def _check_str_nrm(p: Poset):
     for make in (selection_union, selection_frink):
         sel = make(p)
         ext = i_natural_extension(p, sel)
-        if ext.is_total and is_strong(p, ext.table).holds and not is_normal(p, star_table(p), ext.table):
+        if ext.is_total and is_strong(p, ext.table).holds and not is_normal(p, ext.table):
             return Counterexample(
                 _serialize(p, {f"inat-{sel.kind}": ext.table}),
                 f"strong {sel.kind}-natural table is not normal")
@@ -1266,12 +1260,9 @@ def _check_lat_f_eq_j(p: Poset):
     if fnat.is_total != is_sp(p):
         return Counterexample(
             _serialize(p), "Frink-natural extension total but the lattice is not sp-complemented")
-    if fnat.is_total:
-        jext = normal_extension(star_table(p))
-        if not jext.is_total or jext.table != fnat.table:
-            return Counterexample(
-                _serialize(p, {"fnat": fnat.table}),
-                "Frink-natural extension differs from the join extension")
+    if fnat.is_total and fnat.table != p.normal_table:
+        return Counterexample(
+            _serialize(p, {"fnat": fnat.table}), "Frink-natural extension differs from the join extension")
     return None
 
 
@@ -1340,12 +1331,12 @@ THEOREMS = {
     "T-JEXT-FIN": Claim("normal extension is total exactly on upper semilattices",
                         is_sp, _check_jext_fin),
     "T-NRM-IMPL": Claim("total normal extensions are implicative",
-                        lambda p: is_sp(p) and normal_extension(star_table(p)).is_total,
+                        lambda p: p.normal_table is not None,
                         _check_nrm_impl),
     "T-NRM-AX": Claim(
         "tables satisfying nrm0-nrm3 are exactly the total normal extensions",
         lambda p: True,
-        lambda p: _unique_model(p, "NRM", _normal_table(p), "tables satisfying the normality axioms "
+        lambda p: _unique_model(p, "NRM", p.normal_table, "tables satisfying the normality axioms "
                                 "differ from the normal extension")),
     "T-STR-NRM": Claim("strong selection-natural tables are normal (union and Frink selections)",
                        is_sp, _check_str_nrm),
@@ -1354,7 +1345,7 @@ THEOREMS = {
     "T-J-EQ-NRM": Claim(
         "on lower semilattices with a greatest element, j1-j3 tables are the normal extensions",
         lambda p: p.classify().is_lower_semilattice and p.classify().has_greatest,
-        lambda p: _unique_model(p, "J", _normal_table(p),
+        lambda p: _unique_model(p, "J", p.normal_table,
                                 "tables satisfying j1-j3 differ from the normal extension")),
     "T-LAT-F-EQ-J": Claim("on lattices the Frink-natural extension is the join extension and the "
                           "unique model of the lattice identities",

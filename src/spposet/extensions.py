@@ -201,8 +201,8 @@ class LocalSelection:
     growth in x up to z, since I(z, y) = (z].
     ``rows[i][j]`` is the mask of I(i, j), for both orders of every pair;
     the constructor reads it from `masks`, keyed by (min(i,j), max(i,j)), and
-    validates it.  A selection keeps its i-natural cells the same way a poset
-    keeps its derived tables.
+    validates it.  A selection keeps its i-natural cells and its law context
+    the same way a poset keeps its derived tables.
     """
 
     __slots__ = ("owner", "kind", "rows", "_tables")
@@ -237,6 +237,12 @@ class LocalSelection:
         None where that set has no greatest element."""
         p, r = self.owner, range(self.owner.n)
         return tuple([tuple([i_natural_cell(p, self, x, y) for y in r]) for x in r])
+
+    @_derived
+    def laws(self):
+        """The axioms.LawContext of the owner with this selection, kept the way Poset.laws is."""
+        from .axioms import LawContext  # axioms builds on this module
+        return LawContext(self.owner, self)
 
     def _validate(self):
         p = self.owner

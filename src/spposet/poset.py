@@ -94,12 +94,12 @@ class Poset:
 
     The tables derived from the order (meets, joins, meet masks, maximal
     lower bounds, section tops, the local disjointness and meet masks, the
-    bound-witness masks, the classify() report, the star table, and the
-    union and Frink selections, each validated once, with their i-natural
-    cells) are immutable values, each built once, on its first read, and
-    kept for the poset's lifetime.  The law context (laws) is built the same
-    way and then keeps the plans of the laws it checks, which depend on the
-    order alone.
+    bound-witness masks, the classify() report, the star table and its total
+    normal extension, and the union and Frink selections, each validated
+    once, with their i-natural cells) are immutable values, each built once,
+    on its first read, and kept for the poset's lifetime.  The law context
+    (laws), and each kept selection's, is built the same way and then keeps
+    the plans of the laws it checks, which depend on nothing else.
 
     The constructor trusts its input; use :func:`build_poset` to validate
     declarations and take the reflexive-transitive closure.
@@ -443,6 +443,12 @@ class Poset:
         """The star table, as pseudo.star_table returns it."""
         from .pseudo import complement_table  # pseudo builds on this module
         return complement_table(self, "sp")
+
+    @_derived
+    def normal_table(self):
+        """The star table's total normal extension; None without a star table or a total extension."""
+        from . import extensions, pseudo  # both build on this module
+        return extensions.normal_extension(self.star).table if pseudo.is_sp(self) else None
 
     @_derived
     def union_selection(self):

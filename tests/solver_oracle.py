@@ -7,7 +7,7 @@ two-cell laws, and system_column_solutions searches each column row by row,
 values ascending, testing a row's values against the rows already assigned.
 """
 
-from spposet.axioms import LawContext, require_system, system_laws
+from spposet.axioms import require_system, system_laws
 from spposet.extensions import LocalSelection, require_owner
 from spposet.poset import Poset, bits, members
 from spposet.pseudo import PartialTable
@@ -25,7 +25,7 @@ def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list
     hold while each row t < k holds vals[t].
     """
     n = p.n
-    e = p.laws if sel is None else LawContext(p, sel)
+    e = (p if sel is None else sel).laws
     allowed = [[p.full] * n for _ in range(n)]
     # per later row k and earlier row t: the conclusions of the two-cell
     # instances that read row t first, and of those that read row k first,

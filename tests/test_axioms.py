@@ -284,13 +284,13 @@ def test_is_strong(hexagon, hexagon_star):
     assert is_strong(one, t).holds
 
 
-def test_is_normal(hexagon, hexagon_star, chains5):
+def test_is_normal(hexagon, chains5):
     fnat = i_natural_extension(hexagon, selection_frink(hexagon)).table
-    assert not is_normal(hexagon, hexagon_star, fnat)
+    assert not is_normal(hexagon, fnat)
     st5 = star_table(chains5)
     t5 = normal_extension(st5).table
-    assert is_normal(chains5, st5, t5)
-    assert not is_normal(chains5, st5, natural_extension(st5))
+    assert is_normal(chains5, t5)
+    assert not is_normal(chains5, natural_extension(st5))
 
 
 def test_normal_extension_of_upper_semilattice_is_normal():
@@ -299,7 +299,33 @@ def test_normal_extension_of_upper_semilattice_is_normal():
             st = star_table(p)
             if isinstance(st, MissingWitness) or not p.classify().is_upper_semilattice:
                 continue
-            assert is_normal(p, st, normal_extension(st).table)
+            assert is_normal(p, normal_extension(st).table)
+
+
+def _chain(name, n):
+    els = [str(i) for i in range(n)]
+    return build_poset(name, els, list(zip(els, els[1:])))
+
+
+TABLE_DECIDERS = {
+    "check_system": lambda p, t: check_system(p, t, "ESP"),
+    "is_esp": is_esp,
+    "implicativity": implicativity,
+    "is_strong": is_strong,
+    "is_normal": is_normal,
+    "verify_lemma_suite": lambda p, t: verify_lemma_suite(p, t, "esp-prop"),
+    "subalgebra_closed": lambda p, t: subalgebra_closed(p, t, p.elements),
+}
+
+
+@pytest.mark.parametrize("decider", TABLE_DECIDERS)
+def test_table_deciders_reject_a_table_over_another_poset(decider):
+    decide, p = TABLE_DECIDERS[decider], _chain("C3", 3)
+    decide(p, p.normal_table)
+    # a shorter chain, and the same order under another name
+    for other in (_chain("C2", 2), _chain("D3", 3)):
+        with pytest.raises(StructureMismatch, match="^table does not belong to the given poset$"):
+            decide(p, other.normal_table)
 
 
 # -- lemma suites -------------------------------------------------------------------

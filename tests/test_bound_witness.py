@@ -70,7 +70,7 @@ def test_is_normal_agrees_with_the_loop():
         if not ext.is_total:
             continue
         t, found = ext.table, _loop_masks(p)
-        assert is_normal(p, st, t) and _bound_witness_holds(p, t, found), p.name
+        assert is_normal(p, t) and _bound_witness_holds(p, t, found), p.name
         extensions += 1
         for x in range(p.n):
             for y in range(p.n):
@@ -79,7 +79,7 @@ def test_is_normal_agrees_with_the_loop():
                 cells = [list(row) for row in t.cells]
                 cells[x][y] = rng.choice([v for v in range(p.n) if v != cells[x][y]])
                 changed = TotalTable(p, cells)
-                assert not is_normal(p, st, changed), (p.name, x, y)
+                assert not is_normal(p, changed), (p.name, x, y)
                 assert not _bound_witness_holds(p, changed, found), (p.name, x, y)
                 changes += 1
     assert (extensions, changes) == (1133, 27430)
@@ -102,9 +102,9 @@ def test_a_planted_disagreement_is_an_internal_disagreement():
     # the normal extension fails the planted condition, on every call
     for _ in range(2):
         with pytest.raises(InternalDisagreement, match="bound-witness"):
-            is_normal(p, st, t)
+            is_normal(p, t)
     # and the changed table meets it, though it is not the normal extension
     cells = [list(row) for row in t.cells]
     cells[x][y] = other
     with pytest.raises(InternalDisagreement, match="bound-witness"):
-        is_normal(p, st, TotalTable(p, cells))
+        is_normal(p, TotalTable(p, cells))

@@ -5,7 +5,8 @@ of its table literally: a meet is the common lower bound above all the others,
 a section top the member of [x) above all of [x), and so on.  Every cached
 table must equal its oracle, be an immutable value, be built on its first read
 only, and come back as the same object on every later read.  For the union
-and Frink selections the value compared is the selection's rows.
+and Frink selections the value compared is the selection's rows, and each
+selection keeps its law context the way a poset does.
 """
 
 import dataclasses
@@ -18,18 +19,23 @@ from spposet import (
     MissingWitness,
     PartialTable,
     StructureReport,
+    TotalTable,
     build_poset,
+    check_system,
+    i_natural_extension,
     selection_frink,
     selection_union,
     star_table,
 )
+from spposet.axioms import LawContext
 from spposet.enumeration import enumerate_posets
 from spposet.poset import Poset
 
-# bound_witness_masks reads meet_over_masks, so it comes after it: each table
-# is built on its own first read
+# bound_witness_masks reads meet_over_masks and normal_table reads star, so
+# each comes after the table it reads: each table is built on its own first read
 TABLES = ("meets", "joins", "meet_masks", "mlbs", "tops", "disjoint_over_masks", "meet_over_masks",
-          "_structure", "star", "bound_witness_masks", "union_selection", "frink_selection")
+          "_structure", "star", "normal_table", "bound_witness_masks", "union_selection",
+          "frink_selection")
 
 
 def _greatest(le, members):
@@ -65,6 +71,7 @@ def oracle_tables(p):
     meets = tuple(tuple(_greatest(le, lower[i][j]) for j in r) for i in r)
     # the (u, z) with [b,u] n [b,z] = {b}, per b
     only = [[(u, z) for u in r for z in r if common(b, u, z) == [b]] for b in r]
+    star = oracle_star(p, le, common)
     return {
         "meets": meets,
         "meet_masks": tuple(tuple(_mask(j for j in r if meets[i][j] == w) for w in r) for i in r),
@@ -78,7 +85,8 @@ def oracle_tables(p):
         "meet_over_masks": tuple(tuple(
             _mask(z for z in r if common(b, u, z) == [b]) for b in r) for u in r),
         "_structure": oracle_structure(p, le),
-        "star": oracle_star(p, le, common),
+        "star": star,
+        "normal_table": oracle_normal(le, upper, star),
         # the v below some u with [y,u] n [y,z] = {y} for some z >= x
         "bound_witness_masks": tuple(tuple(
             _mask(v for v in r if any(le[v][u] and le[x][z] for u, z in only[y])) for y in r) for x in r),
@@ -142,12 +150,22 @@ def oracle_star(p, le, common):
     return tuple(tuple(row) for row in cells)
 
 
+def oracle_normal(le, upper, star):
+    """The greatest z*y over the common upper bounds z of x and y, for every
+    x and y; None without a star table or where some pair has no such z*y."""
+    if isinstance(star, MissingWitness):
+        return None
+    r = range(len(le))
+    cells = tuple(tuple(_greatest(le, {star[z][y] for z in upper[x][y]}) for y in r) for x in r)
+    return None if any(None in row for row in cells) else cells
+
+
 def comparable(name, value):
     """A cached table in the oracle's form."""
     if name == "_structure":
         fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
         return fields, dict(fields.pop("witnesses"))
-    if name == "star" and isinstance(value, PartialTable):
+    if isinstance(value, (PartialTable, TotalTable)):
         return value.cells
     if isinstance(value, LocalSelection):
         return value.rows
@@ -164,7 +182,7 @@ def assert_immutable(value):
         with pytest.raises(TypeError):
             value.witnesses["is_chain"] = ("x", "y")
         assert_immutable(tuple(value.witnesses.values()))
-    elif isinstance(value, PartialTable):
+    elif isinstance(value, (PartialTable, TotalTable)):
         assert_immutable(value.cells)
     elif isinstance(value, LocalSelection):
         assert_immutable(value.rows)
@@ -213,3 +231,21 @@ def test_cached_tables_equal_their_oracles_and_are_built_once(monkeypatch):
         assert p.classify() is p._structure and star_table(p) is p.star
         assert selection_union(p) is p.union_selection and selection_frink(p) is p.frink_selection
     assert set(builds.values()) == {len(posets)}
+
+
+@pytest.mark.parametrize("make", [selection_union, selection_frink])
+def test_a_selection_keeps_its_law_context(make, monkeypatch):
+    p = build_poset("2x2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    sel = make(p)
+    assert sel.laws is sel.laws and sel.laws.sel is sel and sel.laws is not p.laws
+    t = i_natural_extension(p, sel).table
+    steps = []
+    walk = LawContext._steps
+    monkeypatch.setattr(LawContext, "_steps", lambda e, law: steps.append(law) or walk(e, law))
+    # the first read of a law streams its plan, the second keeps it
+    for _ in range(2):
+        assert check_system(p, t, "NATI", sel).holds
+    assert steps
+    steps.clear()
+    assert check_system(p, t, "NATI", sel).holds
+    assert steps == []
