@@ -31,15 +31,20 @@ At the first n where a claim fails, a descent over the one-point-extension
 tree, memoized by class, finds the first labeled counterexample without
 listing labeled posets (`_ExtensionTree`), so a reported counterexample, its
 P<n>-<k> name and the partial counts are those of a labeled sweep, and a
-class failure that the descent does not reach is an InternalDisagreement.  From the second sweep
+class failure that the descent does not reach is an InternalDisagreement.
+Each completed descent is kept on its claim (`Claim.descents`, by n and
+variant) from the claim's first sweep on, since it is a few hundred bytes;
+a later sweep of the claim still scans the classes, but reads the kept
+descent once its class pass fails.  From the second sweep
 of a process on, the class levels n <= 7 (2450 representatives) are kept
 for the life of the process as Q<n>-<k> posets, filled as sweeps read them,
 so later sweeps reuse them and the derived tables the claims built on them
 (`_class_levels`); with the tables of every claim they take about 45 MB.
-The first sweep keeps nothing, so a process that sweeps once pays no more
-than that sweep.  Level 8 is built from level 7 by each sweep that reaches
-it, then dropped.  Sweeps take turns on one lock.  Class enumeration
-(`enumerate_posets`) runs the same generator without the store.
+The first sweep keeps no class level, so a process that sweeps once pays
+no more memory than that sweep.  Level 8 is built from level 7 by each
+sweep that reaches it, then dropped.  Sweeps take turns on one lock, which
+also guards the kept descents.  Class enumeration (`enumerate_posets`)
+runs the same generator without the store.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -868,12 +873,19 @@ class Claim:
     to ISO_CAP elements.  Without `variants`, `check(p)` returns p's
     Counterexample or None; with variants, readings of the claim from weakest
     to strongest, a dict from each variant p violates to its Counterexample.
+
+    `descents` keeps the claim's completed first-counterexample descents,
+    (n, variant) -> (that variant's Counterexample, its index k, the
+    instances before it), filled by `_sweep` from the claim's first sweep on
+    and freed with the claim.  A new or copied claim starts empty, and
+    equality and hashing ignore it.
     """
 
     text: str
     hypothesis: Callable[[Poset], bool]
     check: Callable[[Poset], Counterexample | dict | None]
     variants: tuple[str, ...] = ()
+    descents: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def failures(self, p: Poset) -> dict:
         """The variants p violates, each with its counterexample; "" names the
@@ -979,7 +991,8 @@ class _ExtensionTree:
     so G, the number of leaves below it, depends only on its class, and so
     does any count of leaves by an order-invariant property.  Both are
     memoized by canonical key (`_search`) for the life of the tree, which is
-    one sweep call; nothing is kept across calls.
+    one `_descend` call; the tree keeps nothing across calls.  What outlives
+    it is the descent's result, which `_sweep` keeps on the claim.
     """
 
     def __init__(self, n: int):
@@ -1102,14 +1115,26 @@ def _sweep(max_n: int, claim: Claim):
     posets_per_n, instances_per_n and the first counterexample per failing
     variant.
 
+    A descent's result depends only on the claim, n and the variant, so it
+    is kept in `claim.descents` once the descent returns, and a later sweep
+    of the claim at that n and variant, whatever its max_n, reads it instead
+    of descending again.  Every sweep still scans the classes, and reads a
+    kept descent only once its own class pass has found the failing class.
+    A descent that raises keeps nothing, so the next sweep descends, and
+    checks the index against the rank, again.  Unlike the class levels,
+    descents are kept from the first sweep on: each is a few hundred bytes
+    (a counterexample and two ints), where a kept level 7 with its tables
+    costs tens of MB that a process sweeping once would never reuse.
+
     The classes come from `_class_levels` over the process's store `_kept`.
     The first sweep of a process finds it None and makes its representatives
     for itself alone.  From the second on, for n <= _KEPT_LEVELS they are the
     store's Q<n>-<k> posets, so the derived tables a check builds on one (star
     table, classify(), law plans) serve every later sweep; above that, they
     are made for the sweep alone.  Sweeps hold `_store_lock`, so
-    sweeps in several threads run one at a time, and one that raises empties
-    the store, since a level whose build raised would read as short.
+    sweeps in several threads run one at a time, and read and fill the
+    claims' kept descents under it; one that raises empties the store, since
+    a level whose build raised would read as short.
     """
     global _kept
     if not 1 <= max_n <= ISO_CAP:
@@ -1123,8 +1148,10 @@ def _sweep(max_n: int, claim: Claim):
             for n, level in enumerate(_class_levels(max_n, _kept), 1):
                 counts, first = _scan(((p, orbit) for p, orbit, _ in level), claim)
                 for variant in sorted(first.keys() - found.keys()):
-                    failed, k, instances = _descend(n, claim.hypothesis, claim.failures, variant)
-                    first[variant] = failed[variant]
+                    if (n, variant) not in claim.descents:
+                        failed, k, instances = _descend(n, claim.hypothesis, claim.failures, variant)
+                        claim.descents[n, variant] = failed[variant], k, instances
+                    first[variant], k, instances = claim.descents[n, variant]
                     if stop:
                         counts = k + 1, instances + 1
                 posets_per_n[n], instances_per_n[n] = counts
@@ -1500,19 +1527,9 @@ def predicate_ids() -> tuple[str, ...]:
 # -- exploratory probe for the selection-axiom biconditional -------------------------
 
 
-def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
-    """Test 'up-directed arrow posets are selection-natural iff they satisfy
-    nat1, nat2 and the selection variant of nat3' under two hypothesis readings.
-
-    Returns, per variant, "verified" or the first counterexample poset name,
-    from the same sweep as verify_theorem.  Variant "plain" quantifies over all
-    tables; variant "strong" restricts both directions to strong tables, and
-    is "inconclusive" at the first poset with more than 100000 models.
-    """
-    makers = {"frink": selection_frink, "union": selection_union}
-    if selection not in makers:
-        raise ValueError(f"selection must be 'frink' or 'union', got {selection!r}")
-    make = makers[selection]
+def _sinat_check(make):
+    """The probe's check under the selection that `make` builds: each
+    variant p violates, with its counterexample."""
 
     def check(p: Poset):
         sel = make(p)
@@ -1532,8 +1549,30 @@ def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
                 found["strong"] = f"counterexample at n={p.n}: {p.name}"
         return {variant: Counterexample(_serialize(p), text) for variant, text in found.items()}
 
-    claim = Claim("selection-natural iff nat1, nat2 and the selection variant of nat3",
-                  lambda p: p.classify().is_up_directed, check, variants=("plain", "strong"))
+    return check
+
+
+PROBES = {
+    selection: Claim("selection-natural iff nat1, nat2 and the selection variant of nat3",
+                     lambda p: p.classify().is_up_directed, _sinat_check(make),
+                     variants=("plain", "strong"))
+    for selection, make in (("frink", selection_frink), ("union", selection_union))
+}
+
+
+def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
+    """Test 'up-directed arrow posets are selection-natural iff they satisfy
+    nat1, nat2 and the selection variant of nat3' under two hypothesis readings.
+
+    Returns, per variant, "verified" or the first counterexample poset name,
+    from the same sweep as verify_theorem, over the selection's claim in
+    PROBES.  Variant "plain" quantifies over all tables; variant "strong"
+    restricts both directions to strong tables, and is "inconclusive" at the
+    first poset with more than 100000 models.
+    """
+    if selection not in PROBES:
+        raise ValueError(f"selection must be 'frink' or 'union', got {selection!r}")
+    claim = PROBES[selection]
     *_, found = _sweep(max_n, claim)
     return {variant: found[variant].witness if variant in found else "verified"
             for variant in claim.variants}

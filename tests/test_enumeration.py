@@ -777,13 +777,91 @@ def test_a_sweep_that_raised_leaves_an_empty_store(cold_store, monkeypatch):
     assert report.outcome == "verified"
 
 
+# -- kept descents ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The n of every _descend call the test makes."""
+    calls = []
+    descend = enumeration._descend
+
+    def counting(n, *args):
+        calls.append(n)
+        return descend(n, *args)
+
+    monkeypatch.setattr(enumeration, "_descend", counting)
+    return calls
+
+
+def _fresh(monkeypatch, claims, name):
+    """A copy of the claim registered in `claims`, with no kept descent, installed in its place."""
+    fresh = dataclasses.replace(claims[name])
+    monkeypatch.setitem(claims, name, fresh)
+    return fresh
+
+
+@pytest.mark.parametrize("kind, name, max_n, kept", [
+    ("hunt", "CLP⇒ESP", 5, (5, "")),
+    ("hunt", "CLP⇒ESP", 8, (5, "")),
+    ("hunt", "J⇒ESP", 5, (5, "")),
+    ("hunt", "J⇒ESP", 8, (5, "")),
+    ("verify", "T-ISO", 5, (3, "up-directed")),
+    ("hunt", "ESP⇒J", 3, (2, "")),
+])
+def test_a_second_sweep_reads_the_kept_descent(monkeypatch, descents, kind, name, max_n, kept):
+    fresh = _fresh(monkeypatch, enumeration.THEOREMS if kind == "verify" else enumeration.PREDICATES, name)
+    cold = _run_claim(kind, name, max_n)
+    assert descents == [kept[0]]
+    assert list(fresh.descents) == [kept]
+    warm = _run_claim(kind, name, max_n)
+    assert descents == [kept[0]]
+    assert warm == cold
+
+
+def test_one_descent_serves_every_max_n(monkeypatch, descents):
+    fresh = _fresh(monkeypatch, enumeration.PREDICATES, "J⇒ESP")
+    reports = [_run_claim("hunt", "J⇒ESP", max_n) for max_n in (5, 8, 6, 7)]
+    assert descents == [5]
+    assert list(fresh.descents) == [(5, "")]
+    assert [dataclasses.replace(r, max_n=5) for r in reports] == [reports[0]] * 4
+    assert reports[0].counterexample.serialized.startswith("poset P5-914\n")
+
+
+def test_kept_descents_leave_claim_equality_and_hashing_alone(monkeypatch):
+    fresh = _fresh(monkeypatch, enumeration.PREDICATES, "CLP⇒ESP")
+    find_counterexample("CLP⇒ESP", 5)
+    copy = dataclasses.replace(fresh)
+    assert fresh.descents and copy.descents == {}
+    assert fresh == copy and hash(fresh) == hash(copy)
+    assert "descents" not in repr(fresh)
+
+
+def test_a_second_probe_reads_the_kept_descent(monkeypatch, descents):
+    fresh = _fresh(monkeypatch, enumeration.PROBES, "frink")
+    first = probe_sinat_variants(5)
+    assert descents == [3] and list(fresh.descents) == [(3, "plain")]
+    descents.clear()
+    assert probe_sinat_variants(5) == first
+    assert descents == []
+
+
 # -- rank and descent against the labeled oracle ------------------------------------
 
 
 def test_descent_index_disagreeing_with_rank_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(enumeration._ExtensionTree, "rank", lambda tree, masks: -1)
-    with pytest.raises(InternalDisagreement, match="at n=5 the descent passed 914 labeled posets"):
-        find_counterexample("J⇒ESP", 5)
+    # a fresh copy of the claim has kept no descent, so its sweep descends
+    fresh = dataclasses.replace(enumeration.PREDICATES["J⇒ESP"])
+    monkeypatch.setitem(enumeration.PREDICATES, "J⇒ESP", fresh)
+    with monkeypatch.context() as broken:
+        broken.setattr(enumeration._ExtensionTree, "rank", lambda tree, masks: -1)
+        with pytest.raises(InternalDisagreement, match="at n=5 the descent passed 914 labeled posets"):
+            find_counterexample("J⇒ESP", 5)
+    # the descent that raised kept nothing, so the next sweep descends again
+    assert fresh.descents == {}
+    report = find_counterexample("J⇒ESP", 5)
+    assert report.counterexample.serialized.startswith("poset P5-914\n")
+    assert list(fresh.descents) == [(5, "")]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
