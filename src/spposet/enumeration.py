@@ -35,16 +35,22 @@ class failure that the descent does not reach is an InternalDisagreement.
 Each completed descent is kept on its claim (`Claim.descents`, by n and
 variant) from the claim's first sweep on, since it is a few hundred bytes;
 a later sweep of the claim still scans the classes, but reads the kept
-descent once its class pass fails.  From the second sweep
-of a process on, the class levels n <= 7 (2450 representatives) are kept
-for the life of the process as Q<n>-<k> posets, filled as sweeps read them,
-so later sweeps reuse them and the derived tables the claims built on them
+descent once its class pass fails.  Each class level is built once per
+process, from the level below and only as far as some reader has read it,
+into a memo of plain data (`_memo_level`: masks, |Aut| and automorphisms,
+about 5 MB for all of n <= 8) that class enumeration and every sweep
+read; a process that enumerates or sweeps more than once builds no level
+twice, and one that sweeps once builds what it did before.  The memo takes
+its own lock for one item at a time, and drops a level whose build raised.
+From the second sweep of a process on, the levels n <= 7 (2450
+representatives) are also kept for the life of the process as Q<n>-<k>
+posets named from the memo, filled as sweeps read them, so later sweeps
+reuse them and the derived tables the claims built on them
 (`_class_levels`); with the tables of every claim they take about 45 MB.
-The first sweep keeps no class level, so a process that sweeps once pays
-no more memory than that sweep.  Level 8 is built from level 7 by each
-sweep that reaches it, then dropped.  Sweeps take turns on one lock, which
-also guards the kept descents.  Class enumeration (`enumerate_posets`)
-runs the same generator without the store.
+The first sweep keeps no Poset, and level 8 is made into Posets afresh by
+each sweep that reaches it.  Sweeps take turns on one lock, which also
+guards the kept descents.  Class enumeration (`enumerate_posets`) reads
+the memo and never that lock, and makes fresh Posets.
 
 Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
@@ -149,8 +155,9 @@ def _labeled_masks(n: int):
 
 
 class _Lazy:
-    """A sequence produced on demand: iteration streams and keeps the items of
-    `source`, then replays them once it is spent, and len() finishes it."""
+    """A sequence produced on demand: reading item i produces and keeps the
+    items of `source` up to it, so iteration streams them the first time and
+    replays them after; len() finishes it."""
 
     __slots__ = ("_source", "_items")
 
@@ -158,19 +165,23 @@ class _Lazy:
         self._source = iter(source)
         self._items: list = []
 
+    def get(self, i: int):
+        """Item i, or self when `source` has fewer than i + 1 items."""
+        while len(self._items) <= i:
+            item = self if self._source is None else next(self._source, self)
+            if item is self:
+                self._source = None
+                return self
+            self._items.append(item)
+        return self._items[i]
+
     def __iter__(self):
         return iter(self._items) if self._source is None else self._stream()
 
     def _stream(self):
         i = 0
-        while True:
-            if i == len(self._items):
-                item = next(self._source, self) if self._source is not None else self
-                if item is self:
-                    self._source = None
-                    return
-                self._items.append(item)
-            yield self._items[i]
+        while (item := self.get(i)) is not self:
+            yield item
             i += 1
 
     def __len__(self) -> int:
@@ -460,6 +471,47 @@ def are_isomorphic(p: Poset, q: Poset) -> bool:
     return canonical_key(p.ups) == canonical_key(q.ups)
 
 
+# The process's class levels: level n at index n - 1, a _Lazy of (masks,
+# |Aut|, automorphisms recorded) per class, built from level n - 1 only as far
+# as some reader has read it.  Plain data: all of n <= 8 (19449 classes) takes
+# about 5 MB, n <= 7 under 1 MB.
+_levels: list[_Lazy] = []
+_levels_lock = threading.RLock()  # held while one item is produced, never across a yield
+
+
+def _memo_level(n: int):
+    """Stream level n of the class memo `_levels`, building each missing
+    level, and each item of it, from the memo level below.
+
+    The lock is taken for one item at a time, so readers in several threads
+    share each level's production and each reads the items as they come.
+    Producing an item of level n reads level n - 1 through this same
+    function, so it re-enters the lock.  A build that raises drops its level
+    and every level above it from the memo, since its source is spent and
+    would read as short; a reader of a dropped level reads on, by index, from
+    the level rebuilt in its place, which yields the same items in the same
+    order.
+    """
+    i = 0
+    while True:
+        with _levels_lock:
+            while len(_levels) < n:
+                m = len(_levels)
+                below = [((), [])] if m == 0 else (
+                    (masks, gens) for masks, _, gens in _memo_level(m))
+                _levels.append(_Lazy(_new_classes(below)))
+            level = _levels[n - 1]
+            try:
+                item = level.get(i)
+            except BaseException:
+                del _levels[n - 1:]
+                raise
+        if item is level:
+            return
+        yield item
+        i += 1
+
+
 def enumerate_posets(n: int, dedup: str = "labeled"):
     """Stream the posets of size n, labeled or one representative per isomorphism class.
 
@@ -469,8 +521,11 @@ def enumerate_posets(n: int, dedup: str = "labeled"):
     its own order, gains a new maximal element over its down-sets in
     increasing order, and down-sets that one of its automorphisms maps onto
     an earlier one are skipped, which reaches the same classes in the same
-    order.  Class enumeration never reads the process's class store, so it
-    neither waits for a sweep nor hands out a sweep's kept posets.
+    order.  The classes are read from the process's class memo
+    (`_memo_level`), so only the first call to reach a level builds it; each
+    call makes fresh Posets from it.  Class enumeration never takes the
+    sweeps' store lock, so it neither waits for a sweep nor hands out a
+    sweep's kept posets.
     """
     if dedup not in ("labeled", "up-to-iso"):
         raise ValueError(f"dedup must be 'labeled' or 'up-to-iso', got {dedup!r}")
@@ -482,8 +537,7 @@ def enumerate_posets(n: int, dedup: str = "labeled"):
         for k, masks in enumerate(_labeled_masks(n)):
             yield Poset(f"P{n}-{k}", names, masks)
     else:
-        *_, level = _class_levels(n)
-        for p, _, _ in level:
+        for p, _, _ in _named(n, _memo_level(n)):
             yield p
 
 
@@ -902,12 +956,14 @@ def _serialize(p: Poset, tables: dict | None = None) -> str:
 
 
 # Levels 1..7, 2450 classes, are kept for the rest of the process from its
-# second sweep on.  With the derived tables of the 16 claims that reach n = 7
-# they raised the peak RSS of those claims, run in one process, from 19 to
-# 64 MB (Python 3.11, 2-vCPU Xeon); keeping level 8 as well took the same
-# claims at n = 8 from 27 to 450 MB.  The first sweep keeps nothing: a process
-# that ran one T-NRM-AX sweep at n = 7 and kept level 7 took 58 MB and 1.16 s
-# of CPU against 20 MB and 1.00 s, with nothing to gain.
+# second sweep on as Q<n>-<k> posets, with the derived tables the claims build
+# on them.  With the tables of the 16 claims that reach n = 7 they raised the
+# peak RSS of those claims, run in one process, from 19 to 64 MB (Python 3.11,
+# 2-vCPU Xeon); keeping level 8 as Posets as well took the same claims at n = 8
+# from 27 to 450 MB.  The first sweep keeps no Poset: a process that ran one
+# T-NRM-AX sweep at n = 7 and kept level 7 took 58 MB and 1.16 s of CPU
+# against 20 MB and 1.00 s, with nothing to gain.  The class memo `_levels`
+# under the store is plain data and is kept from the first read on.
 _KEPT_LEVELS = 7
 _kept: list[_Lazy] | None = None  # level n at index n - 1; None until a sweep ends
 _store_lock = threading.RLock()  # held by each sweep, so sweeps take turns
@@ -932,33 +988,28 @@ def _class_levels(max_n: int, kept: list[_Lazy] | None = None):
     automorphism of B maps onto an earlier one are skipped
     (`_maximal_extensions`), which changes neither the classes nor their
     order.  Class order is the order in which this generator first reaches
-    each class.  Each level is built from the level before it, starting from
-    the empty poset, and only as far as its consumer reads it: a sweep that
-    stops at its first failing class never builds the rest of that level.
+    each class.  Every level is read from the process's class memo
+    (`_memo_level`), which builds it once, from the memo level below, and
+    only as far as some reader has read it: a sweep that stops at its first
+    failing class builds no more of that level than it read.
 
     With a list `kept` (the process's store, `_kept`), the levels n <=
-    _KEPT_LEVELS are kept in it as Posets, each filled as it is read and
-    built from the kept level below it, so every derived table a
-    representative builds on its first read serves every later reader; a
-    reader of the store holds `_store_lock`.  Every other level keeps only
-    (masks, |Aut|, automorphisms) and makes each Poset as it is read, for no
+    _KEPT_LEVELS are kept in it as Posets named from the memo level, each
+    filled as it is read, so every derived table a representative builds on
+    its first read serves every later reader; a reader of the store holds
+    `_store_lock`.  Every other level makes each Poset as it is read, for no
     one to keep: a level of Posets would hold the derived tables of all its
     classes until the sweep ends, which took the peak RSS of one cold
     `verify --theorem T-NRM-AX --max-n 7` process from 19 to 57 MB, and of
     `verify --theorem T-GLB --max-n 8` from 23 to 60 MB.
     """
-    below = [((), [])]  # the level under n, as (masks, automorphisms)
     for n in range(1, max_n + 1):
         if kept is None or n > _KEPT_LEVELS:
-            classes = _Lazy(_new_classes(below))
-            yield _named(n, classes)
-            below = ((masks, gens) for masks, _, gens in classes)
-            continue
-        if len(kept) < n:
-            kept.append(_Lazy(_named(n, _new_classes(below))))
-        level = kept[n - 1]
-        yield level
-        below = ((p.ups, gens) for p, _, gens in level)
+            yield _named(n, _memo_level(n))
+        else:
+            if len(kept) < n:
+                kept.append(_Lazy(_named(n, _memo_level(n))))
+            yield kept[n - 1]
 
 
 def _scan(weighted_posets, claim: Claim):
@@ -1126,15 +1177,19 @@ def _sweep(max_n: int, claim: Claim):
     (a counterexample and two ints), where a kept level 7 with its tables
     costs tens of MB that a process sweeping once would never reuse.
 
-    The classes come from `_class_levels` over the process's store `_kept`.
-    The first sweep of a process finds it None and makes its representatives
-    for itself alone.  From the second on, for n <= _KEPT_LEVELS they are the
-    store's Q<n>-<k> posets, so the derived tables a check builds on one (star
-    table, classify(), law plans) serve every later sweep; above that, they
-    are made for the sweep alone.  Sweeps hold `_store_lock`, so
-    sweeps in several threads run one at a time, and read and fill the
-    claims' kept descents under it; one that raises empties the store, since
-    a level whose build raised would read as short.
+    The classes come from `_class_levels` over the process's store `_kept`,
+    and every level of it from the class memo, so a level is built only by
+    the first sweep or enumeration of the process that reads it; a second
+    sweep to n = 8 builds no class.  The first sweep of a process finds the
+    store None and makes its representatives for itself alone.  From the
+    second on, for n <= _KEPT_LEVELS they are the store's Q<n>-<k> posets, so
+    the derived tables a check builds on one (star table, classify(), law
+    plans) serve every later sweep; above that, they are made from the memo
+    for the sweep alone.  Sweeps hold `_store_lock`, so sweeps in several
+    threads run one at a time, and read and fill the claims' kept descents
+    under it; one that raises empties the store, since a store level whose
+    source raised would read as short.  The memo drops a level whose build
+    raised on its own.
     """
     global _kept
     if not 1 <= max_n <= ISO_CAP:

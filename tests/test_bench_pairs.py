@@ -148,6 +148,44 @@ def test_failed_run_is_reported(tmp_path):
                           "--claim", "c", "--seeds", "1-2", "--out", str(tmp_path)])
 
 
+def test_a_missing_out_directory_is_made(tmp_path):
+    parent = _checkout(tmp_path, "parent", 100, "a" * 40)
+    change = _checkout(tmp_path, "change", 200, "b" * 40)
+    out = tmp_path / "new" / "dir"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--claim", "c", "--seeds", "1-2", "--out", str(out)]) == 0
+    assert json.loads((out / "BENCH_t.json").read_text())["pairs_run"] == "2 of 2"
+
+
+def test_the_file_is_rewritten_after_every_pair(tmp_path, monkeypatch):
+    # one lane, so pairs run in seed order; the parent's run of seed 3 fails,
+    # and the file keeps the two pairs measured before it
+    parent = _checkout(tmp_path, "parent", 100, "a" * 40)
+    run = parent / "perfbench" / "run.py"
+    run.write_text("import sys\nif sys.argv[sys.argv.index('--seed') + 1] == '3': sys.exit('boom')\n"
+                   + run.read_text())
+    change = _checkout(tmp_path, "change", 200, "b" * 40)
+    written = []  # the seeds in the file, each time it is written
+    result = bench_pairs.result
+
+    def watching(args, bench, jobs, done, checkouts):
+        written.append([jobs[i][1] for i in sorted(done)])
+        return result(args, bench, jobs, done, checkouts)
+
+    monkeypatch.setattr(bench_pairs, "LANES", 1)
+    monkeypatch.setattr(bench_pairs, "result", watching)
+    with pytest.raises(RuntimeError, match="boom"):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                          "--claim", "c", "--seeds", "1-5", "--out", str(tmp_path)])
+    assert written == [[1], [1, 2]]
+    path = tmp_path / "BENCH_t.json"
+    out = json.loads(path.read_text())
+    assert out["pairs_run"] == "2 of 5"
+    w = out["workloads"]["w"]
+    assert [p["seed"] for p in w["pairs"]] == [1, 2]
+    assert w["metrics"]["work_per_s"]["parent_median"] == 101.5
+
+
 def _bench_file(root, label, rels):
     """A BENCH file whose workload w has these median_change_rel per metric."""
     out = {"label": label, "parent_commit": f"p-{label}", "change_commit": f"c-{label}",

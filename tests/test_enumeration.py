@@ -481,10 +481,11 @@ def test_class_sweep_matches_labeled_sweep(kind, claim, max_n, monkeypatch):
 
 @pytest.fixture
 def cold_store(monkeypatch):
-    """An empty class store, kept from the test's first sweep on, for tests
-    that count or read the work of class generation; the store before it is
-    back afterwards."""
+    """An empty class store, kept from the test's first sweep on, and an
+    empty class memo, for tests that count or read the work of class
+    generation; the store and memo before it are back afterwards."""
     monkeypatch.setattr(enumeration, "_kept", [])
+    monkeypatch.setattr(enumeration, "_levels", [])
 
 
 def test_orbit_sizes_sum_to_labeled_counts():
@@ -535,6 +536,7 @@ def test_maximal_element_classes_match_the_one_point_oracle(monkeypatch):
         calls.append(len(masks))
         return search(masks, downs)
 
+    monkeypatch.setattr(enumeration, "_levels", [])
     monkeypatch.setattr(enumeration, "_search", counting)
     levels = [list(level) for level in enumeration._class_levels(7)]
     monkeypatch.undo()
@@ -643,8 +645,27 @@ def test_sweep_counts_every_labeled_eight_poset(cold_store):
     assert posets_per_n[8] == 431723379
     assert set(instances_per_n.values()) == {0}
     assert found == {}
-    # level 8 was built from the kept level 7 and dropped
+    # level 8 is in the class memo, built from level 7, and not in the store
     assert [len(level) for level in enumeration._kept] == [ISO_COUNTS[n] for n in range(1, 8)]
+    assert [len(level) for level in enumeration._levels] == [ISO_COUNTS[n] for n in range(1, 9)]
+
+
+def test_a_second_enumeration_or_sweep_builds_no_class(cold_store, monkeypatch):
+    nothing = Claim("nothing", lambda p: False, lambda p: None)
+    first = [(p.name, p.ups) for p in enumerate_posets(7, "up-to-iso")]
+    first_sweep = enumeration._sweep(8, nothing)
+    calls = []
+    search = enumeration._search
+
+    def counting(masks, downs=None):
+        calls.append(len(masks))
+        return search(masks, downs)
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    assert [(p.name, p.ups) for p in enumerate_posets(7, "up-to-iso")] == first
+    assert enumeration._sweep(8, nothing) == first_sweep
+    assert calls == []
+    assert first_sweep[0][8] == LABELED_COUNTS[8]
 
 
 # -- the class store ------------------------------------------------------------------
@@ -775,6 +796,76 @@ def test_a_sweep_that_raised_leaves_an_empty_store(cold_store, monkeypatch):
     report = verify_theorem("T-GLB", 5)
     assert report.posets_per_n == {n: LABELED_COUNTS[n] for n in range(1, 6)}
     assert report.outcome == "verified"
+
+
+def test_a_class_build_that_raised_leaves_no_short_level(cold_store, monkeypatch):
+    # a fault at the 30th search of level 6 kills that level's source; the
+    # memo drops the level, so a retry rebuilds all of it, and a reader that
+    # was part way through the dropped level reads on from the rebuilt one
+    search = enumeration._search
+    at_six = []
+
+    def failing(masks, downs=None):
+        if len(masks) == 6:
+            at_six.append(masks)
+            if len(at_six) == 30:
+                raise MemoryError("injected")
+        return search(masks, downs)
+
+    monkeypatch.setattr(enumeration, "_search", failing)
+    reader = enumerate_posets(6, "up-to-iso")
+    early = [next(reader) for _ in range(5)]
+    with pytest.raises(MemoryError, match="injected"):
+        list(enumerate_posets(6, "up-to-iso"))
+    assert [len(level) for level in enumeration._levels] == [ISO_COUNTS[n] for n in range(1, 6)]
+    monkeypatch.setattr(enumeration, "_search", search)
+    classes = list(enumerate_posets(6, "up-to-iso"))
+    assert len(classes) == ISO_COUNTS[6] == 318
+    assert sum(math.factorial(6) // automorphism_count(p.ups) for p in classes) == 130023
+    assert classes[-1].name == "Q6-317"
+    assert [(p.name, p.ups) for p in early + list(reader)] == [(p.name, p.ups) for p in classes]
+
+
+def test_class_enumeration_and_sweeps_in_threads_share_one_memo(cold_store, monkeypatch):
+    # three threads on an empty memo each drain the 7-classes and sweep
+    # T-GLB to 6; switching threads every few microseconds interleaves their
+    # reads of each level, and each level is still built once (4870 searches)
+    serial = ([(p.name, p.ups) for p in enumerate_posets(7, "up-to-iso")],
+              _run_claim("verify", "T-GLB", 6))
+    monkeypatch.setattr(enumeration, "_levels", [])
+    monkeypatch.setattr(enumeration, "_kept", [])
+    calls = []
+    search = enumeration._search
+
+    def counting(masks, downs=None):
+        calls.append(len(masks))
+        return search(masks, downs)
+
+    monkeypatch.setattr(enumeration, "_search", counting)
+    names = "abc"  # more threads than the 2 cores of a small runner
+    start, results = threading.Barrier(len(names), timeout=60), {}
+
+    def worker(name):
+        start.wait()
+        try:
+            results[name] = ([(p.name, p.ups) for p in enumerate_posets(7, "up-to-iso")],
+                             _run_claim("verify", "T-GLB", 6))
+        except BaseException as exc:
+            results[name] = exc
+
+    threads = [threading.Thread(target=worker, args=(name,), daemon=True) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == dict.fromkeys(names, serial)
+    assert len(calls) == 4870
 
 
 # -- kept descents ---------------------------------------------------------------------

@@ -14,7 +14,10 @@ reports CPU times scaled by its calibration kernel, so a second lane moves
 them little, and it halves the wall time of a full comparison (three
 workloads of ten pairs of 40 s runs take about 20 min instead of 40).
 
-The result is written to BENCH_<label>.json: per pair, both sides' metrics,
+The result is written to BENCH_<label>.json in --out, which is made if it
+is missing, and rewritten after every pair, so a comparison that dies keeps
+the pairs it measured ("pairs_run" says how many of the planned ones; a
+workload is summarized once it has two).  Per pair, both sides' metrics,
 operations attempted and failed, and the record's named figures (such as
 `classes_per_s`); the commit of each side, or, for a side whose run record
 names no git commit (a checkout without .git), a digest of its src/ files
@@ -51,7 +54,7 @@ import re
 import statistics
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 LANES = min(2, os.cpu_count() or 1)
@@ -180,6 +183,42 @@ def history(start: Path) -> list[str]:
     return lines
 
 
+def result(args, bench, jobs: list, done: dict, checkouts: dict) -> dict:
+    """The BENCH file's content for the pairs in `done` (job index -> run_pair's
+    result); a workload is summarized once it has two pairs."""
+    seconds = bench["run_seconds"]
+    _, commits, machine = done[min(done)]
+    pairs: dict[str, list] = {}
+    for i in sorted(done):
+        pairs.setdefault(jobs[i][0], []).append(done[i][0])
+    return {
+        "label": args.label,
+        "claim": args.claim,
+        "parent_commit": (commits["parent"] or "")[:7] or None,
+        "change_commit": (commits["change"] or "")[:7] or None,
+        **{f"{side}_tree": tree_digest(checkouts[side]) for side in ("parent", "change")
+           if not commits[side]},
+        "command": " ".join(bench["command"]) + f" --workload W --seed S --seconds {seconds:g}",
+        "protocol": (f"{len(args.seeds)} alternating parent/change pairs per workload, seeds "
+                     f"{','.join(map(str, args.seeds))}; odd seeds run the parent first, even "
+                     f"seeds the change first; {LANES} pair(s) ran side by side. Quartiles "
+                     "are statistics.quantiles(method='inclusive'); a win means the change's "
+                     "value is better than the parent's in that pair; a gain is shown when the "
+                     "change wins at least 9/10 of the pairs and its median is better by more "
+                     "than the parent's quartile spread. A metric is within or worse than its "
+                     "bound by its median, and unresolved when the parent's quartile spread is "
+                     "wider than the bound, unless every change run is better than every parent "
+                     "run."),
+        "pairs_run": f"{len(done)} of {len(jobs)}",
+        "machine": {"cpus": machine.get("nproc"), "cpu": machine.get("cpu_model"),
+                    "python": machine.get("python"),
+                    "metrics": "CPU times scaled by the harness's calibration kernel"},
+        "workloads": {w: summarize_workload(ps, bench["end_to_end"]) if len(ps) > 1 else {"pairs": ps}
+                      for w, ps in pairs.items()},
+        "notes": {},
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
@@ -203,37 +242,21 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     jobs = [(w, s) for w in workloads for s in args.seeds]
-    with ThreadPoolExecutor(max_workers=LANES) as pool:
-        futures = [pool.submit(run_pair, checkouts, bench["command"], w, s, seconds) for w, s in jobs]
-        done = [f.result() for f in futures]
-    _, commits, machine = done[0]
-    out = {
-        "label": args.label,
-        "claim": args.claim,
-        "parent_commit": (commits["parent"] or "")[:7] or None,
-        "change_commit": (commits["change"] or "")[:7] or None,
-        **{f"{side}_tree": tree_digest(checkouts[side]) for side in ("parent", "change")
-           if not commits[side]},
-        "command": " ".join(bench["command"]) + f" --workload W --seed S --seconds {seconds:g}",
-        "protocol": (f"{len(args.seeds)} alternating parent/change pairs per workload, seeds "
-                     f"{','.join(map(str, args.seeds))}; odd seeds run the parent first, even "
-                     f"seeds the change first; {LANES} pair(s) ran side by side. Quartiles "
-                     "are statistics.quantiles(method='inclusive'); a win means the change's "
-                     "value is better than the parent's in that pair; a gain is shown when the "
-                     "change wins at least 9/10 of the pairs and its median is better by more "
-                     "than the parent's quartile spread. A metric is within or worse than its "
-                     "bound by its median, and unresolved when the parent's quartile spread is "
-                     "wider than the bound, unless every change run is better than every parent "
-                     "run."),
-        "machine": {"cpus": machine.get("nproc"), "cpu": machine.get("cpu_model"),
-                    "python": machine.get("python"),
-                    "metrics": "CPU times scaled by the harness's calibration kernel"},
-        "workloads": {w: summarize_workload([p for (pw, _), (p, _, _) in zip(jobs, done) if pw == w],
-                                            bench["end_to_end"]) for w in workloads},
-        "notes": {},
-    }
+    args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    done: dict[int, tuple] = {}  # job index -> run_pair's result
+    with ThreadPoolExecutor(max_workers=LANES) as pool:
+        futures = {pool.submit(run_pair, checkouts, bench["command"], w, s, seconds): i
+                   for i, (w, s) in enumerate(jobs)}
+        try:
+            for future in as_completed(futures):
+                done[futures[future]] = future.result()
+                out = result(args, bench, jobs, done, checkouts)
+                path.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
     for w, summary in out["workloads"].items():
         ratio = summary["failed_ratio"]
         print(f"{w:10} failed ratio {ratio['parent']:.4g} -> {ratio['change']:.4g}")
