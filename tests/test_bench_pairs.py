@@ -158,8 +158,8 @@ def test_a_missing_out_directory_is_made(tmp_path):
 
 
 def test_the_file_is_rewritten_after_every_pair(tmp_path, monkeypatch):
-    # one lane, so pairs run in seed order; the parent's run of seed 3 fails,
-    # and the file keeps the two pairs measured before it
+    # one lane, so pairs start in seed order; the parent's run of seed 3
+    # fails, and the file keeps the pairs measured around it
     parent = _checkout(tmp_path, "parent", 100, "a" * 40)
     run = parent / "perfbench" / "run.py"
     run.write_text("import sys\nif sys.argv[sys.argv.index('--seed') + 1] == '3': sys.exit('boom')\n"
@@ -177,13 +177,13 @@ def test_the_file_is_rewritten_after_every_pair(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="boom"):
         bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
                           "--claim", "c", "--seeds", "1-5", "--out", str(tmp_path)])
-    assert written == [[1], [1, 2]]
-    path = tmp_path / "BENCH_t.json"
-    out = json.loads(path.read_text())
-    assert out["pairs_run"] == "2 of 5"
+    # seed 4 is kept if it started before the failure was read; seed 5 is cancelled
+    assert written[:2] == [[1], [1, 2]] and written[2:] in ([], [[1, 2, 4]])
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["pairs_run"] == f"{len(written[-1])} of 5"
     w = out["workloads"]["w"]
-    assert [p["seed"] for p in w["pairs"]] == [1, 2]
-    assert w["metrics"]["work_per_s"]["parent_median"] == 101.5
+    assert [p["parent"]["work_per_s"] for p in w["pairs"]] == [100 + s for s in written[-1]]
+    assert w["metrics"]["work_per_s"]["change_wins"] == len(written[-1])
 
 
 def _bench_file(root, label, rels):

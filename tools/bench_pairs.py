@@ -17,7 +17,8 @@ workloads of ten pairs of 40 s runs take about 20 min instead of 40).
 The result is written to BENCH_<label>.json in --out, which is made if it
 is missing, and rewritten after every pair, so a comparison that dies keeps
 the pairs it measured ("pairs_run" says how many of the planned ones; a
-workload is summarized once it has two).  Per pair, both sides' metrics,
+workload is summarized once it has two).  A pair that fails cancels the
+pairs not yet started, keeps those already running, and is raised last.  Per pair, both sides' metrics,
 operations attempted and failed, and the record's named figures (such as
 `classes_per_s`); the commit of each side, or, for a side whose run record
 names no git commit (a checkout without .git), a digest of its src/ files
@@ -245,18 +246,24 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
     done: dict[int, tuple] = {}  # job index -> run_pair's result
+    failure = None  # the first pair that raised; the pairs not yet started are cancelled
     with ThreadPoolExecutor(max_workers=LANES) as pool:
         futures = {pool.submit(run_pair, checkouts, bench["command"], w, s, seconds): i
                    for i, (w, s) in enumerate(jobs)}
-        try:
-            for future in as_completed(futures):
+        for future in as_completed(futures):
+            if future.cancelled():
+                continue
+            try:
                 done[futures[future]] = future.result()
-                out = result(args, bench, jobs, done, checkouts)
-                path.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+            except Exception as exc:
+                failure = failure or exc
+                for other in futures:
+                    other.cancel()
+                continue
+            out = result(args, bench, jobs, done, checkouts)
+            path.write_text(json.dumps(out, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    if failure is not None:
+        raise failure
     for w, summary in out["workloads"].items():
         ratio = summary["failed_ratio"]
         print(f"{w:10} failed ratio {ratio['parent']:.4g} -> {ratio['change']:.4g}")
