@@ -650,10 +650,9 @@ def test_sweep_counts_every_labeled_eight_poset(cold_store):
     assert [len(level) for level in enumeration._levels] == [ISO_COUNTS[n] for n in range(1, 9)]
 
 
-def test_a_second_enumeration_or_sweep_builds_no_class(cold_store, monkeypatch):
-    nothing = Claim("nothing", lambda p: False, lambda p: None)
-    first = [(p.name, p.ups) for p in enumerate_posets(7, "up-to-iso")]
-    first_sweep = enumeration._sweep(8, nothing)
+@pytest.fixture
+def searches(monkeypatch):
+    """The size of every _search call the test makes."""
     calls = []
     search = enumeration._search
 
@@ -662,9 +661,18 @@ def test_a_second_enumeration_or_sweep_builds_no_class(cold_store, monkeypatch):
         return search(masks, downs)
 
     monkeypatch.setattr(enumeration, "_search", counting)
+    return calls
+
+
+def test_a_second_enumeration_or_sweep_builds_no_class(cold_store, searches):
+    nothing = Claim("nothing", lambda p: False, lambda p: None)
+    first = [(p.name, p.ups) for p in enumerate_posets(7, "up-to-iso")]
+    first_sweep = enumeration._sweep(8, nothing)
+    assert len(searches) == 43150  # every class of n <= 8, one search per input
+    searches.clear()
     assert [(p.name, p.ups) for p in enumerate_posets(7, "up-to-iso")] == first
     assert enumeration._sweep(8, nothing) == first_sweep
-    assert calls == []
+    assert searches == []
     assert first_sweep[0][8] == LABELED_COUNTS[8]
 
 
@@ -826,7 +834,7 @@ def test_a_class_build_that_raised_leaves_no_short_level(cold_store, monkeypatch
     assert [(p.name, p.ups) for p in early + list(reader)] == [(p.name, p.ups) for p in classes]
 
 
-def test_class_enumeration_and_sweeps_in_threads_share_one_memo(cold_store, monkeypatch):
+def test_class_enumeration_and_sweeps_in_threads_share_one_memo(cold_store, searches, monkeypatch):
     # three threads on an empty memo each drain the 7-classes and sweep
     # T-GLB to 6; switching threads every few microseconds interleaves their
     # reads of each level, and each level is still built once (4870 searches)
@@ -834,14 +842,7 @@ def test_class_enumeration_and_sweeps_in_threads_share_one_memo(cold_store, monk
               _run_claim("verify", "T-GLB", 6))
     monkeypatch.setattr(enumeration, "_levels", [])
     monkeypatch.setattr(enumeration, "_kept", [])
-    calls = []
-    search = enumeration._search
-
-    def counting(masks, downs=None):
-        calls.append(len(masks))
-        return search(masks, downs)
-
-    monkeypatch.setattr(enumeration, "_search", counting)
+    searches.clear()
     names = "abc"  # more threads than the 2 cores of a small runner
     start, results = threading.Barrier(len(names), timeout=60), {}
 
@@ -865,7 +866,7 @@ def test_class_enumeration_and_sweeps_in_threads_share_one_memo(cold_store, monk
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == dict.fromkeys(names, serial)
-    assert len(calls) == 4870
+    assert len(searches) == 4870
 
 
 # -- kept descents ---------------------------------------------------------------------

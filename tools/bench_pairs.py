@@ -18,9 +18,9 @@ The result is written to BENCH_<label>.json in --out, which is made if it
 is missing, and rewritten after every pair, so a comparison that dies keeps
 the pairs it measured ("pairs_run" says how many of the planned ones; a
 workload is summarized once it has two).  A pair that fails cancels the
-pairs not yet started, keeps those already running, and is raised last.  Per pair, both sides' metrics,
-operations attempted and failed, and the record's named figures (such as
-`classes_per_s`); the commit of each side, or, for a side whose run record
+pairs not yet started, keeps those already running, and is raised last.
+Per pair, the file holds both sides' metrics, operations attempted and
+failed, and the record's named figures (such as `classes_per_s`); the commit of each side, or, for a side whose run record
 names no git commit (a checkout without .git), a digest of its src/ files
 as `parent_tree` / `change_tree`; per workload, each side's failed share of
 the operations it attempted, so the change's can be set against the
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"BENCH_{args.label}.json"
     done: dict[int, tuple] = {}  # job index -> run_pair's result
-    failure = None  # the first pair that raised; the pairs not yet started are cancelled
+    failure = None  # the first pair that raised
     with ThreadPoolExecutor(max_workers=LANES) as pool:
         futures = {pool.submit(run_pair, checkouts, bench["command"], w, s, seconds): i
                    for i, (w, s) in enumerate(jobs)}
