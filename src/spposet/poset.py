@@ -2,29 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import AntisymmetryViolation, DuplicateElement, SizeCap, UnknownElement
 
-DEFAULT_SIZE_CAP = 16
-SIZE_CAP_ENV = "SPPOSET_SIZE_CAP"
-
-
-def size_cap() -> int:
-    """Maximum number of elements accepted by build_poset (env-overridable)."""
-    raw = os.environ.get(SIZE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SizeCap(f"{SIZE_CAP_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SizeCap(f"{SIZE_CAP_ENV} must be >= 1, got {cap}")
-    return cap
+SIZE_CAP = 16  # the most elements build_poset accepts
 
 
 def bits(mask: int):
@@ -539,9 +523,8 @@ def build_poset(name: str, elements, pairs) -> Poset:
     fails if the closure violates antisymmetry, reporting the offending cycle.
     """
     elements = tuple(elements)
-    cap = size_cap()
-    if not 1 <= len(elements) <= cap:
-        raise SizeCap(f"poset {name!r} must have between 1 and {cap} elements, got {len(elements)}")
+    if not 1 <= len(elements) <= SIZE_CAP:
+        raise SizeCap(f"poset {name!r} must have between 1 and {SIZE_CAP} elements, got {len(elements)}")
     index: dict[str, int] = {}
     for e in elements:
         if e in index:

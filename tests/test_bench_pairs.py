@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import py_compile
 import statistics
 import sys
 from pathlib import Path
@@ -184,6 +185,43 @@ def test_the_file_is_rewritten_after_every_pair(tmp_path, monkeypatch):
     w = out["workloads"]["w"]
     assert [p["parent"]["work_per_s"] for p in w["pairs"]] == [100 + s for s in written[-1]]
     assert w["metrics"]["work_per_s"]["change_wins"] == len(written[-1])
+
+
+# Prepended to a fake run.py: logs the run's bytecode settings, what is in its
+# bytecode prefix, and the value it imported from perfbench/stale.py.
+BYTECODE_LOG = """import json, os, sys
+from pathlib import Path
+import stale
+with open(Path.cwd().parent / "bytecode.log", "a") as fh:
+    fh.write(json.dumps([Path.cwd().name, sys.flags.dont_write_bytecode, sys.pycache_prefix,
+                         sys.pycache_prefix and os.listdir(sys.pycache_prefix), stale.VALUE]) + "\\n")
+"""
+
+
+def test_both_sides_run_without_the_checkouts_bytecode(tmp_path):
+    # the parent holds a stale __pycache__ whose bytecode Python would load
+    # without checking the source; neither side may read it or write its own
+    checkouts = [_checkout(tmp_path, side, 100, side * 40) for side in ("parent", "change")]
+    for checkout in checkouts:
+        run = checkout / "perfbench" / "run.py"
+        run.write_text(BYTECODE_LOG + run.read_text())
+    stale = checkouts[0] / "perfbench" / "stale.py"
+    stale.write_text('VALUE = "stale"\n')
+    cached = Path(py_compile.compile(
+        str(stale), invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH))
+    for checkout in checkouts:
+        (checkout / "perfbench" / "stale.py").write_text('VALUE = "source"\n')
+    assert bench_pairs.main(["--parent", str(checkouts[0]), "--change", str(checkouts[1]),
+                             "--label", "t", "--claim", "c", "--seeds", "1-2",
+                             "--out", str(tmp_path)]) == 0
+    runs = [json.loads(line) for line in (tmp_path / "bytecode.log").read_text().splitlines()]
+    assert sorted(side for side, *_ in runs) == ["change", "change", "parent", "parent"]
+    assert all(settings == runs[0][1:] for _, *settings in runs)
+    _, flag, prefix, cached_files, value = runs[0]
+    assert (flag, cached_files, value) == (1, [], "source")
+    assert prefix and not Path(prefix).is_relative_to(tmp_path)
+    assert not (checkouts[1] / "perfbench" / "__pycache__").exists()
+    assert list(cached.parent.iterdir()) == [cached]
 
 
 def _bench_file(root, label, rels):

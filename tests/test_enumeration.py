@@ -604,24 +604,6 @@ def test_class_pass_disagreeing_with_labeled_rescan_is_an_internal_error():
         enumeration._sweep(3, Claim("by name", lambda p: True, by_name, variants=("x", "y")))
 
 
-def test_failing_hunt_stops_inside_the_class_level(cold_store, monkeypatch):
-    # J=>ESP first fails at n = 5; the class pass stops at its first failing
-    # class, so the level-5 classes after it are never generated
-    *_, fours = enumeration._class_levels(4)
-    inputs_at_five = sum(1 for p, _, gens in fours
-                         for _ in enumeration._maximal_extensions(p.ups, gens))
-    calls = []
-    search = enumeration._search
-
-    def counting(masks, downs=None):
-        calls.append(len(masks))
-        return search(masks, downs)
-
-    monkeypatch.setattr(enumeration, "_search", counting)
-    assert find_counterexample("J⇒ESP", 5).outcome == "counterexample"
-    assert 0 < calls.count(5) < inputs_at_five
-
-
 def test_hunt_reaches_eight_and_stops_at_the_crown(capsys):
     # the sweep cap is the class generator's; the hunt still stops at n = 5
     from spposet.cli import main
@@ -783,9 +765,9 @@ def test_class_enumeration_stays_off_the_store(monkeypatch):
     assert waited == [True]  # the lock was never released before the classes ended
 
 
-def test_a_sweep_that_raised_leaves_an_empty_store(cold_store, monkeypatch):
-    # a fault at the 30th search of level 5 kills that level's source; the
-    # level must not be kept as the 29 classes found before it
+def test_a_sweep_that_raised_keeps_only_whole_levels(cold_store, monkeypatch):
+    # a fault at the 30th search of level 5 stops that level's build; neither
+    # the memo nor the store keeps any of it, and the levels below stay whole
     search = enumeration._search
     at_five = []
 
@@ -799,7 +781,8 @@ def test_a_sweep_that_raised_leaves_an_empty_store(cold_store, monkeypatch):
     monkeypatch.setattr(enumeration, "_search", failing)
     with pytest.raises(MemoryError, match="injected"):
         verify_theorem("T-GLB", 5)
-    assert enumeration._kept == []
+    assert [len(level) for level in enumeration._kept] == [ISO_COUNTS[n] for n in range(1, 5)]
+    assert [len(level) for level in enumeration._levels] == [ISO_COUNTS[n] for n in range(1, 5)]
     monkeypatch.setattr(enumeration, "_search", search)
     report = verify_theorem("T-GLB", 5)
     assert report.posets_per_n == {n: LABELED_COUNTS[n] for n in range(1, 6)}
@@ -807,9 +790,8 @@ def test_a_sweep_that_raised_leaves_an_empty_store(cold_store, monkeypatch):
 
 
 def test_a_class_build_that_raised_leaves_no_short_level(cold_store, monkeypatch):
-    # a fault at the 30th search of level 6 kills that level's source; the
-    # memo drops the level, so a retry rebuilds all of it, and a reader that
-    # was part way through the dropped level reads on from the rebuilt one
+    # a fault at the 30th search of level 6 stops that level's build; the memo
+    # keeps only the whole levels below it, so a retry builds all of level 6
     search = enumeration._search
     at_six = []
 
@@ -821,8 +803,6 @@ def test_a_class_build_that_raised_leaves_no_short_level(cold_store, monkeypatch
         return search(masks, downs)
 
     monkeypatch.setattr(enumeration, "_search", failing)
-    reader = enumerate_posets(6, "up-to-iso")
-    early = [next(reader) for _ in range(5)]
     with pytest.raises(MemoryError, match="injected"):
         list(enumerate_posets(6, "up-to-iso"))
     assert [len(level) for level in enumeration._levels] == [ISO_COUNTS[n] for n in range(1, 6)]
@@ -831,7 +811,6 @@ def test_a_class_build_that_raised_leaves_no_short_level(cold_store, monkeypatch
     assert len(classes) == ISO_COUNTS[6] == 318
     assert sum(math.factorial(6) // automorphism_count(p.ups) for p in classes) == 130023
     assert classes[-1].name == "Q6-317"
-    assert [(p.name, p.ups) for p in early + list(reader)] == [(p.name, p.ups) for p in classes]
 
 
 def test_class_enumeration_and_sweeps_in_threads_share_one_memo(cold_store, searches, monkeypatch):

@@ -44,13 +44,6 @@ def test_build_rejects_empty_and_oversize():
         build_poset("bad", [str(i) for i in range(17)], [])
 
 
-def test_size_cap_env(monkeypatch):
-    monkeypatch.setenv("SPPOSET_SIZE_CAP", "2")
-    with pytest.raises(SizeCap):
-        build_poset("bad", ["x", "y", "z"], [])
-    build_poset("ok", ["x", "y"], [])
-
-
 def test_sections_and_segments(hexagon):
     assert hexagon.upper_section("a").members == ("a", "c", "d", "1")
     assert hexagon.segment("c", "d").members == ()

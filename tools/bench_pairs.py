@@ -13,6 +13,10 @@ change.  Two pairs run side by side (one on a one-CPU machine): the harness
 reports CPU times scaled by its calibration kernel, so a second lane moves
 them little, and it halves the wall time of a full comparison (three
 workloads of ten pairs of 40 s runs take about 20 min instead of 40).
+Every run has PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to one
+empty temporary directory, so neither side reads or writes a `__pycache__`
+in its checkout, and set-up time and peak RSS include the same compiling on
+both sides whatever bytecode either checkout holds.
 
 The result is written to BENCH_<label>.json in --out, which is made if it
 is missing, and rewritten after every pair, so a comparison that dies keeps
@@ -55,6 +59,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
@@ -84,11 +89,16 @@ def tree_digest(checkout: Path) -> str:
     return h.hexdigest()[:12]
 
 
-def run_side(checkout: Path, command: list[str], workload: str, seed: int, seconds: float):
-    """(record, result) of one benchmark run in `checkout`."""
+def run_side(checkout: Path, command: list[str], workload: str, seed: int, seconds: float,
+             pycache: Path):
+    """(record, result) of one benchmark run in `checkout`.  Python looks for
+    bytecode only in `pycache`, which stays empty since none is written, so
+    no `__pycache__` in the checkout is read and each run compiles what it
+    imports."""
     argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(pycache))
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
@@ -96,11 +106,12 @@ def run_side(checkout: Path, command: list[str], workload: str, seed: int, secon
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
-def run_pair(checkouts: dict, command, workload: str, seed: int, seconds: float):
+def run_pair(checkouts: dict, command, workload: str, seed: int, seconds: float, pycache: Path):
     """The pair's entry, and the commits and machine its records name."""
     first = "parent" if seed % 2 else "change"
     order = [first, "change" if first == "parent" else "parent"]
-    runs = {side: run_side(checkouts[side], command, workload, seed, seconds) for side in order}
+    runs = {side: run_side(checkouts[side], command, workload, seed, seconds, pycache)
+            for side in order}
     pair = {"seed": seed, "first": first}
     for side in ("parent", "change"):
         pair[side] = {k: v["value"] for k, v in runs[side][1]["metrics"].items()}
@@ -247,8 +258,8 @@ def main(argv=None) -> int:
     path = args.out / f"BENCH_{args.label}.json"
     done: dict[int, tuple] = {}  # job index -> run_pair's result
     failure = None  # the first pair that raised
-    with ThreadPoolExecutor(max_workers=LANES) as pool:
-        futures = {pool.submit(run_pair, checkouts, bench["command"], w, s, seconds): i
+    with tempfile.TemporaryDirectory() as pycache, ThreadPoolExecutor(max_workers=LANES) as pool:
+        futures = {pool.submit(run_pair, checkouts, bench["command"], w, s, seconds, Path(pycache)): i
                    for i, (w, s) in enumerate(jobs)}
         for future in as_completed(futures):
             if future.cancelled():
