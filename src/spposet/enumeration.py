@@ -471,7 +471,9 @@ def _memo_level(n: int) -> tuple:
     """Level n of the class memo `_levels`, building each missing level whole
     from the one below it.
 
-    A level is appended only once it is complete, so no reader ever sees a
+    Each level is kept for the life of the process, so class enumeration
+    and every sweep after the first reader get it without building it.  A
+    level is appended only once it is complete, so no reader ever sees a
     short one, and a build that raises leaves the memo as it was.  The lock
     is held while levels are built: a reader in another thread waits for the
     level being built and then gets all of it.
@@ -930,10 +932,11 @@ def _serialize(p: Poset, tables: dict | None = None) -> str:
 # The store: levels 1.._KEPT_LEVELS as Q<n>-<k> posets, kept for the rest of
 # the process from its second sweep on, each appended whole, with every
 # derived table the claims build on them.  Later sweeps in the same process
-# reuse those tables.  Level 8 is never kept as Posets, since its tables would
-# hold hundreds of MB, and the first sweep keeps none, since a process that
-# sweeps once would never reuse them.  The class memo `_levels` under the
-# store is plain data and is kept from the first read on.
+# reuse those tables.  Level 8 is never kept as Posets, since its 16999
+# classes would hold several times the tables of all lower levels together,
+# and the first sweep keeps none, since a process that sweeps once would never
+# reuse them.  The class memo `_levels` under the store is plain data and is
+# kept from the first read on.
 _KEPT_LEVELS = 7
 _kept: list[tuple] | None = None  # level n at index n - 1; None until a sweep ends
 _store_lock = threading.RLock()  # held by each sweep, so sweeps take turns
