@@ -113,13 +113,19 @@ class LawContext:
     """What the laws read besides the table: the poset's order tables, each
     fetched from the poset on its first read and kept as a plain attribute,
     and the local selection.  It is built once per poset (Poset.laws), or
-    per selection (LocalSelection.laws), so a law checked again on the same
-    poset and selection reuses its plan."""
+    per selection (LocalSelection.laws), and kept as long as that poset or
+    selection is, so a law checked again on the same poset and selection
+    reuses its plan.  It also keeps, in `setups`, each axiom system's column
+    set-up (enumeration._ColumnSetup), built on the system's first solver call
+    and read by every later one on the same poset and selection.  Two
+    threads may both build a plan or a set-up, but every reader gets the one
+    that is kept."""
 
     def __init__(self, p: Poset, sel: LocalSelection | None = None):
         self.p, self.sel = p, sel
         self.n, self.full, self.ups, self.downs = p.n, p.full, p.ups, p.downs
         self._plans: dict = {}
+        self.setups: dict = {}
 
     def __getattr__(self, name):
         value = getattr(self.p, name)
@@ -141,6 +147,28 @@ class LawContext:
         if plan is None or plan is False:
             plan = self._plans[law] = list(self._steps(law))
         return plan
+
+    def prefixes(self, law: Law):
+        """The law's prefixes as plan gives them, except that a conclusion is
+        as `allows` returns it: one mask for every value of the last variable,
+        or one mask per value.  A law of two or three variables without a
+        term, whose first variable ranges over every element and whose later
+        ones over every element, [x), (x] or (the last) the maximal lower
+        bounds of the two before it, is read straight from the order masks
+        into a list that is not kept; any other law is read through plan."""
+        o, allows, n = law.over, law.allows, self.n
+        if law.term is None and o[0] is _any and len(o) in (2, 3) and o[1] in _ORDER_MASKS:
+            m1 = _ORDER_MASKS[o[1]](self)
+            if len(o) == 2:
+                return [((x,), m1[x], allows(self, x), None) for x in range(n)]
+            if o[2] is _mlbs:
+                mlbs = self.mlbs
+                return [((x, y), m, allows(self, x, y), None)
+                        for x in range(n) for y in members(m1[x]) if (m := mlbs[x][y])]
+            if o[2] in _ORDER_MASKS:
+                m2 = _ORDER_MASKS[o[2]](self)
+                return [((x, y), m2[x], allows(self, x, y), None) for x in range(n) for y in members(m1[x])]
+        return self.plan(law)
 
     def _steps(self, law: Law):
         o, allows, term, n = law.over, law.allows, law.term, self.n
@@ -192,6 +220,14 @@ def _above(e, x, *_):  # the elements of [x)
 
 def _below(e, x, *_):  # the elements of (x]
     return e.downs[x]
+
+
+def _mlbs(e, x, y):  # the maximal lower bounds of x and y
+    return e.mlbs[x][y]
+
+
+# per value x of the first variable: the masks above, as a later variable's range
+_ORDER_MASKS = {_any: lambda e: (e.full,) * e.n, _above: lambda e: e.ups, _below: lambda e: e.downs}
 
 
 def _disjoint_bases(e, x, y):  # the z <= x with [z,x] n [z,y] = {z}
@@ -265,7 +301,7 @@ LAWS = {
     # y <= x:  x <= x -> y only if x <= y
     "sp2": Law("xy", (_any, _below), ("xy",), _only_if_below),
     # z a maximal lower bound of x and y:  x <= y -> z
-    "sp3": Law("xyz", (_any, _any, lambda e, x, y: e.mlbs[x][y]), ("yz",), _above),
+    "sp3": Law("xyz", (_any, _any, _mlbs), ("yz",), _above),
     # x <= y:  y -> z <= x -> z
     "nat1": Law("xyz", (_any, _above, _any), ("yz", "xz"), _ups, by="yz"),
     # z <= x, [z,x] n [z,y] = {z}:  x <= y -> z

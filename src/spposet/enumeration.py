@@ -570,29 +570,136 @@ def _column_laws(system: str) -> tuple[tuple, tuple, tuple]:
     groups: tuple[list, list, list] = ([], [], [])
     for law in system_laws(system) if system != "NRMW" else ():
         last = len(law.over) - 1
-        if law.vectors is None or len(law.reads) == 2 and not (
-                law.keyed and law.term is None and all(k == last for _, k in law.reads)):
-            raise ValueError("only a law of one cell, or of two cells in one column, constrains columns")
-        (_, k), *second = law.reads
+        (r, k), *second = law.reads
+        if law.vectors is None or second and not (
+                law.keyed and law.term is None and all(k == last for _, k in law.reads)) or (
+                not second and law.term is None and r == k == last):
+            raise ValueError("only a law of one cell off the diagonal, or of two cells in one column, "
+                             "constrains columns")
         groups[2 if second else 0 if law.term is None and k == last else 1].append(law)
     return tuple(map(tuple, groups))
 
 
-class _Columns:
-    """What a system's laws ask of each column of a total table, read per
-    column when that column is searched.
+def _column_setup(e, system: str) -> "_ColumnSetup":
+    """The system's column set-up on the law context e, built on the first
+    call for the system on e and kept in e.setups for the life of e, so every
+    later solver call on the same poset and selection builds nothing.  Two
+    threads may both build it, but every reader gets the one that is kept."""
+    setup = e.setups.get(system)
+    if setup is None:
+        setup = e.setups.setdefault(system, _ColumnSetup(e, system))
+    return setup
+
+
+class _ColumnSetup:
+    """What a system's laws ask of each column of a total table, on one law
+    context (a poset, or a poset and a selection).
 
     Every law reads one cell, or two cells of the column given by its last
     variable, in rows given by the variables before it, with its conclusion
-    indexed by the first cell's value.  Each law's instances are planned once
-    per poset (LawContext.plan), on the first column that reads them, and the
-    two-cell laws only once some column has a value for every row.  A column
-    reads a one-cell law whose column is its last variable by the prefixes
-    that hold it; the other one-cell laws (a term picks their column) are
-    filed by column on the first read.  For the SP system a column's rows are
-    those weakly above the column element; all other systems are total.  The
-    poset must have the structure and the selection the system needs, as in
-    check_system, and a given selection must be over p.
+    indexed by the first cell's value.  Built whole on creation, in one walk
+    of each one-cell law's instances (LawContext.prefixes): per column, its
+    rows (for the SP system those weakly above the column element; all other
+    systems are total) and, per row, the values the one-cell instances allow.
+    The two-cell laws are walked once for all columns on the first read of
+    any column's links, and each column's links are filed on its first read
+    (`column`), since a search that ends at a column whose one-cell masks
+    leave some row empty needs neither.  Nothing kept is changed once read;
+    readers that narrow a mask narrow a copy."""
+
+    __slots__ = ("rows", "doms", "_two", "_kept")
+
+    def __init__(self, e, system: str):
+        n, full = e.n, e.full
+        by_last, other, self._two = _column_laws(system)
+        doms = [[full] * n for _ in range(n)]
+        for law in by_last:
+            (r, _), = law.reads
+            for pre, mask, allowed, _ in e.prefixes(law):
+                row = pre[r]
+                if type(allowed) is int:
+                    for c in members(mask):
+                        doms[c][row] &= allowed
+                else:
+                    for c in members(mask):
+                        doms[c][row] &= allowed[c]
+        for law in other:
+            (r, k), = law.reads
+            for pre, mask, masks, terms in e.prefixes(law):
+                for u in members(mask):
+                    v = pre + (u, terms[u]) if terms else pre + (u,)
+                    if v[-1] is not None:  # an undefined term: the instance holds
+                        doms[v[k]][v[r]] &= masks if type(masks) is int else masks[v[-1] if law.keyed else u]
+        self.rows = [members(u) for u in e.ups] if system == "SP" else [members(full)] * n
+        self.doms = doms
+        self._kept: dict = {}
+
+    def column(self, e, c: int) -> tuple[list[int], list[tuple]]:
+        """Column c's one-cell masks narrowed by the two-cell instances that
+        read one cell twice, and per row t, the two-cell instances that link
+        it to a later row k, as (k, conclusions, whether row t is read
+        first).  Built on the first read and kept; rows of links that every
+        column shares are one object."""
+        kept = self._kept.get(c)
+        if kept is None:
+            links = self._kept.get("links")
+            if links is None:
+                links = self._kept.setdefault("links", self._plan_links(e))
+            shared, fixed, some = links
+            dom, rows = self.doms[c][:], shared
+            for t, m in fixed:
+                dom[t] &= m
+            for cover, t, link in some:
+                if cover >> c & 1:
+                    if type(link) is int:
+                        dom[t] &= link
+                    else:
+                        if rows is shared:
+                            rows = shared[:]
+                        rows[t] += (link,)
+            kept = self._kept.setdefault(c, (dom, rows))
+        return kept
+
+    def _plan_links(self, e):
+        """The two-cell instances of every column: the links shared by all
+        columns, per row; the one-cell masks of the instances reading one
+        cell twice in all columns; and the rest, each with its columns."""
+        n, full = e.n, e.full
+        shared: list = [[] for _ in range(n)]
+        fixed, some = [], []
+        for law in self._two:
+            (r1, _), (r2, _) = law.reads
+            for pre, cover, masks, _ in e.prefixes(law):
+                if type(masks) is int:
+                    masks = (masks,) * n
+                first, later = pre[r1], pre[r2]
+                if first == later:
+                    t, link = first, sum([1 << a for a in range(n) if masks[a] >> a & 1])
+                    if link == full:
+                        continue
+                elif first < later:
+                    t, link = first, (later, masks, True)
+                else:
+                    t, link = later, (first, masks, False)
+                if cover != full:
+                    some.append((cover, t, link))
+                elif type(link) is int:
+                    fixed.append((t, link))
+                else:
+                    shared[t].append(link)
+        return [tuple(row) for row in shared], fixed, some
+
+
+class _Columns:
+    """One solver call's view of a system's columns on a poset: the column
+    set-up kept on the poset's law context (or the selection's), and a
+    search budget of its own.
+
+    Each call gets a fresh SEARCH_BUDGET and copies of the masks it narrows;
+    the set-up itself is built once per poset, selection and system
+    (_column_setup), and `solutions` is the one entry to a column search.
+    The poset must have the structure and the selection the system needs,
+    as in check_system, and a given selection must be over p.
     """
 
     def __init__(self, p: Poset, system: str, sel: LocalSelection | None = None):
@@ -600,101 +707,33 @@ class _Columns:
             require_system(p, system, sel)
         else:
             require_owner(p, sel)
-        self.p, self.partial = p, system == "SP"
-        self.by_last, self.other, self.two = _column_laws(system)
-        self.e = (p if sel is None else sel).laws
-        self._filed = self._links = None
+        self.p, self.e = p, (p if sel is None else sel).laws
+        self.setup = _column_setup(self.e, system)
         self.spare = [SEARCH_BUDGET]
 
     def rows(self, c: int) -> tuple[int, ...]:
-        return members(self.p.ups[c] if self.partial else self.p.full)
+        return self.setup.rows[c]
 
-    def cells(self, c: int) -> list[int]:
-        """Per row r, the values of cell (r, c) that the one-cell instances allow."""
-        dom = [self.p.full] * self.p.n
-        for law in self.by_last:
-            (r, _), = law.reads
-            for pre, mask, masks, _ in self.e.plan(law, keep=True):
-                if mask >> c & 1:
-                    dom[(pre + (c,))[r]] &= masks[c]
-        if self.other:
-            if self._filed is None:
-                self._filed = self._file_other()
-            for r, m in self._filed[c]:
-                dom[r] &= m
-        return dom
-
-    def _file_other(self) -> list[list[tuple[int, int]]]:
-        """Per column, (row, mask) of each instance of the one-cell laws whose
-        column is not their last variable."""
-        filed: list[list[tuple[int, int]]] = [[] for _ in range(self.p.n)]
-        for law in self.other:
-            (r, k), = law.reads
-            for pre, mask, masks, terms in self.e.plan(law):
-                for u in members(mask):
-                    v = pre + (u, terms[u]) if terms else pre + (u,)
-                    if v[-1] is not None:  # an undefined term: the instance holds
-                        filed[v[k]].append((v[r], masks[v[-1] if law.keyed else u]))
-        return filed
-
-    def links(self, c: int, dom: list[int]) -> list[list[tuple]]:
-        """Per row t, the two-cell instances of column c that link it to a
-        later row k, as (k, conclusions, whether row t is read first).  The
-        instances that read one cell twice narrow dom instead."""
-        if self._links is None:
-            self._links = self._plan_links()
-        everywhere, fixed, some = self._links
-        for r, m in fixed:
-            dom[r] &= m
-        if not some:
-            return everywhere
-        out = [list(row) for row in everywhere]
-        for cover, t, link in some:
-            if cover >> c & 1:
-                if type(link) is int:
-                    dom[t] &= link
-                else:
-                    out[t].append(link)
-        return out
-
-    def _plan_links(self):
-        """The two-cell instances of every column: the links shared by all
-        columns, per row; the one-cell masks of the instances reading one
-        cell twice in all columns; and the rest, each with its columns."""
-        n, full = self.p.n, self.p.full
-        everywhere: list[list[tuple]] = [[] for _ in range(n)]
-        fixed, some = [], []
-        for law in self.two:
-            (r1, _), (r2, _) = law.reads
-            for pre, cover, masks, _ in self.e.plan(law, keep=True):
-                first, other = pre[r1], pre[r2]
-                if first == other:
-                    t, link = first, sum([1 << a for a in range(n) if masks[a] >> a & 1])
-                    if link == full:
-                        continue
-                elif first < other:
-                    t, link = first, (other, masks, True)
-                else:
-                    t, link = other, (first, masks, False)
-                if cover != full:
-                    some.append((cover, t, link))
-                elif type(link) is int:
-                    fixed.append((t, link))
-                else:
-                    everywhere[t].append(link)
-        return everywhere, fixed, some
+    def column(self, c: int) -> tuple[list[int], list[tuple]]:
+        """Per row r, the values of cell (r, c) that the instances of one
+        cell allow, as a copy; and per row, column c's links."""
+        dom, links = self.setup.column(self.e, c)
+        return dom[:], links
 
     def solutions(self, c: int, forced: PartialTable | None = None):
         """The solutions of column c, as tuples over its rows, in lexicographic
         order; with `forced`, sectioned cells are pinned to the given star table."""
-        rows, dom = self.rows(c), self.cells(c)
+        rows, dom = self.setup.rows[c], self.setup.doms[c]
         if forced is not None:
+            dom = dom[:]
             for r in members(self.p.ups[c]):
                 dom[r] &= 1 << forced.cells[r][c]
         if all(dom[r] for r in rows):
-            links = self.links(c, dom)
-            if all(dom[r] for r in rows):
-                return _column_search(rows, dom, links, self.spare)
+            narrowed, links = self.setup.column(self.e, c)
+            if forced is not None:
+                narrowed = [a & b for a, b in zip(dom, narrowed)]
+            if all(narrowed[r] for r in rows):
+                return _column_search(rows, narrowed, links, self.spare)
         return iter(())
 
 
@@ -1217,19 +1256,23 @@ def _unique_model(p: Poset, system: str, table, text: str):
 
 
 def _check_glb(p: Poset):
-    meets, mlbs = p.meets, p.mlbs
+    """The first (x, y, z), in lexicographic order, where z being a maximal
+    lower bound of x and y, being their meet and being their local meet over
+    z (meet_over_ix(x, y, z) == z) do not all agree; None where they agree
+    everywhere.  Per (x, y) the three readings are whole masks of z: mlbs,
+    the meet's bit, and the z whose meet_over_masks[x][z] holds y; the
+    lowest bit where they differ is the witness."""
+    meets, mlbs, over = p.meets, p.mlbs, p.meet_over_masks
     for x in range(p.n):
-        for y in range(p.n):
-            g, mlb = meets[x][y], mlbs[x][y]
-            for z in range(p.n):
-                a = bool(mlb >> z & 1)
-                b = g == z
-                c = p.meet_over_ix(x, y, z) == z
-                if not (a == b == c):
-                    return Counterexample(
-                        _serialize(p),
-                        f"maximal-lower-bound / meet / local-meet disagree at "
-                        f"({p.elements[x]}, {p.elements[y]}, {p.elements[z]})")
+        local = transpose(over[x])  # per y: the z with meet_over_ix(x, y, z) == z
+        for y, (g, mlb, loc) in enumerate(zip(meets[x], mlbs[x], local)):
+            differ = (mlb ^ loc) | (mlb ^ (0 if g is None else 1 << g))
+            if differ:
+                z = (differ & -differ).bit_length() - 1
+                return Counterexample(
+                    _serialize(p),
+                    f"maximal-lower-bound / meet / local-meet disagree at "
+                    f"({p.elements[x]}, {p.elements[y]}, {p.elements[z]})")
     return None
 
 
@@ -1461,8 +1504,7 @@ def _hunt_esp_to_j(p: Poset):
 
     for c in range(n):
         vals = [0] * n
-        dom = cols.cells(c)
-        links = cols.links(c, dom)
+        dom, links = cols.column(c)
 
         def rec(k, dom):
             # the first vector, rows k.. in order and values ascending, that

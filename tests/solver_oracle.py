@@ -1,13 +1,21 @@
-"""The column solver as it was before it checked forward and set up per
-column, kept as the oracle of tests/test_solver.py.
+"""Two earlier column solvers, kept as oracles.
 
 column_constraints walks every instance of every law of a system once, into
 per-cell masks for the one-cell laws and per-row-pair link lists for the
 two-cell laws, and system_column_solutions searches each column row by row,
-values ascending, testing a row's values against the rows already assigned.
+values ascending, testing a row's values against the rows already assigned:
+the solver before it checked forward and set up per column, the oracle of
+tests/test_solver.py.
+
+PrefixWalkColumns is the solver's per-call column set-up before the set-up
+was kept per poset and read from the order masks: every call walks the plan
+of each law (LawContext.plan), once per column for the one-cell laws.
+models_are answers what system_models_are answers, from its columns.  It is
+the oracle of the kept set-up (solver_cases.setup_disagreements).
 """
 
 from spposet.axioms import require_system, system_laws
+from spposet.enumeration import SEARCH_BUDGET, _column_laws, _column_search
 from spposet.extensions import LocalSelection, require_owner
 from spposet.poset import Poset, bits, members
 from spposet.pseudo import PartialTable
@@ -38,7 +46,7 @@ def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list
             raise ValueError("only a law of one cell, or of two cells in one column, constrains columns")
         if len(law.reads) == 2:
             (r1, _), (r2, _) = law.reads
-            for pre, mask, masks, _ in e.plan(law):
+            for pre, mask, masks, _ in e.plan(law, keep=True):
                 if not mask:
                     continue
                 first, other = pre[r1], pre[r2]
@@ -52,7 +60,7 @@ def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list
                     links[first].setdefault(other, ([], []))[1].append((masks, mask))
             continue
         (r, k), = law.reads
-        for pre, mask, masks, terms in e.plan(law):
+        for pre, mask, masks, terms in e.plan(law, keep=True):
             for u in members(mask):
                 v = pre + (u, terms[u]) if terms else pre + (u,)
                 if v[-1] is not None:  # an undefined term: the instance holds
@@ -74,20 +82,10 @@ def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list
     return allowed, keep
 
 
-def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = None,
-                            forced: PartialTable | None = None) -> list[list[tuple]]:
-    """All per-column assignments satisfying the system's axioms.
-
-    A table satisfies the system iff it picks one solution per column, so the
-    full model set is the cartesian product of the returned lists.  For the SP
-    system the column domain is the rows weakly above the column element; all
-    other systems are total.  With `forced`, sectioned cells are pinned to the
-    given star table (extension enumeration).  The poset must have the
-    structure and the selection the system needs, as in check_system, and a
-    given selection must be over p.  Each column is searched row by row,
-    values ascending: a row's values are those its cell allows, narrowed by
-    the links to the rows already assigned.
-    """
+def system_constraints(p: Poset, system: str, sel: LocalSelection | None = None):
+    """column_constraints of the system's laws, after the checks of
+    check_system: the poset must have the structure and the selection the
+    system needs, and a given selection must be over p."""
     laws = []
     if system != "NRMW":
         # the solver has no NRMW constraints yet: it yields every extension,
@@ -96,8 +94,24 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
         laws = system_laws(system)
     else:
         require_owner(p, sel)
+    return column_constraints(p, laws, sel)
+
+
+def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = None,
+                            forced: PartialTable | None = None, constraints=None) -> list[list[tuple]]:
+    """All per-column assignments satisfying the system's axioms.
+
+    A table satisfies the system iff it picks one solution per column, so the
+    full model set is the cartesian product of the returned lists.  For the SP
+    system the column domain is the rows weakly above the column element; all
+    other systems are total.  With `forced`, sectioned cells are pinned to the
+    given star table (extension enumeration).  `constraints` are the
+    system's (system_constraints), built when not given.  Each column is
+    searched row by row, values ascending: a row's values are those its cell
+    allows, narrowed by the links to the rows already assigned.
+    """
     n = p.n
-    allowed, keep = column_constraints(p, laws, sel)
+    allowed, keep = constraints or system_constraints(p, system, sel)
     out = []
     for c in range(n):
         rows = [r for r in range(n) if p.leq_ix(c, r)] if system == "SP" else list(range(n))
@@ -123,3 +137,111 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
         rec(0)
     return out
 
+
+class PrefixWalkColumns:
+    """What a system's laws ask of each column of a total table, read per
+    column from the plans of the laws: cells(c) walks every plan of a one-cell
+    law whose column is its last variable, the other one-cell laws are filed
+    by column on the first read, and links(c, dom) narrows dom by the
+    two-cell instances that read one cell twice and returns the links of
+    column c, per row."""
+
+    def __init__(self, p: Poset, system: str, sel: LocalSelection | None = None):
+        if system != "NRMW":
+            require_system(p, system, sel)
+        else:
+            require_owner(p, sel)
+        self.p, self.partial = p, system == "SP"
+        self.by_last, self.other, self.two = _column_laws(system)
+        self.e = (p if sel is None else sel).laws
+        self._filed = self._links = None
+        self.spare = [SEARCH_BUDGET]
+
+    def rows(self, c: int) -> tuple[int, ...]:
+        return members(self.p.ups[c] if self.partial else self.p.full)
+
+    def cells(self, c: int) -> list[int]:
+        dom = [self.p.full] * self.p.n
+        for law in self.by_last:
+            (r, _), = law.reads
+            for pre, mask, masks, _ in self.e.plan(law, keep=True):
+                if mask >> c & 1:
+                    dom[(pre + (c,))[r]] &= masks[c]
+        if self.other:
+            if self._filed is None:
+                self._filed = [[] for _ in range(self.p.n)]
+                for law in self.other:
+                    (r, k), = law.reads
+                    for pre, mask, masks, terms in self.e.plan(law, keep=True):
+                        for u in members(mask):
+                            v = pre + (u, terms[u]) if terms else pre + (u,)
+                            if v[-1] is not None:
+                                self._filed[v[k]].append((v[r], masks[v[-1] if law.keyed else u]))
+            for r, m in self._filed[c]:
+                dom[r] &= m
+        return dom
+
+    def links(self, c: int, dom: list[int]) -> list[list[tuple]]:
+        if self._links is None:
+            self._links = self._plan_links()
+        everywhere, fixed, some = self._links
+        for r, m in fixed:
+            dom[r] &= m
+        out = [list(row) for row in everywhere]
+        for cover, t, link in some:
+            if cover >> c & 1:
+                if type(link) is int:
+                    dom[t] &= link
+                else:
+                    out[t].append(link)
+        return out
+
+    def _plan_links(self):
+        n, full = self.p.n, self.p.full
+        everywhere: list[list[tuple]] = [[] for _ in range(n)]
+        fixed, some = [], []
+        for law in self.two:
+            (r1, _), (r2, _) = law.reads
+            for pre, cover, masks, _ in self.e.plan(law, keep=True):
+                first, other = pre[r1], pre[r2]
+                if first == other:
+                    t, link = first, sum([1 << a for a in range(n) if masks[a] >> a & 1])
+                    if link == full:
+                        continue
+                elif first < other:
+                    t, link = first, (other, masks, True)
+                else:
+                    t, link = other, (first, masks, False)
+                if cover != full:
+                    some.append((cover, t, link))
+                elif type(link) is int:
+                    fixed.append((t, link))
+                else:
+                    everywhere[t].append(link)
+        return everywhere, fixed, some
+
+
+def prefix_walk_columns(p: Poset, system: str, sel: LocalSelection | None = None) -> list[tuple]:
+    """Per column: its rows, masks and links, as PrefixWalkColumns gives them."""
+    cols = PrefixWalkColumns(p, system, sel)
+    out = []
+    for c in range(p.n):
+        dom = cols.cells(c)
+        out.append((cols.rows(c), dom, cols.links(c, dom)))
+    return out
+
+
+def models_are(columns: list[tuple], table, firsts: dict) -> bool:
+    """enumeration.system_models_are's answer read off prefix_walk_columns;
+    `firsts` keeps each column's first two solutions (None where there are
+    fewer), searched on the first read, for the next table."""
+    for c, (rows, dom, links) in enumerate(columns):
+        if c not in firsts:
+            found = _column_search(rows, dom, links, [SEARCH_BUDGET]) if all(dom[r] for r in rows) else iter(())
+            firsts[c] = next(found, None), next(found, None)
+        first, second = firsts[c]
+        if first is None:
+            return table is None
+        if table is not None and (first != tuple([table.cells[r][c] for r in rows]) or second is not None):
+            return False
+    return table is not None

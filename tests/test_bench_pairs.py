@@ -3,6 +3,7 @@ import json
 import py_compile
 import statistics
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -187,24 +188,32 @@ def test_the_file_is_rewritten_after_every_pair(tmp_path, monkeypatch):
     assert w["metrics"]["work_per_s"]["change_wins"] == len(written[-1])
 
 
-# Prepended to a fake run.py: logs the run's bytecode settings, what is in its
-# bytecode prefix, and the value it imported from perfbench/stale.py.
+# Prepended to a fake run.py: logs the run's bytecode settings, the files in
+# its bytecode prefix, and the values it imported from perfbench/stale.py and
+# from src/pkg/mod.py.
 BYTECODE_LOG = """import json, os, sys
 from pathlib import Path
+sys.path.insert(0, "src")
 import stale
+from pkg import mod
 with open(Path.cwd().parent / "bytecode.log", "a") as fh:
     fh.write(json.dumps([Path.cwd().name, sys.flags.dont_write_bytecode, sys.pycache_prefix,
-                         sys.pycache_prefix and os.listdir(sys.pycache_prefix), stale.VALUE]) + "\\n")
+                         [str(f) for f in Path(sys.pycache_prefix).rglob("*") if f.is_file()],
+                         stale.VALUE, mod.VALUE]) + "\\n")
 """
 
 
-def test_both_sides_run_without_the_checkouts_bytecode(tmp_path):
-    # the parent holds a stale __pycache__ whose bytecode Python would load
-    # without checking the source; neither side may read it or write its own
+def _bytecode_checkouts(tmp_path):
+    """Two checkouts whose fake run logs what BYTECODE_LOG logs; the parent
+    holds a stale __pycache__ for perfbench/stale.py, whose bytecode Python
+    would load without checking the source."""
     checkouts = [_checkout(tmp_path, side, 100, side * 40) for side in ("parent", "change")]
     for checkout in checkouts:
         run = checkout / "perfbench" / "run.py"
         run.write_text(BYTECODE_LOG + run.read_text())
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        (checkout / "src" / "pkg" / "__init__.py").write_text("")
+        (checkout / "src" / "pkg" / "mod.py").write_text(f"import statistics\nVALUE = {checkout.name!r}\n")
     stale = checkouts[0] / "perfbench" / "stale.py"
     stale.write_text('VALUE = "stale"\n')
     cached = Path(py_compile.compile(
@@ -215,13 +224,35 @@ def test_both_sides_run_without_the_checkouts_bytecode(tmp_path):
                              "--label", "t", "--claim", "c", "--seeds", "1-2",
                              "--out", str(tmp_path)]) == 0
     runs = [json.loads(line) for line in (tmp_path / "bytecode.log").read_text().splitlines()]
+    return checkouts, cached, runs
+
+
+def test_both_sides_run_without_the_checkouts_bytecode(tmp_path):
+    # neither side may read the stale bytecode or write its own
+    checkouts, cached, runs = _bytecode_checkouts(tmp_path)
     assert sorted(side for side, *_ in runs) == ["change", "change", "parent", "parent"]
-    assert all(settings == runs[0][1:] for _, *settings in runs)
-    _, flag, prefix, cached_files, value = runs[0]
-    assert (flag, cached_files, value) == (1, [], "source")
+    assert all(settings[:3] == runs[0][1:4] for _, *settings in runs)
+    _, flag, prefix, _, value, _ = runs[0]
+    assert (flag, value) == (1, "source")
+    assert [mod for side, *_, mod in runs] == [side for side, *_ in runs]
     assert prefix and not Path(prefix).is_relative_to(tmp_path)
     assert not (checkouts[1] / "perfbench" / "__pycache__").exists()
+    assert not any((checkout / "src" / "pkg" / "__pycache__").exists() for checkout in checkouts)
     assert list(cached.parent.iterdir()) == [cached]
+
+
+def test_the_prefix_holds_standard_library_bytecode_and_nothing_of_the_checkouts(tmp_path):
+    _, _, runs = _bytecode_checkouts(tmp_path)
+    stdlib = Path(sysconfig.get_path("stdlib")).resolve()
+    for _, _, prefix, files, *_ in runs:
+        assert files
+        for f in files:
+            source = Path("/", Path(f).relative_to(prefix))
+            assert not source.is_relative_to(tmp_path), f
+            assert source.resolve().parent.is_relative_to(stdlib), f
+    # json, imported by run.py, and statistics, imported by src/pkg/mod.py
+    names = {Path(f).name.partition(".")[0] for f in runs[0][3]}
+    assert {"decoder", "statistics"} <= names
 
 
 def _bench_file(root, label, rels):

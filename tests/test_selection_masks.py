@@ -302,9 +302,6 @@ def test_nati_cell_candidates_match_the_oracle(monkeypatch):
     rng = random.Random(4)
     for p in POSETS:
         for sel in _selections(p, rng, monkeypatch):
-            cols, doms = _Columns(p, "NATI", sel), []
-            for c in range(p.n):
-                dom = cols.cells(c)
-                cols.links(c, dom)
-                doms.append(dom)
+            cols = _Columns(p, "NATI", sel)
+            doms = [cols.column(c)[0] for c in range(p.n)]
             assert [list(row) for row in zip(*doms)] == _oracle_nati_candidates(p, sel)

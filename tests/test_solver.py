@@ -1,14 +1,23 @@
-"""The column solver against its oracle, and on 16-element input.
+"""The column solver against its oracles, and on 16-element input.
 
-The oracle (solver_oracle.py) is the solver before it checked forward and set
-up per column.  Its solution lists must equal the solver's, in order, and
-system_models_are must answer what products_equal answers on the oracle's
-lists, for every system on every labeled poset with up to 5 elements and on
-the corpus.  ESP, ESPW and NRMW are left out at n = 5, and on the corpus
-compared only forced to the star table (as enumerate_extensions reads them):
-their columns hold up to n^(n-1) vectors each (NRMW n^n), and their 4231
-lists at n = 5 take about 40 s on one core.  Lists forced to the star table
-are compared at n <= 4 and on the corpus.
+The first oracle (solver_oracle.py) is the solver before it checked forward
+and set up per column.  Its solution lists must equal the solver's, in
+order, and system_models_are must answer what products_equal answers on the
+oracle's lists, for every system on every labeled poset with up to 5
+elements and on the corpus.  ESP, ESPW and NRMW are left out at n = 5, and
+on the corpus compared only forced to the star table (as
+enumerate_extensions reads them): their columns hold up to n^(n-1) vectors
+each (NRMW n^n), and their 4231 lists at n = 5 take about 40 s on one core.
+Lists forced to the star table are compared at n <= 4 and on the corpus.
+The oracle's constraints are built once per poset and system, for both.
+
+The second oracle is the per-call prefix walk the kept column set-up
+replaced (solver_oracle.PrefixWalkColumns).  On the same posets, for every
+system, ESP, ESPW and NRMW at n = 5 included, the kept set-up must give its
+rows, masks and links per column (solver_cases.setup_disagreements), and
+where no unforced lists are compared, system_models_are must give the
+answers read off the prefix walk's columns; tests/test_column_setup.py
+compares both on every class with up to 7 elements.
 """
 
 import itertools
@@ -18,103 +27,44 @@ import pytest
 
 from conftest import corpus_posets
 import solver_oracle
-from spposet import (
-    build_poset,
-    check_system,
-    i_natural_extension,
-    normal_extension,
-    restrict,
-    selection_frink,
-    selection_union,
-    star_table,
-)
+from solver_cases import cases, expected_columns, expected_tables, selections, setup_disagreements
+from spposet import build_poset, check_system, restrict, selection_frink, star_table
 from spposet import enumeration
-from spposet.axioms import SYSTEMS, require_system
+from spposet.axioms import SYSTEMS
 from spposet.enumeration import (
     enumerate_extensions,
     enumerate_posets,
     products_equal,
     system_column_solutions,
     system_models_are,
-    table_as_columns,
 )
-from spposet.errors import SpposetError, StructureMismatch
-from spposet.pseudo import MissingWitness, TotalTable
+from spposet.errors import SpposetError
+from spposet.pseudo import MissingWitness
 
 WIDE = ("ESP", "ESPW", "NRMW")  # compared at n <= 4 only (see above)
 
 
-def selections(p):
-    """The union and Frink selections over p, built once for cases and
-    expected_tables."""
-    return selection_union(p), selection_frink(p)
-
-
-def cases(p, sels):
-    """(system, selection) pairs the poset has the structure for; NATI under
-    each of the selections `sels`."""
-    for system in SYSTEMS:
-        for sel in sels if system == "NATI" else [None]:
-            if system != "NRMW":
-                try:
-                    require_system(p, system, sel)
-                except StructureMismatch:
-                    continue
-            yield system, sel
-
-
-def expected_tables(p, sels):
-    """None, and the star, normal, Frink-natural and union-natural tables p
-    has, each once; `sels` are p's selections."""
-    union, frink = sels
-    star = star_table(p)
-    tables = [i_natural_extension(p, sel).table for sel in (frink, union)]
-    if not isinstance(star, MissingWitness):
-        tables += [star, normal_extension(star).table]
-    distinct = {}
-    for t in tables:
-        if t is not None:
-            distinct.setdefault((type(t), t.cells), t)
-    return [None, *distinct.values()]
-
-
-def expected_columns(p, system, table):
-    if table is None:
-        return [[]]
-    rows = [[r for r in range(p.n) if p.leq_ix(c, r)] if system == "SP" else range(p.n)
-            for c in range(p.n)]
-    return table_as_columns(table, rows)
-
-
-def comparable(system, table):
-    """Whether the system's columns can be read off the table: SP reads any
-    table over its rows; a total system needs a total table, or None."""
-    return system == "SP" or table is None or isinstance(table, TotalTable)
-
-
 def disagreements(p, system, sel, tables, star, unforced=True, forced=True):
-    """What differs from the oracle: the lists, unforced or forced to the star
-    table (a total system on a sectionally pseudocomplemented poset), or the
-    yes/no answer against a table (with the unforced lists).  Returns the
-    differences and the answers given."""
-    found = []
-    if forced and system != "SP" and not isinstance(star, MissingWitness) and (
-            system_column_solutions(p, system, sel=sel, forced=star)
-            != solver_oracle.system_column_solutions(p, system, sel=sel, forced=star)):
+    """What differs from the oracles: the kept set-up (setup_disagreements);
+    the lists, unforced or forced to the star table (a total system on a
+    sectionally pseudocomplemented poset); and the yes/no answers, against
+    products_equal on the unforced lists, or without them against the
+    prefix walk's columns.  Returns the differences and the answers given."""
+    found, answers = setup_disagreements(p, system, sel, tables, answers=not unforced)
+    forced = forced and system != "SP" and not isinstance(star, MissingWitness)
+    if forced or unforced:
+        constraints = solver_oracle.system_constraints(p, system, sel)
+    if forced and (system_column_solutions(p, system, sel=sel, forced=star)
+                   != solver_oracle.system_column_solutions(p, system, sel, star, constraints)):
         found.append("forced lists")
-    if not unforced:
-        return found, set()
-    want = solver_oracle.system_column_solutions(p, system, sel=sel)
-    if system_column_solutions(p, system, sel=sel) != want:
-        found.append("lists")
-    given = set()
-    for table in tables:
-        if comparable(system, table):
-            got = system_models_are(p, system, table, sel=sel)
-            given.add(got)
+    if unforced:
+        want = solver_oracle.system_column_solutions(p, system, sel, None, constraints)
+        if system_column_solutions(p, system, sel=sel) != want:
+            found.append("lists")
+        for table, got in answers:
             if got != products_equal(want, expected_columns(p, system, table)):
                 found.append(("yes/no", table))
-    return found, given
+    return found, {got for _, got in answers}
 
 
 def comparisons():
@@ -126,8 +76,7 @@ def comparisons():
         for system, sel in cases(p, sels):
             wide = system in WIDE
             if is_labeled and p.n == 5:
-                if not wide:
-                    runs.append((system, sel, True, False))
+                runs.append((system, sel, not wide, False))
             else:
                 runs.append((system, sel, is_labeled or not wide, True))
         yield p, expected_tables(p, sels), star_table(p), runs

@@ -14,9 +14,13 @@ reports CPU times scaled by its calibration kernel, so a second lane moves
 them little, and it halves the wall time of a full comparison (three
 workloads of ten pairs of 40 s runs take about 20 min instead of 40).
 Every run has PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to one
-empty temporary directory, so neither side reads or writes a `__pycache__`
-in its checkout, and set-up time and peak RSS include the same compiling on
-both sides whatever bytecode either checkout holds.
+temporary directory that holds standard-library bytecode only, so neither
+side reads or writes bytecode for its checkout, and set-up time and peak
+RSS include the same compiling on both sides whatever bytecode either
+checkout holds.  The directory is filled once per process, before the
+first pair, by an isolated interpreter (`python -I`, so no checkout is on
+its path) that imports every standard-library module that the command's
+script directory or `src/` of either checkout imports by name.
 
 The result is written to BENCH_<label>.json in --out, which is made if it
 is missing, and rewritten after every pair, so a comparison that dies keeps
@@ -51,6 +55,8 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
+import functools
 import hashlib
 import json
 import math
@@ -89,12 +95,44 @@ def tree_digest(checkout: Path) -> str:
     return h.hexdigest()[:12]
 
 
+def stdlib_imports(checkouts, command: list[str]) -> tuple[str, ...]:
+    """The standard-library modules that the Python files of the command's
+    script directory and of `src/`, in any of the checkouts, import by name."""
+    names = set()
+    for checkout in checkouts:
+        for top in {checkout / Path(command[1]).parent, checkout / "src"}:
+            for f in sorted(top.rglob("*.py")):
+                try:
+                    tree = ast.parse(f.read_bytes())
+                except (SyntaxError, ValueError):
+                    continue
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        names.update(alias.name for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                        names.add(node.module)
+    return tuple(sorted(n for n in names if n.partition(".")[0] in sys.stdlib_module_names))
+
+
+@functools.cache
+def stdlib_bytecode(modules: tuple[str, ...]) -> tempfile.TemporaryDirectory:
+    """A directory holding the bytecode of the standard-library `modules` and
+    of what they import, written by an isolated interpreter, whose path
+    holds no checkout, so no checkout's bytecode is written.  Made once per
+    process for the same modules, and removed when the process exits."""
+    prefix = tempfile.TemporaryDirectory()
+    code = "".join(f"try:\n import {m}\nexcept ImportError:\n pass\n" for m in modules)
+    subprocess.run([sys.executable, "-I", "-X", f"pycache_prefix={prefix.name}", "-c", code],
+                   cwd=prefix.name, capture_output=True, check=True)
+    return prefix
+
+
 def run_side(checkout: Path, command: list[str], workload: str, seed: int, seconds: float,
              pycache: Path):
     """(record, result) of one benchmark run in `checkout`.  Python looks for
-    bytecode only in `pycache`, which stays empty since none is written, so
-    no `__pycache__` in the checkout is read and each run compiles what it
-    imports."""
+    bytecode only in `pycache`, which holds standard-library bytecode and
+    nothing else, and writes none, so no bytecode of the checkout is read
+    and each run compiles what it imports from the checkout."""
     argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(pycache))
@@ -258,8 +296,9 @@ def main(argv=None) -> int:
     path = args.out / f"BENCH_{args.label}.json"
     done: dict[int, tuple] = {}  # job index -> run_pair's result
     failure = None  # the first pair that raised
-    with tempfile.TemporaryDirectory() as pycache, ThreadPoolExecutor(max_workers=LANES) as pool:
-        futures = {pool.submit(run_pair, checkouts, bench["command"], w, s, seconds, Path(pycache)): i
+    pycache = Path(stdlib_bytecode(stdlib_imports(checkouts.values(), bench["command"])).name)
+    with ThreadPoolExecutor(max_workers=LANES) as pool:
+        futures = {pool.submit(run_pair, checkouts, bench["command"], w, s, seconds, pycache): i
                    for i, (w, s) in enumerate(jobs)}
         for future in as_completed(futures):
             if future.cancelled():
