@@ -601,18 +601,29 @@ class _ColumnSetup:
     of each one-cell law's instances (LawContext.prefixes): per column, its
     rows (for the SP system those weakly above the column element; all other
     systems are total) and, per row, the values the one-cell instances allow.
+    Where another system's set-up on the same context has one-cell laws that
+    are all among these (NRM after SP, ESP after SP), the masks start from a
+    copy of that set-up's, and only the laws it lacks are walked.
     The two-cell laws are walked once for all columns on the first read of
     any column's links, and each column's links are filed on its first read
     (`column`), since a search that ends at a column whose one-cell masks
     leave some row empty needs neither.  Nothing kept is changed once read;
     readers that narrow a mask narrow a copy."""
 
-    __slots__ = ("rows", "doms", "_two", "_kept")
+    __slots__ = ("rows", "doms", "laws", "_two", "_kept")
 
     def __init__(self, e, system: str):
         n, full = e.n, e.full
         by_last, other, self._two = _column_laws(system)
-        doms = [[full] * n for _ in range(n)]
+        self.laws = frozenset(by_last + other)
+        seed = max((kept for kept in list(e.setups.values()) if kept.laws <= self.laws),
+                   key=lambda kept: len(kept.laws), default=None)
+        if seed is None:
+            doms = [[full] * n for _ in range(n)]
+        else:
+            doms = [dom[:] for dom in seed.doms]
+            by_last = [law for law in by_last if law not in seed.laws]
+            other = [law for law in other if law not in seed.laws]
         for law in by_last:
             (r, _), = law.reads
             for pre, mask, allowed, _ in e.prefixes(law):
@@ -632,7 +643,7 @@ class _ColumnSetup:
                         doms[v[k]][v[r]] &= masks if type(masks) is int else masks[v[-1] if law.keyed else u]
         self.rows = [members(u) for u in e.ups] if system == "SP" else [members(full)] * n
         self.doms = doms
-        self._kept: dict = {}
+        self._kept: dict = {}  # "links": the link plan; c: column c's masks and links
 
     def column(self, e, c: int) -> tuple[list[int], list[tuple]]:
         """Column c's one-cell masks narrowed by the two-cell instances that

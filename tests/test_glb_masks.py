@@ -5,7 +5,8 @@ y, whether it is their meet, and whether meet_over_ix(x, y, z) is z, and
 names the first (x, y, z) where the three disagree.  The mask check must
 give the same verdict and witness on every labeled poset with up to 5
 elements and every class with up to 7, and on disagreements planted in the
-meet and maximal-lower-bound tables at their first, middle and last cells.
+meet and maximal-lower-bound tables, and in the local meets, at their first,
+middle and last cells.
 """
 
 import pytest
@@ -42,8 +43,24 @@ def test_the_masks_match_the_loop(dedup, max_n):
     assert verdicts == {True, False}
 
 
-def _planted(p: Poset, table: str, x: int, y: int):
-    """p with one cell of its meet or maximal-lower-bound table changed."""
+def _planted(p: Poset, table: str, x: int, y: int, monkeypatch):
+    """p with one cell of its meet or maximal-lower-bound table changed, or
+    with the local meet of x and y over the last element turned over in both
+    meet_over_masks and meet_over_ix."""
+    if table == "local meets":
+        z = p.n - 1
+        masks = [list(row) for row in p.meet_over_masks]
+        masks[x][z] ^= 1 << y
+        p._tables["meet_over_masks"] = tuple(map(tuple, masks))
+        meet_over_ix = Poset.meet_over_ix
+
+        def planted(q, i, j, b):
+            if q is p and (i, j, b) == (x, y, z):
+                return None if meet_over_ix(q, i, j, b) == b else b
+            return meet_over_ix(q, i, j, b)
+
+        monkeypatch.setattr(Poset, "meet_over_ix", planted)
+        return p
     rows = [list(row) for row in getattr(p, table)]
     if table == "meets":
         rows[x][y] = None if rows[x][y] == 0 else 0
@@ -53,13 +70,14 @@ def _planted(p: Poset, table: str, x: int, y: int):
     return p
 
 
-@pytest.mark.parametrize("table", ["meets", "mlbs"])
+@pytest.mark.parametrize("table", ["meets", "mlbs", "local meets"])
 @pytest.mark.parametrize("cell", ["first", "middle", "last"])
-def test_a_planted_disagreement_is_found_where_the_loop_finds_it(table, cell):
+def test_a_planted_disagreement_is_found_where_the_loop_finds_it(table, cell, monkeypatch):
     for p in enumerate_posets(4, "up-to-iso"):
         if p.classify().is_lattice:
             assert _check_glb(p) is None
             x, y = {"first": (0, 0), "middle": (1, 2), "last": (3, 3)}[cell]
-            _planted(p, table, x, y)
+            _planted(p, table, x, y, monkeypatch)
             want = glb_loop(p)
             assert want is not None and _check_glb(p) == want
+            monkeypatch.undo()
