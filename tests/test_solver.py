@@ -70,8 +70,10 @@ def disagreements(p, system, sel, tables, star, unforced=True, forced=True):
 def comparisons():
     """Per poset: its expected tables, its star table and its (system,
     selection, unforced, forced) comparisons, as the module notes say."""
-    labeled = [(p, True) for n in range(1, 6) for p in enumerate_posets(n)]
-    for p, is_labeled in labeled + [(p, False) for p in corpus_posets()]:
+    # streamed, so that each poset, with the tables and set-ups it keeps, is
+    # freed once compared: a list of them all peaks at about 400 MB
+    labeled = ((p, True) for n in range(1, 6) for p in enumerate_posets(n))
+    for p, is_labeled in itertools.chain(labeled, ((p, False) for p in corpus_posets())):
         runs, sels = [], selections(p)
         for system, sel in cases(p, sels):
             wide = system in WIDE
