@@ -64,9 +64,12 @@ def builds(monkeypatch):
     return counted
 
 
+HEXAGON = (["0", "a", "b", "c", "d", "1"],
+           [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1")])
+
+
 def test_a_second_call_on_the_same_poset_builds_no_setup(builds):
-    p = build_poset("hex", ["0", "a", "b", "c", "d", "1"],
-                    [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1")])
+    p = build_poset("hex", *HEXAGON)
     star, union, frink = star_table(p), p.union_selection, p.frink_selection
     for _ in range(2):
         for system, table in [("SP", star), ("NRM", p.normal_table), ("J", None)]:
@@ -78,37 +81,30 @@ def test_a_second_call_on_the_same_poset_builds_no_setup(builds):
         assert builds["setups"] == ["SP", "NRM", "J", "NAT", "NATI", "NATI"]
         assert sorted(builds["links"]) == sorted(builds["setups"])
     # a new poset with the same order builds its own
-    q = build_poset("hex", p.elements, [(p.elements[a], p.elements[b]) for a, b in _covers(p)])
+    q = build_poset("hex", *HEXAGON)
     system_models_are(q, "SP", star_table(q))
     assert builds["setups"][-1] == "SP" and len(builds["setups"]) == 7
 
 
-def _covers(p):
-    return [(a, b) for a in range(p.n) for b in range(p.n)
-            if a != b and p.ups[a] >> b & 1 and not any(
-                c not in (a, b) and p.ups[a] >> c & 1 and p.ups[c] >> b & 1 for c in range(p.n))]
-
-
 def test_a_column_whose_masks_leave_a_row_empty_builds_no_links(builds):
-    # two elements over a bottom: no star table, and SP's
-    # first column has a row that no value satisfies
+    # two elements over a bottom: no star table, and SP's first column has
+    # a row that no value satisfies
     p = build_poset("vee", ["0", "1", "2"], [("0", "1"), ("0", "2")])
     assert system_models_are(p, "SP", None)
     assert builds == {"setups": ["SP"], "links": []}
 
 
-def _least_budget(call):
+def _least_budget(call, monkeypatch):
     """The least SEARCH_BUDGET with which call() raises no SizeCap."""
     lo, hi = 0, SEARCH_BUDGET
     while lo < hi:
         mid = (lo + hi) // 2
-        enumeration.SEARCH_BUDGET = mid
+        monkeypatch.setattr(enumeration, "SEARCH_BUDGET", mid)
         try:
             call()
             hi = mid
         except SizeCap:
             lo = mid + 1
-    enumeration.SEARCH_BUDGET = SEARCH_BUDGET
     return lo
 
 
@@ -116,8 +112,8 @@ def test_each_call_has_its_own_search_budget(monkeypatch):
     p = build_poset("n5", ["0", "1", "2", "3", "4"], [("0", "2"), ("1", "2"), ("1", "3"), ("3", "4")])
     answer = lambda: system_models_are(p, "J", None)  # noqa: E731
     listing = lambda: system_column_solutions(p, "J")  # noqa: E731
-    need = _least_budget(answer)
-    assert 0 < need < _least_budget(listing)
+    need = _least_budget(answer, monkeypatch)
+    assert 0 < need < _least_budget(listing, monkeypatch)
     monkeypatch.setattr(enumeration, "SEARCH_BUDGET", need)
     want = answer()
     assert answer() == want  # a second call has a budget of its own ...
@@ -129,11 +125,10 @@ def test_each_call_has_its_own_search_budget(monkeypatch):
         answer()
 
 
-@pytest.mark.parametrize("name", ["hex", "twochains"])
+@pytest.mark.parametrize("name", ["hexagon", "twochains"])
 def test_nrmw_constrains_nothing_and_needs_no_structure(name, request):
     # the generate benchmark pins NRMW streams on both, and neither is a lower semilattice
-    fixture = {"hex": "hexagon", "twochains": "twochains"}[name]
-    p = request.getfixturevalue(fixture)
+    p = request.getfixturevalue(name)
     cols = _Columns(p, "NRMW")
     for c in range(p.n):
         dom, links = cols.column(c)
