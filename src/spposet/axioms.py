@@ -73,7 +73,8 @@ class SubalgebraReport:
 # variable by default, the term, or the first of two cells).  So the checker
 # makes one call per prefix and one lookup and one bit test per instance.
 # A law of one cell, or of two cells in the column of its last variable,
-# also drives the column solver (enumeration._Columns).
+# also drives the column solver (enumeration._ColumnSetup).  Both read a
+# law's instances through one walk, LawContext.prefixes.
 
 
 class Law:
@@ -114,12 +115,12 @@ class LawContext:
     fetched from the poset on its first read and kept as a plain attribute,
     and the local selection.  It is built once per poset (Poset.laws), or
     per selection (LocalSelection.laws), and kept as long as that poset or
-    selection is, so a law checked again on the same poset and selection
-    reuses its plan.  It also keeps, in `setups`, each axiom system's column
-    set-up (enumeration._ColumnSetup), built on the system's first solver call
-    and read by every later one on the same poset and selection.  Two
-    threads may both build a plan or a set-up, but every reader gets the one
-    that is kept."""
+    selection is, so a law checked a third time on the same poset and
+    selection reuses the plan kept on its second check.  It also keeps, in
+    `setups`, each axiom system's column set-up (enumeration._ColumnSetup),
+    built on the system's first solver call and read by every later one on
+    the same poset and selection.  Two threads may both build a plan or a
+    set-up, but every reader of a set-up gets the one that is kept."""
 
     def __init__(self, p: Poset, sel: LocalSelection | None = None):
         self.p, self.sel = p, sel
@@ -132,76 +133,58 @@ class LawContext:
         setattr(self, name, value)
         return value
 
-    def plan(self, law: Law, keep: bool = False):
-        """Per prefix of the law's instances, in lexicographic order: the
-        values of every variable but the last, the (nonempty) mask of the last
-        one's values, the conclusions, and the term per value of the last
-        variable (None without a term).  Streamed on the first read, kept from
-        the second, or from the first with `keep`."""
+    def plan(self, law: Law):
+        """The law's prefixes (`prefixes`), each conclusion widened to one
+        mask per value of the last variable.  Streamed on the law's first
+        read, and kept from its second."""
         # A law read once, as by most one-off requests, keeps no plan: keeping every
         # plan from its first read cost perfbench's documents workload 5-7 % of work_per_s.
         plan = self._plans.get(law)
-        if plan is None and not keep:
-            self._plans[law] = False
-            return self._steps(law)
         if plan is None or plan is False:
-            plan = self._plans[law] = list(self._steps(law))
+            n = self.n
+            widened = ((pre, mask, (masks,) * n if type(masks) is int else masks, terms)
+                       for pre, mask, masks, terms in self.prefixes(law))
+            if plan is None:
+                self._plans[law] = False
+                return widened
+            plan = self._plans[law] = list(widened)
         return plan
 
     def prefixes(self, law: Law):
-        """The law's prefixes as plan gives them, except that a conclusion is
-        as `allows` returns it: one mask for every value of the last variable,
-        or one mask per value.  A law of two or three variables without a
-        term, whose first variable ranges over every element and whose later
-        ones over every element, [x), (x] or (the last) the maximal lower
-        bounds of the two before it, is read straight from the order masks
-        into a list that is not kept; any other law is read through plan."""
-        o, allows, n = law.over, law.allows, self.n
-        if law.term is None and o[0] is _any and len(o) in (2, 3) and o[1] in _ORDER_MASKS:
-            m1 = _ORDER_MASKS[o[1]](self)
-            if len(o) == 2:
-                return [((x,), m1[x], allows(self, x), None) for x in range(n)]
-            if o[2] is _mlbs:
-                mlbs = self.mlbs
-                return [((x, y), m, allows(self, x, y), None)
-                        for x in range(n) for y in members(m1[x]) if (m := mlbs[x][y])]
-            if o[2] in _ORDER_MASKS:
-                m2 = _ORDER_MASKS[o[2]](self)
-                return [((x, y), m2[x], allows(self, x, y), None) for x in range(n) for y in members(m1[x])]
-        return self.plan(law)
-
-    def _steps(self, law: Law):
-        o, allows, term, n = law.over, law.allows, law.term, self.n
-        # the two commonest arities spelled out, so that no call takes *pre
-        if len(o) == 2:
-            o0, o1 = o
-            for x in members(o0(self)):
-                mask = o1(self, x)
-                if mask:
-                    masks = allows(self, x)
-                    yield ((x,), mask, (masks,) * n if type(masks) is int else masks,
-                           term and term(self, x))
-            return
-        if len(o) == 3:
-            o0, o1, o2 = o
-            for x in members(o0(self)):
-                for y in members(o1(self, x)):
-                    mask = o2(self, x, y)
-                    if mask:
-                        masks = allows(self, x, y)
-                        yield ((x, y), mask, (masks,) * n if type(masks) is int else masks,
-                               term and term(self, x, y))
-            return
+        """Per prefix of the law's instances, in lexicographic order: the
+        values of every variable but the last, the (nonempty) mask of the last
+        one's values, the conclusions as `allows` returns them (one mask for
+        every value of the last variable, or one mask per value), and the term
+        per value of the last variable (None without a term).  A range that
+        depends only on the first variable x (every element, [x), (x]) is
+        read from the order-mask rows, and the maximal lower bounds of x and
+        y from the mlbs table; any other range calls the law's `over`.
+        Streamed, so that a reader that stops early walks no further, and
+        not kept."""
+        o, allows, term = law.over, law.allows, law.term
+        first = o[0](self)
         if len(o) == 1:
-            prefixes = [((), o[0](self))]
-        else:
-            prefixes = (((x, y, z), o[3](self, x, y, z)) for x in members(o[0](self))
-                        for y in members(o[1](self, x)) for z in members(o[2](self, x, y)))
-        for pre, mask in prefixes:
-            if mask:
-                masks = allows(self, *pre)
-                yield (pre, mask, (masks,) * n if type(masks) is int else masks,
-                       term and term(self, *pre))
+            return (((), m, allows(self), term and term(self)) for m in (first,) if m)
+        # per later variable: the masks of its range per value of x, where
+        # they depend on nothing else, or None where its range calls `over`
+        xs, o1 = members(first), o[1]
+        rows1 = _ORDER_MASKS[o1](self) if o1 in _ORDER_MASKS else None
+        if len(o) == 2:
+            return (((x,), m, allows(self, x), term and term(self, x))
+                    for x in xs if (m := rows1[x] if rows1 else o1(self, x)))
+        o2 = o[2]
+        rows2 = _ORDER_MASKS[o2](self) if o2 in _ORDER_MASKS else None
+        mlbs = o2 is _mlbs and self.mlbs
+        if len(o) == 3:
+            return (((x, y), m, allows(self, x, y), term and term(self, x, y))
+                    for x in xs for y in members(rows1[x] if rows1 else o1(self, x))
+                    if (m := rows2[x] if rows2 else mlbs[x][y] if mlbs else o2(self, x, y)))
+        o3 = o[3]
+        rows3 = _ORDER_MASKS[o3](self) if o3 in _ORDER_MASKS else None
+        return (((x, y, z), m, allows(self, x, y, z), term and term(self, x, y, z))
+                for x in xs for y in members(rows1[x] if rows1 else o1(self, x))
+                for z in members(rows2[x] if rows2 else mlbs[x][y] if mlbs else o2(self, x, y))
+                if (m := rows3[x] if rows3 else o3(self, x, y, z)))
 
 
 def _bit(i: int | None) -> int:

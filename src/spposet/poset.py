@@ -83,7 +83,8 @@ class Poset:
     once, with their i-natural cells) are immutable values, each built once,
     on its first read, and kept for the poset's lifetime.  The law context
     (laws), and each kept selection's, is built the same way and then keeps
-    the plans of the laws it checks, which depend on nothing else.
+    the plans of the laws it checks more than once, and the column set-ups
+    of the axiom systems it solves, which depend on nothing else.
 
     The constructor trusts its input; use :func:`build_poset` to validate
     declarations and take the reflexive-transitive closure.
@@ -460,6 +461,9 @@ class Poset:
         """Induced sub-poset on the given elements, keeping declaration order."""
         mask = self.subset_mask(members)
         kept = [i for i in range(self.n) if mask >> i & 1]
+        sub_name = name if name is not None else f"{self.name}|sub"
+        if not kept:
+            raise SizeCap(f"poset {sub_name!r} must have between 1 and {SIZE_CAP} elements, got 0")
         pos = {i: k for k, i in enumerate(kept)}
         ups = []
         for i in kept:
@@ -467,7 +471,6 @@ class Poset:
             for j in bits(self.ups[i] & mask):
                 m |= 1 << pos[j]
             ups.append(m)
-        sub_name = name if name is not None else f"{self.name}|sub"
         return Poset(sub_name, tuple(self.elements[i] for i in kept), tuple(ups))
 
 

@@ -27,16 +27,14 @@ class PartialTable:
     """A binary operation defined on exactly the pairs (x, y) with y <= x.
 
     cells[x][y] holds the value's index for sectioned pairs and None elsewhere;
-    the constructor enforces that shape.  With sectional=True it additionally
-    checks that every section [p) is closed under the operation.
+    the constructor enforces that shape.
     """
 
-    __slots__ = ("owner", "cells", "sectional")
+    __slots__ = ("owner", "cells")
 
-    def __init__(self, owner: Poset, cells, sectional: bool = False):
+    def __init__(self, owner: Poset, cells):
         self.owner = owner
         self.cells = tuple(tuple(row) for row in cells)
-        self.sectional = sectional
         n = owner.n
         if len(self.cells) != n or any(len(r) != n for r in self.cells):
             raise ValueError(f"table must be {n}x{n}")
@@ -52,21 +50,12 @@ class PartialTable:
                 elif v is not None:
                     raise ValueError(
                         f"value outside the domain y <= x at ({owner.elements[x]}, {owner.elements[y]})")
-        if sectional:
-            for x in range(n):
-                for y in range(n):
-                    if owner.leq_ix(y, x):
-                        for p in bits(owner.downs[y]):
-                            if not owner.leq_ix(p, self.cells[x][y]):
-                                raise ValueError(
-                                    "table declared sectional but value at "
-                                    f"({owner.elements[x]}, {owner.elements[y]}) leaves [{owner.elements[p]})")
 
     @classmethod
-    def from_ids(cls, owner: Poset, rows, sectional: bool = False) -> "PartialTable":
+    def from_ids(cls, owner: Poset, rows) -> "PartialTable":
         """rows: per-element list of value identifiers in declaration order, None for undefined."""
         cells = [[None if v is None else owner.index(v) for v in row] for row in rows]
-        return cls(owner, cells, sectional)
+        return cls(owner, cells)
 
     def defined(self, x: str, y: str) -> bool:
         return self.cells[self.owner.index(x)][self.owner.index(y)] is not None

@@ -3,16 +3,26 @@
 column_constraints walks every instance of every law of a system once, into
 per-cell masks for the one-cell laws and per-row-pair link lists for the
 two-cell laws, and system_column_solutions searches each column row by row,
-values ascending, testing a row's values against the rows already assigned:
-the solver before it checked forward and set up per column, the oracle of
-tests/test_solver.py.
+values ascending, testing a row's values against the rows already assigned
+(the links of a column are filed once, before its search): the solver before
+it checked forward and set up per column, the oracle of tests/test_solver.py.
 
 PrefixWalkColumns is the solver's per-call column set-up before the set-up
-was kept per poset and read from the order masks: every call walks the plan
-of each law (LawContext.plan), once per column for the one-cell laws.
-models_are answers what system_models_are answers, from its columns.  It is
-the oracle of the kept set-up (solver_cases.setup_disagreements).
+was kept per poset and read from the order masks: every call walks the
+instances of each law into every column.  models_are answers what
+system_models_are answers, from its columns.  It is the oracle of the kept
+set-up (solver_cases.setup_disagreements).
+
+Both read each law's instances from steps, kept per law context by walk:
+the generator walk of the law table before LawContext.prefixes read its
+ranges from the order masks, with every conclusion widened to one mask per
+value of the last variable.  steps is also the oracle of
+LawContext.prefixes (tests/test_laws.py).
 """
+
+import functools
+import itertools
+import weakref
 
 from spposet.axioms import require_system, system_laws
 from spposet.enumeration import SEARCH_BUDGET, _column_laws, _column_search
@@ -21,24 +31,75 @@ from spposet.poset import Poset, bits, members
 from spposet.pseudo import PartialTable
 
 
+def steps(e, law):
+    """Per prefix of the law's instances on the law context e, in
+    lexicographic order: the values of every variable but the last, the
+    (nonempty) mask of the last one's values, the conclusions, one mask per
+    value of the last variable, and the term per value of the last variable
+    (None without a term).  Every range is the law's `over`, called per
+    prefix."""
+    o, allows, term, n = law.over, law.allows, law.term, e.n
+    # the two commonest arities spelled out, so that no call takes *pre
+    if len(o) == 2:
+        o0, o1 = o
+        for x in members(o0(e)):
+            mask = o1(e, x)
+            if mask:
+                masks = allows(e, x)
+                yield ((x,), mask, (masks,) * n if type(masks) is int else masks, term and term(e, x))
+        return
+    if len(o) == 3:
+        o0, o1, o2 = o
+        for x in members(o0(e)):
+            for y in members(o1(e, x)):
+                mask = o2(e, x, y)
+                if mask:
+                    masks = allows(e, x, y)
+                    yield ((x, y), mask, (masks,) * n if type(masks) is int else masks,
+                           term and term(e, x, y))
+        return
+    if len(o) == 1:
+        prefixes = [((), o[0](e))]
+    else:
+        prefixes = (((x, y, z), o[3](e, x, y, z)) for x in members(o[0](e))
+                    for y in members(o[1](e, x)) for z in members(o[2](e, x, y)))
+    for pre, mask in prefixes:
+        if mask:
+            masks = allows(e, *pre)
+            yield pre, mask, (masks,) * n if type(masks) is int else masks, term and term(e, *pre)
+
+
+_walks: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def walk(e, law) -> list:
+    """steps(e, law) as a list, kept for as long as the law context e is:
+    the oracles read a law's walk again for every system and every call."""
+    kept = _walks.setdefault(e, {})
+    if law not in kept:
+        kept[law] = list(steps(e, law))
+    return kept[law]
+
+
 def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list, object]:
     """What the laws ask of each column of a total table.
 
     Every law reads one cell, or two cells of the column given by its last
     variable, in rows given by the variables before it, with its conclusion
-    indexed by the first cell's value.  Returns (allowed, keep):
+    indexed by the first cell's value.  Returns (allowed, links):
     allowed[r][c] masks the values of cell (r, c) that the instances reading
     that cell alone allow (a two-cell instance whose cells coincide among
-    them), and keep(c, k, vals, m) the values in m that row k of column c may
-    hold while each row t < k holds vals[t].
+    them), and links(c) gives, per row k of column c, the links of the
+    two-cell instances that read it and an earlier row t, as (t, conclusions,
+    whether row t is read first, the columns they cover): what keep reads.
     """
     n = p.n
     e = (p if sel is None else sel).laws
     allowed = [[p.full] * n for _ in range(n)]
-    # per later row k and earlier row t: the conclusions of the two-cell
-    # instances that read row t first, and of those that read row k first,
-    # each with the columns it covers
-    links: list[dict] = [{} for _ in range(n)]
+    # per later row k: the two-cell instances that read it and an earlier
+    # row t, as (t, conclusions, whether row t is read first, the columns
+    # they cover)
+    links: list[list] = [[] for _ in range(n)]
     for law in laws:
         last = len(law.over) - 1
         if law.vectors is None or len(law.reads) == 2 and not (
@@ -46,7 +107,7 @@ def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list
             raise ValueError("only a law of one cell, or of two cells in one column, constrains columns")
         if len(law.reads) == 2:
             (r1, _), (r2, _) = law.reads
-            for pre, mask, masks, _ in e.plan(law, keep=True):
+            for pre, mask, masks, _ in walk(e, law):
                 if not mask:
                     continue
                 first, other = pre[r1], pre[r2]
@@ -55,31 +116,35 @@ def column_constraints(p: Poset, laws, sel: LocalSelection | None) -> tuple[list
                     for c in members(mask):
                         allowed[first][c] &= fixed
                 elif first < other:
-                    links[other].setdefault(first, ([], []))[0].append((masks, mask))
+                    links[other].append((first, masks, True, mask))
                 else:
-                    links[first].setdefault(other, ([], []))[1].append((masks, mask))
+                    links[first].append((other, masks, False, mask))
             continue
         (r, k), = law.reads
-        for pre, mask, masks, terms in e.plan(law, keep=True):
+        for pre, mask, masks, terms in walk(e, law):
             for u in members(mask):
                 v = pre + (u, terms[u]) if terms else pre + (u,)
                 if v[-1] is not None:  # an undefined term: the instance holds
                     allowed[v[r]][v[k]] &= masks[v[-1] if law.keyed else u]
-    by_row = [list(row.items()) for row in links]
 
-    def keep(c, k, vals, m):
-        for t, (reads_t, reads_k) in by_row[k]:
-            a = vals[t]
-            for masks, cover in reads_t:
-                if cover >> c & 1:
-                    m &= masks[a]
-            for masks, cover in reads_k:
-                if cover >> c & 1:
-                    for v in members(m):
-                        if not masks[v] >> a & 1:
-                            m ^= 1 << v
-        return m
-    return allowed, keep
+    @functools.cache
+    def column_links(c):
+        return [[link for link in row if link[3] >> c & 1] for row in links]
+    return allowed, column_links
+
+
+def keep(links, vals, m):
+    """The values in m that a row may hold under its links, while each
+    earlier row t holds vals[t]."""
+    for t, masks, first, _ in links:
+        a = vals[t]
+        if first:  # the row holds masks[a]
+            m &= masks[a]
+        else:  # the row holds the v whose masks[v] holds a
+            for v in members(m):
+                if not masks[v] >> a & 1:
+                    m ^= 1 << v
+    return m
 
 
 def system_constraints(p: Poset, system: str, sel: LocalSelection | None = None):
@@ -108,10 +173,11 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
     given star table (extension enumeration).  `constraints` are the
     system's (system_constraints), built when not given.  Each column is
     searched row by row, values ascending: a row's values are those its cell
-    allows, narrowed by the links to the rows already assigned.
+    allows, narrowed by the links to the rows already assigned, which are
+    filed once per column.
     """
     n = p.n
-    allowed, keep = constraints or system_constraints(p, system, sel)
+    allowed, column_links = constraints or system_constraints(p, system, sel)
     out = []
     for c in range(n):
         rows = [r for r in range(n) if p.leq_ix(c, r)] if system == "SP" else list(range(n))
@@ -123,28 +189,30 @@ def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = 
         out.append(sols)
         if not all(masks[r] for r in rows):
             continue
-        vals = [0] * n
+        links, vals, last = column_links(c), [0] * n, len(rows) - 1
+        if not any(links):  # no row constrains another: every combination, in order
+            sols += itertools.product(*[members(masks[r]) for r in rows])
+            continue
 
         def rec(i):
-            if i == len(rows):
-                sols.append(tuple([vals[r] for r in rows]))
-                return
             k = rows[i]
-            for v in bits(keep(c, k, vals, masks[k])):
+            for v in members(keep(links[k], vals, masks[k]) if links[k] else masks[k]):
                 vals[k] = v
-                rec(i + 1)
+                if i == last:
+                    sols.append(tuple([vals[r] for r in rows]))
+                else:
+                    rec(i + 1)
 
         rec(0)
     return out
 
 
 class PrefixWalkColumns:
-    """What a system's laws ask of each column of a total table, read per
-    column from the plans of the laws: cells(c) walks every plan of a one-cell
-    law whose column is its last variable, the other one-cell laws are filed
-    by column on the first read, and links(c, dom) narrows dom by the
-    two-cell instances that read one cell twice and returns the links of
-    column c, per row."""
+    """What a system's laws ask of each column of a total table, read from
+    the walks of the laws: cells(c) is a copy of column c's rows narrowed by
+    the instances of the one-cell laws, all columns built on the first
+    read, and links(c, dom) narrows dom by the two-cell instances that read
+    one cell twice and returns the links of column c, per row."""
 
     def __init__(self, p: Poset, system: str, sel: LocalSelection | None = None):
         if system != "NRMW":
@@ -152,34 +220,26 @@ class PrefixWalkColumns:
         else:
             require_owner(p, sel)
         self.p, self.partial = p, system == "SP"
-        self.by_last, self.other, self.two = _column_laws(system)
+        by_last, other, self.two = _column_laws(system)
+        self.one = by_last + other
         self.e = (p if sel is None else sel).laws
-        self._filed = self._links = None
-        self.spare = [SEARCH_BUDGET]
+        self._doms = self._links = None
 
     def rows(self, c: int) -> tuple[int, ...]:
         return members(self.p.ups[c] if self.partial else self.p.full)
 
     def cells(self, c: int) -> list[int]:
-        dom = [self.p.full] * self.p.n
-        for law in self.by_last:
-            (r, _), = law.reads
-            for pre, mask, masks, _ in self.e.plan(law, keep=True):
-                if mask >> c & 1:
-                    dom[(pre + (c,))[r]] &= masks[c]
-        if self.other:
-            if self._filed is None:
-                self._filed = [[] for _ in range(self.p.n)]
-                for law in self.other:
-                    (r, k), = law.reads
-                    for pre, mask, masks, terms in self.e.plan(law, keep=True):
-                        for u in members(mask):
-                            v = pre + (u, terms[u]) if terms else pre + (u,)
-                            if v[-1] is not None:
-                                self._filed[v[k]].append((v[r], masks[v[-1] if law.keyed else u]))
-            for r, m in self._filed[c]:
-                dom[r] &= m
-        return dom
+        if self._doms is None:
+            n = self.p.n
+            doms = self._doms = [[self.p.full] * n for _ in range(n)]
+            for law in self.one:
+                (r, k), = law.reads
+                for pre, mask, masks, terms in walk(self.e, law):
+                    for u in members(mask):
+                        v = pre + (u, terms[u]) if terms else pre + (u,)
+                        if v[-1] is not None:  # an undefined term: the instance holds
+                            doms[v[k]][v[r]] &= masks[v[-1] if law.keyed else u]
+        return self._doms[c][:]
 
     def links(self, c: int, dom: list[int]) -> list[list[tuple]]:
         if self._links is None:
@@ -202,7 +262,7 @@ class PrefixWalkColumns:
         fixed, some = [], []
         for law in self.two:
             (r1, _), (r2, _) = law.reads
-            for pre, cover, masks, _ in self.e.plan(law, keep=True):
+            for pre, cover, masks, _ in walk(self.e, law):
                 first, other = pre[r1], pre[r2]
                 if first == other:
                     t, link = first, sum([1 << a for a in range(n) if masks[a] >> a & 1])

@@ -2,15 +2,17 @@
 on every class with up to 7 elements, and what the set-up keeps and builds.
 
 The oracle (solver_oracle.PrefixWalkColumns) is the solver's set-up before
-it was kept: every call walks the plan of each law once per column.  The
-kept set-up must give the same rows, the same per-row masks and the same
-links per column, for every system (NATI under the union and the Frink
-selection), and system_models_are must give the answers the oracle's
-columns give, against None and each table the poset has
-(solver_cases.setup_disagreements).  tests/test_solver.py compares the same
-on every labeled poset with up to 5 elements and on the corpus, building the
-set-ups in the other order, so that a set-up built from another system's
-masks and one built from its own laws are both compared.
+it was kept: every call walks each law's instances into every column, from
+the generator walk the law context had before it read ranges from the order
+masks (solver_oracle.walk).  The kept set-up must give the same rows, the
+same per-row masks and the same links per column, for every system (NATI
+under the union and the Frink selection), and system_models_are must give
+the answers the oracle's columns give, against None and each table the
+poset has (solver_cases.setup_disagreements).  tests/test_solver.py
+compares the same on every labeled poset with up to 5 elements and on the
+corpus, building the set-ups in the other order, so that a set-up built
+from another system's masks and one built from its own laws are both
+compared.
 """
 
 import pytest

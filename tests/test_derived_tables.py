@@ -239,13 +239,13 @@ def test_a_selection_keeps_its_law_context(make, monkeypatch):
     sel = make(p)
     assert sel.laws is sel.laws and sel.laws.sel is sel and sel.laws is not p.laws
     t = i_natural_extension(p, sel).table
-    steps = []
-    walk = LawContext._steps
-    monkeypatch.setattr(LawContext, "_steps", lambda e, law: steps.append(law) or walk(e, law))
+    walks = []
+    walk = LawContext.prefixes
+    monkeypatch.setattr(LawContext, "prefixes", lambda e, law: walks.append(law) or walk(e, law))
     # the first read of a law streams its plan, the second keeps it
     for _ in range(2):
         assert check_system(p, t, "NATI", sel).holds
-    assert steps
-    steps.clear()
+    assert walks
+    walks.clear()
     assert check_system(p, t, "NATI", sel).holds
-    assert steps == []
+    assert walks == []

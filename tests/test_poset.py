@@ -174,3 +174,9 @@ def test_restrict(hexagon, diamond):
     sub = hexagon.restrict(["0", "c", "d", "1"], name="q")
     assert sub.elements == ("0", "c", "d", "1")
     assert sub == diamond
+
+
+def test_restrict_to_nothing_is_refused(hexagon):
+    # build_poset's range and wording: a 0-element poset has no classify() or emit()
+    with pytest.raises(SizeCap, match=r"^poset 'hex\|sub' must have between 1 and 16 elements, got 0$"):
+        hexagon.restrict([])

@@ -56,18 +56,18 @@ def test_star_table_missing_witness(vee):
     assert mw.candidates == ("a", "b")
 
 
+def escaping_values(t):
+    """The sectioned pairs (x, y) of the partial table t whose value leaves the section [y)."""
+    p = t.owner
+    return [(x, y) for x in range(p.n) for y in bits(p.downs[x]) if not p.leq_ix(y, t.cells[x][y])]
+
+
 def test_star_tables_are_sectional(hexagon, diamond, twochains, chains5):
     for p in (hexagon, diamond, twochains, chains5):
-        st = star_table(p)
-        PartialTable(p, st.cells, sectional=True)  # validates
-
-
-def test_sectional_flag_rejects_escaping_values():
+        assert escaping_values(star_table(p)) == []
     chain = build_poset("c2", ["0", "1"], [("0", "1")])
-    rows = [["0", None], ["0", "0"]]  # 1 -> 1 = 0 leaves the section [1)
-    PartialTable.from_ids(chain, rows)  # fine without the flag
-    with pytest.raises(ValueError, match="sectional"):
-        PartialTable.from_ids(chain, rows, sectional=True)
+    # 1 -> 1 = 0 leaves the section [1)
+    assert escaping_values(PartialTable.from_ids(chain, [["0", None], ["0", "0"]])) == [(1, 1)]
 
 
 def test_section_top(hexagon, twochains):
