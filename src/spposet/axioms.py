@@ -213,12 +213,12 @@ def _mlbs(e, x, y):  # the maximal lower bounds of x and y
 _ORDER_MASKS = {_any: lambda e: (e.full,) * e.n, _above: lambda e: e.ups, _below: lambda e: e.downs}
 
 
-def _disjoint_bases(e, x, y):  # the z <= x with [z,x] n [z,y] = {z}
+def _disjoint_bases(e, x, y):  # the z <= x where [z,x] and [z,y] meet at most in z
     ups, both = e.ups, e.downs[x] & e.downs[y]
     return sum([1 << z for z in members(e.downs[x]) if ups[z] & both & ~(1 << z) == 0])
 
 
-def _selected_disjoint_bases(e, x, y):  # the z <= x with [z,x] n [z,w] = {z} for all w in I(y, z)
+def _selected_disjoint_bases(e, x, y):  # the z <= x where [z,x] and [z,w] meet at most in z, for all w in I(y, z)
     rows, disjoint = e.sel.rows[y], e.disjoint_over_masks[x]
     return sum([1 << z for z in members(e.downs[x]) if rows[z] & ~disjoint[z] == 0])
 
@@ -287,9 +287,9 @@ LAWS = {
     "sp3": Law("xyz", (_any, _any, _mlbs), ("yz",), _above),
     # x <= y:  y -> z <= x -> z
     "nat1": Law("xyz", (_any, _above, _any), ("yz", "xz"), _ups, by="yz"),
-    # z <= x, [z,x] n [z,y] = {z}:  x <= y -> z
+    # z <= x, [z,x] and [z,y] meeting at most in z:  x <= y -> z
     "nat3": Law("xyz", (_any, _any, _disjoint_bases), ("yz",), _above),
-    # z <= x, [z,x] n [z,w] = {z} for every w in I(y, z):  x <= y -> z
+    # z <= x, [z,x] and [z,w] meeting at most in z for every w in I(y, z):  x <= y -> z
     "natI3": Law("xyz", (_any, _any, _selected_disjoint_bases), ("yz",), _above),
     # y <= x -> y
     "nrm0": Law("xy", (_any, _any), ("xy",), _ups),

@@ -13,6 +13,8 @@ compute both and treat disagreement as an implementation bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .errors import (
     InternalDisagreement,
@@ -22,7 +24,7 @@ from .errors import (
     SelectionAxiomViolation,
     StructureMismatch,
 )
-from .poset import ElementSet, Poset, _derived, bits
+from .poset import ElementSet, Poset, _derived, bits, members
 from .pseudo import PartialTable, TotalTable, _defining_mask
 
 
@@ -208,10 +210,22 @@ class LocalSelection:
     __slots__ = ("owner", "kind", "rows", "_tables")
 
     def __init__(self, owner: Poset, kind: str, masks: dict):
+        r = range(owner.n)
+        self._start(owner, kind, tuple(tuple(masks[(i, j) if i <= j else (j, i)] for j in r) for i in r))
+
+    @classmethod
+    def _of_rows(cls, owner: Poset, kind: str, rows: tuple) -> "LocalSelection":
+        """The selection with I(i, j) = rows[i][j], for rows that are a tuple of
+        owner.n tuples of owner.n masks, symmetric; validated as the
+        constructor validates."""
+        sel = object.__new__(cls)
+        sel._start(owner, kind, rows)
+        return sel
+
+    def _start(self, owner: Poset, kind: str, rows: tuple):
         self.owner = owner
         self.kind = kind
-        r = range(owner.n)
-        self.rows = tuple(tuple(masks[(i, j) if i <= j else (j, i)] for j in r) for i in r)
+        self.rows = rows
         self._tables: dict = {}
         self._validate()
 
@@ -245,27 +259,53 @@ class LocalSelection:
         return LawContext(self.owner, self)
 
     def _validate(self):
+        """Raise SelectionAxiomViolation unless the rows obey the required laws.
+
+        The laws are tested on whole masks: each distinct mask once for being
+        a down-set, each row's masks together for holding the row's element
+        (I0), each comparable pair's mask against the larger element's (x]
+        (I2), and growth (I3) only from an element to its upper covers, which
+        gives it along every chain of covers.  Only when a test fails does
+        the pair walk run, to name the first violation in the order it checks.
+        """
+        p, rows = self.owner, self.rows
+        downs = p.downs
+        if not (all([downs[u] | m == m for m in set().union(*rows) for u in members(m)])
+                and all([reduce(and_, row) >> i & 1 for i, row in enumerate(rows)])
+                and all([row[j] == d for row, d in zip(rows, downs) for j in members(d)])):
+            self._first_violation(growth=False)
+        covers = p.upper_covers
+        if not all([tuple(map(or_, row, rows[c])) == rows[c]
+                    for row, up in zip(rows, covers) for c in members(up)]):
+            self._first_violation(growth=True)
+
+    def _first_violation(self, growth: bool):
+        """Raise the first violation of the pair walk: of the down-set, I0 and
+        I2 laws, pair by pair with i <= j, or of I3 over every i <= i2."""
         p = self.owner
         els = p.elements
         rows = self.rows
-        for i in range(p.n):
-            for j in range(i, p.n):
-                m = rows[i][j]
-                for u in bits(m):
-                    if p.downs[u] & ~m:
-                        raise SelectionAxiomViolation("down-set", (els[i], els[j], els[u]))
-                if not (m >> i & 1 and m >> j & 1):
-                    raise SelectionAxiomViolation("I0", (els[i], els[j]))
-                if p.leq_ix(j, i) and m != p.downs[i]:
-                    raise SelectionAxiomViolation("I2", (els[i], els[j]))
-                if p.leq_ix(i, j) and m != p.downs[j]:
-                    raise SelectionAxiomViolation("I2", (els[i], els[j]))
-        for i in range(p.n):
-            for j in range(p.n):
-                m = rows[i][j]
-                for i2 in bits(p.ups[i]):
-                    if m & ~rows[i2][j]:
-                        raise SelectionAxiomViolation("I3", (els[i], els[j], els[i2]))
+        if not growth:
+            for i in range(p.n):
+                for j in range(i, p.n):
+                    m = rows[i][j]
+                    for u in bits(m):
+                        if p.downs[u] & ~m:
+                            raise SelectionAxiomViolation("down-set", (els[i], els[j], els[u]))
+                    if not (m >> i & 1 and m >> j & 1):
+                        raise SelectionAxiomViolation("I0", (els[i], els[j]))
+                    if p.leq_ix(j, i) and m != p.downs[i]:
+                        raise SelectionAxiomViolation("I2", (els[i], els[j]))
+                    if p.leq_ix(i, j) and m != p.downs[j]:
+                        raise SelectionAxiomViolation("I2", (els[i], els[j]))
+        else:
+            for i in range(p.n):
+                for j in range(p.n):
+                    m = rows[i][j]
+                    for i2 in bits(p.ups[i]):
+                        if m & ~rows[i2][j]:
+                            raise SelectionAxiomViolation("I3", (els[i], els[j], els[i2]))
+        raise InternalDisagreement(f"a selection over {p.name!r} fails its mask test, but no pair violates a law")
 
 
 def require_owner(p: Poset, sel: LocalSelection | None) -> None:
@@ -318,7 +358,7 @@ def selection_custom(p: Poset, table) -> LocalSelection:
 
 def i_natural_defining_mask(p: Poset, sel: LocalSelection, x: int, y: int) -> int:
     """Candidates u with (u] n I(x,y) n [y) = {y}, as a mask over indices."""
-    return _defining_mask(p, sel.rows[x][y] & p.ups[y], 1 << y)
+    return _defining_mask(p, sel.rows[x][y] & p.ups[y], 1 << y, p.ups[y])
 
 
 def i_natural_cell(p: Poset, sel: LocalSelection, x: int, y: int) -> int | None:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from types import MappingProxyType
 
 from .errors import AntisymmetryViolation, DuplicateElement, SizeCap, UnknownElement
@@ -77,14 +78,15 @@ class Poset:
     section/bound computations are a handful of word operations.
 
     The tables derived from the order (meets, joins, meet masks, maximal
-    lower bounds, section tops, the local disjointness and meet masks, the
-    bound-witness masks, the classify() report, the star table and its total
-    normal extension, and the union and Frink selections, each validated
-    once, with their i-natural cells) are immutable values, each built once,
-    on its first read, and kept for the poset's lifetime.  The law context
-    (laws), and each kept selection's, is built the same way and then keeps
-    the plans of the laws it checks more than once, and the column set-ups
-    of the axiom systems it solves, which depend on nothing else.
+    lower bounds, section tops, upper covers, the local disjointness and
+    meet masks, the bound-witness masks, the classify() report, the star
+    table and its total normal extension, and the union and Frink
+    selections, each validated once, with their i-natural cells) are
+    immutable values, each built once, on its first read, and kept for the
+    poset's lifetime.  The law context (laws), and each kept selection's, is
+    built the same way and then keeps the plans of the laws it checks more
+    than once, and the column set-ups of the axiom systems it solves, which
+    depend on nothing else.
 
     The constructor trusts its input; use :func:`build_poset` to validate
     declarations and take the reflexive-transitive closure.
@@ -301,11 +303,12 @@ class Poset:
         return self.set_of(self.frink_mask(self.index(x), self.index(y)))
 
     def frink_mask(self, i: int, j: int) -> int:
-        u = self.ups[i] & self.ups[j]
-        if u == 0:
-            return self.full
+        return self.lower_bounds_of(self.ups[i] & self.ups[j])
+
+    def lower_bounds_of(self, mask: int) -> int:
+        """The common lower bounds of mask, as a mask; the whole carrier for 0."""
         m = self.full
-        for z in bits(u):
+        for z in bits(mask):
             m &= self.downs[z]
         return m
 
@@ -352,16 +355,22 @@ class Poset:
 
     # -- structure ------------------------------------------------------------
 
+    @_derived
+    def upper_covers(self) -> tuple[int, ...]:
+        """upper_covers[i]: the elements covering i, as a bitmask: those above
+        i and above no other element above i."""
+        ups, out = self.ups, []
+        for i, up in enumerate(ups):
+            strict, higher = up & ~(1 << i), 0
+            for j in bits(strict):
+                higher |= ups[j] & ~(1 << j)
+            out.append(strict & ~higher)
+        return tuple(out)
+
     def covers(self) -> list[tuple[str, str]]:
         """Covering pairs (x, y) with x covered by y, in index order."""
-        out = []
-        for i in range(self.n):
-            strict = self.ups[i] & ~(1 << i)
-            for j in bits(strict):
-                between = self.ups[i] & self.downs[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        els = self.elements
+        return [(els[i], els[j]) for i, m in enumerate(self.upper_covers) for j in bits(m)]
 
     def classify(self) -> "StructureReport":
         """The standard structure flags, each failure witnessed."""
@@ -369,35 +378,46 @@ class Poset:
 
     @_derived
     def _structure(self) -> "StructureReport":
-        """Exhaustive pair scan for the flags of classify()."""
+        """The flags of classify(), each false one witnessed by its first
+        failing pair (i, j), i < j in row-major order.  The flags read off
+        the order are tested one row mask at a time, of the j for which
+        (i, j) fails; the semilattice flags need each pair's join or meet,
+        so the pairs are scanned until each of them has failed."""
+        n, ups, downs, els, full = self.n, self.ups, self.downs, self.elements, self.full
         flags: dict[str, bool] = {}
         wit: dict[str, tuple[str, str]] = {}
-        els = self.elements
-
-        def fail(flag, i, j):
-            flags[flag] = False
-            wit[flag] = (els[i], els[j])
-
-        for flag in ("is_chain", "is_up_directed", "is_upper_semilattice",
-                     "is_lower_semilattice", "is_nearlattice", "all_lower_sections_chains"):
+        # linked[i]: the j that have an upper bound in common with i
+        linked = [reduce(or_, [downs[u] for u in members(up)]) for up in ups]
+        incomparable = [full & ~(u | d) for u, d in zip(ups, downs)]
+        failing = {
+            "is_chain": incomparable,
+            "is_up_directed": [full & ~m for m in linked],
+            "all_lower_sections_chains": [c & m for c, m in zip(incomparable, linked)],
+        }
+        for flag, rows in failing.items():
             flags[flag] = True
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                comp = self.leq_ix(i, j) or self.leq_ix(j, i)
-                if not comp and flags["is_chain"]:
-                    fail("is_chain", i, j)
-                up = self.ups[i] & self.ups[j]
-                down = self.downs[i] & self.downs[j]
-                if up == 0 and flags["is_up_directed"]:
-                    fail("is_up_directed", i, j)
-                if flags["is_upper_semilattice"] and self.least_of(up) is None:
-                    fail("is_upper_semilattice", i, j)
-                if flags["is_lower_semilattice"] and self.greatest_of(down) is None:
-                    fail("is_lower_semilattice", i, j)
-                if flags["is_nearlattice"] and down != 0 and self.greatest_of(down) is None:
-                    fail("is_nearlattice", i, j)
-                if flags["all_lower_sections_chains"] and not comp and up != 0:
-                    fail("all_lower_sections_chains", i, j)
+            for i, m in enumerate(rows):
+                m &= -2 << i  # the j > i
+                if m:
+                    flags[flag] = False
+                    wit[flag] = (els[i], els[(m & -m).bit_length() - 1])
+                    break
+
+        upper = lower = near = True
+        least, greatest = self.least_of, self.greatest_of
+        for i in range(n):
+            if not (upper or lower or near):
+                break
+            for j in range(i + 1, n):
+                if upper and least(ups[i] & ups[j]) is None:
+                    upper, wit["is_upper_semilattice"] = False, (els[i], els[j])
+                down = downs[i] & downs[j]
+                if (lower or near and down) and greatest(down) is None:
+                    if lower:
+                        lower, wit["is_lower_semilattice"] = False, (els[i], els[j])
+                    if near and down:
+                        near, wit["is_nearlattice"] = False, (els[i], els[j])
+        flags.update(is_upper_semilattice=upper, is_lower_semilattice=lower, is_nearlattice=near)
 
         maxima = list(bits(self.maximal_of(self.full)))
         flags["has_greatest"] = len(maxima) == 1
@@ -439,15 +459,14 @@ class Poset:
     def union_selection(self):
         """The union selection, as extensions.selection_union returns it."""
         from .extensions import LocalSelection  # extensions builds on this module
-        downs, r = self.downs, range(self.n)
-        return LocalSelection(self, "union", {(i, j): downs[i] | downs[j] for i in r for j in r if i <= j})
+        downs = self.downs
+        return LocalSelection._of_rows(self, "union", tuple([tuple([d | e for e in downs]) for d in downs]))
 
     @_derived
     def frink_selection(self):
         """The Frink selection, as extensions.selection_frink returns it."""
         from .extensions import LocalSelection  # extensions builds on this module
-        r = range(self.n)
-        return LocalSelection(self, "frink", {(i, j): self.frink_mask(i, j) for i in r for j in r if i <= j})
+        return LocalSelection._of_rows(self, "frink", _pairwise(self.lower_bounds_of, self.ups))
 
     @_derived
     def laws(self):
@@ -522,8 +541,9 @@ class StructureReport:
 def build_poset(name: str, elements, pairs) -> Poset:
     """Build a poset from declared order pairs (cover and le declarations alike).
 
-    The relation is the reflexive-transitive closure of the pairs; construction
-    fails if the closure violates antisymmetry, reporting the offending cycle.
+    The relation is the reflexive-transitive closure of the pairs, taken
+    Warshall-style; construction fails if the closure violates antisymmetry,
+    reporting the offending cycle.
     """
     elements = tuple(elements)
     if not 1 <= len(elements) <= SIZE_CAP:
@@ -543,21 +563,12 @@ def build_poset(name: str, elements, pairs) -> Poset:
             raise UnknownElement(f"{y!r} in a declared pair is not an element of {name!r}")
         ups[index[x]] |= 1 << index[y]
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = ups[i]
-            for j in bits(m):
-                m |= ups[j]
-            if m != ups[i]:
-                ups[i] = m
-                changed = True
+    for k in range(n):  # every element that reaches k reaches what k reaches
+        up, bit = ups[k], 1 << k
+        ups = [u | up if u & bit else u for u in ups]
 
-    for i in range(n):
-        for j in bits(ups[i]):
-            if j != i and ups[j] >> i & 1:
-                cycle = [elements[k] for k in bits(ups[i]) if ups[k] >> i & 1]
-                raise AntisymmetryViolation(cycle)
-
-    return Poset(name, elements, tuple(ups))
+    p = Poset(name, elements, ups)
+    for i, (up, down) in enumerate(zip(p.ups, p.downs)):
+        if up & down != 1 << i:  # the elements both above and below i form a cycle
+            raise AntisymmetryViolation([elements[k] for k in bits(up & down)])
+    return p

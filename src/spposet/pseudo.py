@@ -18,26 +18,87 @@ table is complement_table(p, "sp"), built once per poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 
 from .errors import NotInSection
-from .poset import Poset, bits
+from .poset import SIZE_CAP, Poset, bits, members
 
 
-class PartialTable:
+class _Table:
+    """What the two table kinds share: an owner poset and rows of cells."""
+
+    __slots__ = ("owner", "cells")
+
+    @classmethod
+    def _from_checked_rows(cls, owner: Poset, rows: tuple):
+        """A table over rows that the caller has already checked: a tuple of
+        owner.n tuples of cells that the table kind admits.  Nothing is
+        checked or copied here."""
+        t = object.__new__(cls)
+        t.owner = owner
+        t.cells = rows
+        return t
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.owner == other.owner and self.cells == other.cells
+
+    def __hash__(self):
+        return hash((self.owner, self.cells))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(over {self.owner.name!r})"
+
+
+def _check_shape(owner: Poset, cells: tuple) -> None:
+    n = owner.n
+    if len(cells) != n or any(len(r) != n for r in cells):
+        raise ValueError(f"table must be {n}x{n}")
+
+
+def _cells_of_ids(owner: Poset, rows, undefined: bool) -> tuple:
+    """rows, a sequence of rows of value identifiers, with each identifier
+    replaced by its index (None stays None where undefined cells are
+    allowed), checked to be owner.n rows of owner.n cells.  The first unknown
+    identifier in row-major order raises UnknownElement, as Poset.index does."""
+    index = owner._index
+    get = ({**index, None: None} if undefined else index).__getitem__
+    cells = []
+    for row in rows:
+        try:
+            cells.append(tuple(map(get, row)))
+        except KeyError:
+            for v in row:
+                if v is not None or not undefined:
+                    owner.index(v)
+            raise
+    cells = tuple(cells)
+    _check_shape(owner, cells)
+    return cells
+
+
+_BITS = tuple(1 << y for y in range(SIZE_CAP))
+
+
+def _none_mask(row) -> int:
+    """The indices of the cells of row that are None, as a bitmask."""
+    return sum(compress(_BITS, map(is_, row, repeat(None))))
+
+
+class PartialTable(_Table):
     """A binary operation defined on exactly the pairs (x, y) with y <= x.
 
     cells[x][y] holds the value's index for sectioned pairs and None elsewhere;
     the constructor enforces that shape.
     """
 
-    __slots__ = ("owner", "cells")
+    __slots__ = ()
 
     def __init__(self, owner: Poset, cells):
         self.owner = owner
         self.cells = tuple(tuple(row) for row in cells)
         n = owner.n
-        if len(self.cells) != n or any(len(r) != n for r in self.cells):
-            raise ValueError(f"table must be {n}x{n}")
+        _check_shape(owner, self.cells)
         for x in range(n):
             for y in range(n):
                 v = self.cells[x][y]
@@ -53,9 +114,23 @@ class PartialTable:
 
     @classmethod
     def from_ids(cls, owner: Poset, rows) -> "PartialTable":
-        """rows: per-element list of value identifiers in declaration order, None for undefined."""
-        cells = [[None if v is None else owner.index(v) for v in row] for row in rows]
-        return cls(owner, cells)
+        """rows: per-element list of value identifiers in declaration order, None for undefined.
+
+        The domain is checked one row at a time, as a mask: the defined cells
+        of row x must be (x].  The first cell where they differ is the one
+        the constructor's cell-by-cell check names.
+        """
+        cells = _cells_of_ids(owner, rows, True)
+        els, full = owner.elements, owner.full
+        for x, (row, down) in enumerate(zip(cells, owner.downs)):
+            defined = full ^ _none_mask(row)
+            wrong = defined ^ down
+            if wrong:
+                y = (wrong & -wrong).bit_length() - 1
+                if down >> y & 1:
+                    raise ValueError(f"missing value at sectioned pair ({els[x]}, {els[y]})")
+                raise ValueError(f"value outside the domain y <= x at ({els[x]}, {els[y]})")
+        return cls._from_checked_rows(owner, cells)
 
     def defined(self, x: str, y: str) -> bool:
         return self.cells[self.owner.index(x)][self.owner.index(y)] is not None
@@ -74,69 +149,32 @@ class PartialTable:
                 if self.cells[x][y] is not None:
                     yield els[x], els[y]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartialTable)
-            and self.owner == other.owner
-            and self.cells == other.cells
-        )
 
-    def __hash__(self):
-        return hash((self.owner, self.cells))
-
-    def __repr__(self):
-        return f"PartialTable(over {self.owner.name!r})"
-
-
-class TotalTable:
+class TotalTable(_Table):
     """A binary operation defined on all pairs, cells[x][y] holding value indices.
 
-    The constructor validates every cell.  `_from_checked_rows` is the
-    trusted constructor for rows that are already known to be valid.
+    The constructor validates every cell; from_ids needs no cell check, as
+    every identifier it maps is an element.
     """
 
-    __slots__ = ("owner", "cells")
+    __slots__ = ()
 
     def __init__(self, owner: Poset, cells):
         self.owner = owner
         self.cells = tuple(tuple(row) for row in cells)
         n = owner.n
-        if len(self.cells) != n or any(len(r) != n for r in self.cells):
-            raise ValueError(f"table must be {n}x{n}")
+        _check_shape(owner, self.cells)
         for row in self.cells:
             for v in row:
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise ValueError("total table must map every pair to an element")
 
     @classmethod
-    def _from_checked_rows(cls, owner: Poset, rows: tuple) -> "TotalTable":
-        """A table over rows that the caller has already checked: a tuple of
-        owner.n tuples, each holding owner.n ints in range(owner.n).  Nothing
-        is checked or copied here."""
-        t = object.__new__(cls)
-        t.owner = owner
-        t.cells = rows
-        return t
-
-    @classmethod
     def from_ids(cls, owner: Poset, rows) -> "TotalTable":
-        return cls(owner, [[owner.index(v) for v in row] for row in rows])
+        return cls._from_checked_rows(owner, _cells_of_ids(owner, rows, False))
 
     def value(self, x: str, y: str) -> str:
         return self.owner.elements[self.cells[self.owner.index(x)][self.owner.index(y)]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TotalTable)
-            and self.owner == other.owner
-            and self.cells == other.cells
-        )
-
-    def __hash__(self):
-        return hash((self.owner, self.cells))
-
-    def __repr__(self):
-        return f"TotalTable(over {self.owner.name!r})"
 
 
 @dataclass(frozen=True)
@@ -151,29 +189,31 @@ class MissingWitness:
 # -- the shared defining-set evaluator ----------------------------------------
 
 
-def _defining_mask(p: Poset, a: int, b: int) -> int:
-    """The u with (u] n A = B, as a mask; every defining set has this form."""
-    m = 0
-    for u, down in enumerate(p.downs):
-        if down & a == b:
+def _defining_mask(p: Poset, a: int, b: int, within: int) -> int:
+    """The u with (u] n A = B, as a mask; every defining set has this form.
+    Only the u in `within` are tested: it must hold every such u, as [y)
+    does when B holds y."""
+    downs, m = p.downs, 0
+    for u in members(within):
+        if downs[u] & a == b:
             m |= 1 << u
     return m
 
 
 def _sp_mask(p: Poset, xi: int, yi: int) -> int:
-    return _defining_mask(p, p.ups[yi] & p.downs[xi], 1 << yi)
+    return _defining_mask(p, p.ups[yi] & p.downs[xi], 1 << yi, p.ups[yi])
 
 
 def _rp_mask(p: Poset, xi: int, yi: int) -> int:
-    return _defining_mask(p, p.downs[xi] & ~p.downs[yi], 0)
+    return _defining_mask(p, p.downs[xi] & ~p.downs[yi], 0, p.full)
 
 
 def _wrp_mask(p: Poset, xi: int, yi: int) -> int:
-    return _defining_mask(p, p.downs[xi], p.downs[yi])
+    return _defining_mask(p, p.downs[xi], p.downs[yi], p.ups[yi])
 
 
 def _clp_mask(p: Poset, xi: int, yi: int) -> int:
-    return _defining_mask(p, p.frink_mask(xi, yi), p.downs[yi])
+    return _defining_mask(p, p.frink_mask(xi, yi), p.downs[yi], p.ups[yi])
 
 
 # kind -> (its defining set per pair, whether only the pairs y <= x are in its domain)
@@ -244,9 +284,7 @@ def _fill(p: Poset, kind: str, cells: list) -> tuple[int, int, int] | None:
     greatest, r = p.greatest_of, range(p.n)
     for x in r:
         row = cells[x]
-        for y in r:
-            if sectional and not p.leq_ix(y, x):
-                continue
+        for y in members(p.downs[x]) if sectional else r:
             m = mask(p, x, y)
             v = greatest(m)
             if v is None:

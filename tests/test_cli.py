@@ -34,6 +34,14 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_validate_refuses_a_dash_element(tmp_path, capsys):
+    bad = tmp_path / "dash.sp"
+    bad.write_text("poset p\nelements - a\ncover - a\nend\n")
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert "line 2: '-' marks an undefined cell" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nowhere.sp")
     assert code == 2

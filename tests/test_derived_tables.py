@@ -31,10 +31,11 @@ from spposet.axioms import LawContext
 from spposet.enumeration import enumerate_posets
 from spposet.poset import Poset
 
-# bound_witness_masks reads meet_over_masks and normal_table reads star, so
-# each comes after the table it reads: each table is built on its own first read
-TABLES = ("meets", "joins", "meet_masks", "mlbs", "tops", "disjoint_over_masks", "meet_over_masks",
-          "_structure", "star", "normal_table", "bound_witness_masks", "union_selection",
+# _structure reads meets and joins, bound_witness_masks reads meet_over_masks,
+# normal_table reads star, and the selections' validation reads upper_covers,
+# so each comes after the tables it reads: each table is built on its own first read
+TABLES = ("meets", "joins", "meet_masks", "mlbs", "tops", "upper_covers", "disjoint_over_masks",
+          "meet_over_masks", "_structure", "star", "normal_table", "bound_witness_masks", "union_selection",
           "frink_selection")
 
 
@@ -78,6 +79,8 @@ def oracle_tables(p):
         "joins": tuple(tuple(_least(le, upper[i][j]) for j in r) for i in r),
         "mlbs": tuple(tuple(_mask(_maximal(le, lower[i][j])) for j in r) for i in r),
         "tops": tuple(_greatest(le, [z for z in r if le[i][z]]) for i in r),
+        # the j whose segment [i, j] is {i, j}
+        "upper_covers": tuple(_mask(j for j in r if len(between[i][j]) == 2) for i in r),
         # disjoint_over(u, z, b): [b,u] and [b,z] meet at most in b
         "disjoint_over_masks": tuple(tuple(
             _mask(z for z in r if all(w == b for w in common(b, u, z))) for b in r) for u in r),

@@ -5,6 +5,7 @@ import pytest
 from spposet import (
     PartialTable,
     TotalTable,
+    build_poset,
     emit,
     parse,
     selection_frink,
@@ -135,6 +136,17 @@ def test_total_table_rejects_dash():
             "optable t over p kind total\nrow x : x -\nrow y : x y\nend")
     with pytest.raises(ParseError, match="may not contain"):
         parse(text)
+
+
+def test_dash_may_not_name_an_element():
+    # '-' marks an undefined cell: the star value a*- = - is written as '-',
+    # like the undefined cell (-, a), so the elements line is refused
+    p = build_poset("p", ["-", "a"], [("-", "a")])
+    text = emit(Document((Section("poset", "p", p), Section("optable", "star", star_table(p)))))
+    assert "row - : a -\nrow a : - a\n" in text
+    with pytest.raises(ParseError, match="'-' marks an undefined cell and may not name an element") as exc:
+        parse(text)
+    assert exc.value.line == 2
 
 
 def test_selection_missing_incomparable_pair():

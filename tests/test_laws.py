@@ -34,7 +34,7 @@ from spposet import (
     selection_union,
     star_table,
 )
-from spposet.axioms import LAWS, SYSTEMS, require_system
+from spposet.axioms import LAWS, SYSTEMS, _disjoint_bases, require_system
 from spposet.enumeration import enumerate_posets, system_column_solutions
 from spposet.errors import StructureMismatch
 
@@ -173,3 +173,16 @@ def test_existential_and_one_defined_readings_agree_on_jwv(n):
         for t in tables:
             assert (check_system(p, t, "JWV", reading="existential")
                     == check_system(p, t, "JWV", reading="one-defined"))
+
+
+def test_nat3_range_is_the_part_outside_y_and_the_maximal_lower_bounds():
+    # nat3's z range admits every z <= x where [z,x] and [z,y] meet at most
+    # in z: the z <= x that are not below y, where the two are disjoint, and
+    # the maximal lower bounds of x and y.  Pinned until the paper's reading
+    # of nat3 is settled.
+    classes = (p for n in range(1, 7) for p in enumerate_posets(n, "up-to-iso"))
+    for p in itertools.chain(classes, corpus_posets()):
+        e, downs = p.laws, p.downs
+        for x in range(p.n):
+            for y in range(p.n):
+                assert _disjoint_bases(e, x, y) == downs[x] & ~downs[y] | p.mlbs[x][y], (p.name, x, y)

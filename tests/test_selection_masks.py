@@ -193,6 +193,47 @@ def _broken_masks(p, rng, law):
     return None
 
 
+def _base_masks(p, rng):
+    """The union, Frink and a custom selection's masks."""
+    r = range(p.n)
+    yield {(i, j): p.downs[i] | p.downs[j] for i in r for j in r if i <= j}
+    yield {(i, j): p.frink_mask(i, j) for i in r for j in r if i <= j}
+    yield _custom_masks(p, rng)
+
+
+def _planted_i3(p, masks, rng):
+    """masks with I(i, j) grown past I(i2, j), for i < i2 with an element
+    strictly between them and j incomparable to both; I(i2, j) shrinks to the
+    union's (i2] u (j].  The other laws still hold.  None without such i, i2, j."""
+    spots = [(i, i2, j) for i in range(p.n) for i2 in bits(p.ups[i] & ~p.upper_covers[i] & ~(1 << i))
+             for j in range(p.n)
+             if not (p.leq_ix(i, j) or p.leq_ix(j, i) or p.leq_ix(i2, j) or p.leq_ix(j, i2))]
+    if not spots:
+        return None
+    i, i2, j = rng.choice(spots)
+    small = p.downs[i2] | p.downs[j]
+    w = rng.choice([w for w in range(p.n) if not small >> w & 1])
+    masks = dict(masks)
+    masks[min(i2, j), max(i2, j)] = small
+    masks[min(i, j), max(i, j)] |= p.downs[w]
+    return masks
+
+
+def _planted_down_set(p, masks, rng):
+    """masks with one element u left out of every pair's mask that equals a
+    mask shared by several pairs, where u lies below another member.  None
+    without such a mask."""
+    shared = {}
+    for key, m in masks.items():
+        shared.setdefault(m, []).append(key)
+    spots = [(m, u) for m, keys in shared.items() if len(keys) > 1
+             for u in bits(m) if p.ups[u] & m & ~(1 << u)]
+    if not spots:
+        return None
+    m, u = rng.choice(spots)
+    return {key: v & ~(1 << u) if v == m else v for key, v in masks.items()}
+
+
 def _verdict(make):
     try:
         make()
@@ -269,6 +310,28 @@ def test_selection_validation_matches_the_oracle():
     # I4 breaks I3 at the same upper bound first, so only the four primary
     # laws ever fire
     assert fired == {"down-set", "I0", "I2", "I3"}
+
+
+def test_planted_violations_match_the_oracle():
+    # growth is tested along upper covers only, and each distinct mask once
+    # for being a down-set: an I3 violation planted between elements that do
+    # not cover each other, and a down-set violation that several pairs
+    # share, get the pair walk's axiom and first witness
+    rng = random.Random(5)
+    fired = []
+    for p in [p for p in POSETS if p.n == 16]:
+        for base in _base_masks(p, rng):
+            for plant in (_planted_i3, _planted_down_set):
+                for _ in range(3):
+                    masks = plant(p, base, rng)
+                    if masks is None:
+                        break
+                    got = _verdict(lambda: LocalSelection(p, "custom", masks))
+                    assert got == _verdict(lambda: _oracle_validate(p, masks))
+                    fired.append((plant, got[0]))
+    assert {axiom for plant, axiom in fired if plant is _planted_i3} == {"I3"}
+    assert {axiom for plant, axiom in fired if plant is _planted_down_set} == {"down-set"}
+    assert len(fired) >= 60
 
 
 def test_nati3_matches_the_oracle(monkeypatch):
