@@ -61,6 +61,7 @@ solution sets instead of enumerating the full table space.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 import time
@@ -645,12 +646,13 @@ class _ColumnSetup:
         self.doms = doms
         self._kept: dict = {}  # "links": the link plan; c: column c's masks and links
 
-    def column(self, e, c: int) -> tuple[list[int], list[tuple]]:
+    def column(self, e, c: int) -> tuple[list[int], list[tuple], int]:
         """Column c's one-cell masks narrowed by the two-cell instances that
-        read one cell twice, and per row t, the two-cell instances that link
-        it to a later row k, as (k, conclusions, whether row t is read
-        first).  Built on the first read and kept; rows of links that every
-        column shares are one object."""
+        read one cell twice; per row t, the two-cell instances that link it
+        to a later row k, as (k, conclusions, whether row t is read first);
+        and the position among its rows of the first row that no row from
+        there on links to a later one (_free_row).  Built on the first read
+        and kept; rows of links that every column shares are one object."""
         kept = self._kept.get(c)
         if kept is None:
             links = self._kept.get("links")
@@ -668,7 +670,7 @@ class _ColumnSetup:
                         if rows is shared:
                             rows = shared[:]
                         rows[t] += (link,)
-            kept = self._kept.setdefault(c, (dom, rows))
+            kept = self._kept.setdefault(c, (dom, rows, _free_row(self.rows[c], rows)))
         return kept
 
     def _plan_links(self, e):
@@ -728,7 +730,7 @@ class _Columns:
     def column(self, c: int) -> tuple[list[int], list[tuple]]:
         """Per row r, the values of cell (r, c) that the instances of one
         cell allow, as a copy; and per row, column c's links."""
-        dom, links = self.setup.column(self.e, c)
+        dom, links, _ = self.setup.column(self.e, c)
         return dom[:], links
 
     def solutions(self, c: int, forced: PartialTable | None = None):
@@ -740,11 +742,11 @@ class _Columns:
             for r in members(self.p.ups[c]):
                 dom[r] &= 1 << forced.cells[r][c]
         if all(dom[r] for r in rows):
-            narrowed, links = self.setup.column(self.e, c)
+            narrowed, links, free = self.setup.column(self.e, c)
             if forced is not None:
                 narrowed = [a & b for a, b in zip(dom, narrowed)]
             if all(narrowed[r] for r in rows):
-                return _column_search(rows, narrowed, links, self.spare)
+                return _column_search(rows, narrowed, links, self.spare, free)
         return iter(())
 
 
@@ -766,33 +768,96 @@ def _narrowed(dom: list[int], links: list[tuple], v: int, prune: bool = True) ->
     return dom
 
 
-def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int]):
+def _free_row(rows, links: list[tuple]) -> int:
+    """The position in rows just after the last row that is linked to a later
+    one (0 when none is): from there on, each row's mask is final once the
+    rows before it hold their values."""
+    i = len(rows)
+    while i and not links[rows[i - 1]]:
+        i -= 1
+    return i
+
+
+def _spent(spare: list[int]) -> SizeCap:
+    spare[0] = -1  # where the row-by-row walk stops
+    return SizeCap(f"the column search tried {SEARCH_BUDGET} values that lead to no solution")
+
+
+def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int], free: int):
     """Every vector over rows, values ascending row by row, that takes each
     row's value from its mask; assigning a row narrows the later rows linked
-    to it, and an empty mask ends that branch.
+    to it, and an empty mask ends that branch.  `free` is _free_row(rows,
+    links): where two or more rows follow it, a search node that reaches it
+    walks them as one product (_product_tail).  A single free row, or free
+    rows of which one has an empty mask, are walked row by row like the
+    linked ones.
 
     spare[0] counts down the values tried that no solution pays for (each
-    solution pays for one per row); SizeCap once it is spent."""
+    solution pays for one per row); SizeCap once it is spent.  The product
+    keeps that count as the row-by-row walk keeps it: the same spare[0] at
+    every solution, and SizeCap before the same solution."""
     vals = [0] * len(dom)
     depth = len(rows)
+    stop = free if depth - free > 1 else depth  # one test per node, as without the product
 
     def rec(i, dom):
-        if i == depth:
-            spare[0] += depth
-            yield tuple([vals[r] for r in rows])
-            return
+        if i == stop:
+            if i == depth:
+                spare[0] += depth
+                yield tuple([vals[r] for r in rows])
+                return
+            lists = [members(dom[r]) for r in rows[i:]]
+            if all(lists):
+                yield from _product_tail(tuple([vals[r] for r in rows[:i]]), lists, depth, spare)
+                return
+            # a free row with no value: the walk below reaches no solution
+            # (nor depth), and tries what the row-by-row walk tries
         k = rows[i]
         out = links[k]
         for v in members(dom[k]):
             spare[0] -= 1
             if spare[0] < 0:
-                raise SizeCap(f"the column search tried {SEARCH_BUDGET} values that lead to no solution")
+                raise _spent(spare)
             narrowed = _narrowed(dom, out, v) if out else dom
             if narrowed is not None:
                 vals[k] = v
                 yield from rec(i + 1, narrowed)
 
     return rec(0, dom)
+
+
+def _product_tail(head: tuple, lists: list[tuple], depth: int, spare: list[int]):
+    """head followed by each vector of the product of the value tuples
+    `lists` (at least two, none empty), the last one fastest: the solutions
+    that a column search of depth rows, with the rows before the free ones
+    holding head, finds there, with spare[0] kept as that walk keeps it.
+
+    The walk tries width - j + 1 values to move from one prefix of the
+    product (all its tuples but the last, width of them) to the next, j the
+    first position that changed: the prefix's new values and the first
+    value of the last tuple; and one for each further value of the last
+    tuple.  spare[0] is read again after every solution, since the caller
+    may spend it on another column in between; SizeCap comes before the
+    solution the walk would not reach."""
+    *prefixes, last = lists
+    width, first, rest, prev = len(prefixes), last[0], last[1:], (None,)
+    for pre in itertools.product(*prefixes):
+        j = 0
+        while pre[j] == prev[j]:
+            j += 1
+        prev = pre
+        s = spare[0] - (width - j + 1)
+        if s < 0:
+            raise _spent(spare)
+        spare[0] = s + depth
+        pre = head + pre
+        yield pre + (first,)
+        for v in rest:
+            s = spare[0] - 1
+            if s < 0:
+                raise _spent(spare)
+            spare[0] = s + depth
+            yield pre + (v,)
 
 
 def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = None,
@@ -878,10 +943,11 @@ def _product_tables(p: Poset, cols):
 
 def _checked(n: int, sols):
     """The column solutions `sols`, each checked once to hold n ints in range(n)."""
+    is_int, elements = int.__instancecheck__, frozenset(range(n))
     for sol in sols:
         if len(sol) != n:
             raise ValueError(f"table must be {n}x{n}")
-        if not all(isinstance(v, int) and 0 <= v < n for v in sol):
+        if not (all(map(is_int, sol)) and elements.issuperset(sol)):
             raise ValueError("total table must map every pair to an element")
         yield sol
 

@@ -5,8 +5,10 @@ masks: tables map every identifier through Poset.index and are checked by
 the validating constructors, the order is closed by a fixpoint loop and
 tested for antisymmetry pair by pair, and a selection is checked by the pair
 walk over every law.  It must give an equal Document, or raise the same
-exception with the same message and line, on every input.  Its one rule
-that is newer than that reader is that '-' may not name an element.
+exception with the same message and line, on every input.  Two of its rules
+are newer than that reader: '-' may not name an element, and the error for
+a '-' in a total table is raised outside the optable's wrapping, so that it
+names its line once.
 """
 
 from spposet.errors import (
@@ -198,13 +200,10 @@ def parse(text):
                 rows.append([None if v == "-" else v for v in vals])
             if len(rows) != p.n:
                 raise ParseError(f"optable {name!r} needs {p.n} rows, got {len(rows)}", lineno)
+            if kind == "total" and any(v is None for row in rows for v in row):
+                raise ParseError(f"total table {name!r} may not contain '-'", lineno)
             try:
-                if kind == "partial":
-                    table = partial_table(p, rows)
-                else:
-                    if any(v is None for row in rows for v in row):
-                        raise ParseError(f"total table {name!r} may not contain '-'", lineno)
-                    table = total_table(p, rows)
+                table = (partial_table if kind == "partial" else total_table)(p, rows)
             except (SpposetError, ValueError) as exc:
                 raise ParseError(f"in optable {name!r}: {exc}", lineno) from exc
             sections.append(Section("optable", name, table))

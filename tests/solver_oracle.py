@@ -1,4 +1,5 @@
-"""Two earlier column solvers, kept as oracles.
+"""Two earlier column solvers and the row-by-row column search, kept as
+oracles.
 
 column_constraints walks every instance of every law of a system once, into
 per-cell masks for the one-cell laws and per-row-pair link lists for the
@@ -13,10 +14,18 @@ instances of each law into every column.  models_are answers what
 system_models_are answers, from its columns.  It is the oracle of the kept
 set-up (solver_cases.setup_disagreements).
 
-Both read each law's instances from steps, kept per law context by walk:
-the generator walk of the law table before LawContext.prefixes read its
-ranges from the order masks, with every conclusion widened to one mask per
-value of the last variable.  steps is also the oracle of
+column_search is the column search before it walked a column's free rows
+(those after its last row linked to a later one) as one product: one
+generator frame per row, each value tried paid from the budget as it is
+tried.  It is the oracle of enumeration._column_search, which must give the
+same solutions, the same spare budget after each and the same SizeCap
+(tests/test_column_search.py); PrefixWalkColumns answers through the
+production search.
+
+The two solvers read each law's instances from steps, kept per law context
+by walk: the generator walk of the law table before LawContext.prefixes read
+its ranges from the order masks, with every conclusion widened to one mask
+per value of the last variable.  steps is also the oracle of
 LawContext.prefixes (tests/test_laws.py).
 """
 
@@ -25,7 +34,8 @@ import itertools
 import weakref
 
 from spposet.axioms import require_system, system_laws
-from spposet.enumeration import SEARCH_BUDGET, _column_laws, _column_search
+from spposet.enumeration import SEARCH_BUDGET, _column_laws, _column_search, _free_row, _narrowed
+from spposet.errors import SizeCap
 from spposet.extensions import LocalSelection, require_owner
 from spposet.poset import Poset, bits, members
 from spposet.pseudo import PartialTable
@@ -297,7 +307,8 @@ def models_are(columns: list[tuple], table, firsts: dict) -> bool:
     fewer), searched on the first read, for the next table."""
     for c, (rows, dom, links) in enumerate(columns):
         if c not in firsts:
-            found = _column_search(rows, dom, links, [SEARCH_BUDGET]) if all(dom[r] for r in rows) else iter(())
+            found = (_column_search(rows, dom, links, [SEARCH_BUDGET], _free_row(rows, links))
+                     if all(dom[r] for r in rows) else iter(()))
             firsts[c] = next(found, None), next(found, None)
         first, second = firsts[c]
         if first is None:
@@ -305,3 +316,31 @@ def models_are(columns: list[tuple], table, firsts: dict) -> bool:
         if table is not None and (first != tuple([table.cells[r][c] for r in rows]) or second is not None):
             return False
     return table is not None
+
+
+def column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int]):
+    """Every vector over rows, values ascending row by row, that takes each
+    row's value from its mask; assigning a row narrows the later rows linked
+    to it, and an empty mask ends that branch.  spare[0] counts down the
+    values tried that no solution pays for (each solution pays for one per
+    row); SizeCap once it is spent."""
+    vals = [0] * len(dom)
+    depth = len(rows)
+
+    def rec(i, dom):
+        if i == depth:
+            spare[0] += depth
+            yield tuple([vals[r] for r in rows])
+            return
+        k = rows[i]
+        out = links[k]
+        for v in members(dom[k]):
+            spare[0] -= 1
+            if spare[0] < 0:
+                raise SizeCap(f"the column search tried {SEARCH_BUDGET} values that lead to no solution")
+            narrowed = _narrowed(dom, out, v) if out else dom
+            if narrowed is not None:
+                vals[k] = v
+                yield from rec(i + 1, narrowed)
+
+    return rec(0, dom)

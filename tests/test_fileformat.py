@@ -1,4 +1,5 @@
 import importlib.resources
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from spposet import (
     selection_union,
     star_table,
 )
-from spposet.errors import ParseError
+from spposet.errors import ParseError, SpposetError
 from spposet.fileformat import Document, Section
 
 HEX_TEXT = """\
@@ -134,19 +135,40 @@ def test_partial_table_domain_checked():
 def test_total_table_rejects_dash():
     text = ("poset p\nelements x y\ncover x y\nend\n\n"
             "optable t over p kind total\nrow x : x -\nrow y : x y\nend")
-    with pytest.raises(ParseError, match="may not contain"):
+    with pytest.raises(ParseError) as exc:
         parse(text)
+    assert str(exc.value) == "line 6: total table 't' may not contain '-'"
 
 
 def test_dash_may_not_name_an_element():
-    # '-' marks an undefined cell: the star value a*- = - is written as '-',
-    # like the undefined cell (-, a), so the elements line is refused
+    # '-' marks an undefined cell: the star value a*- = - would be written as
+    # '-', like the undefined cell (-, a), so neither side accepts the name
     p = build_poset("p", ["-", "a"], [("-", "a")])
-    text = emit(Document((Section("poset", "p", p), Section("optable", "star", star_table(p)))))
-    assert "row - : a -\nrow a : - a\n" in text
+    with pytest.raises(SpposetError, match="cannot write element '-'"):
+        emit(Document((Section("poset", "p", p), Section("optable", "star", star_table(p)))))
+    text = "poset p\nelements - a\ncover - a\nend\n"
     with pytest.raises(ParseError, match="'-' marks an undefined cell and may not name an element") as exc:
         parse(text)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("elements,name", [
+    (["a b", "c"], "'a b'"), (["a#b", "c"], "'a#b'"), (["", "c"], "''"), (["a\tb", "c"], "'a\\tb'"),
+])
+def test_emit_refuses_an_element_name_that_would_not_read_back(elements, name):
+    # parse would read `elements a b c` as three elements, and a#b as a
+    p = build_poset("p", elements, [])
+    with pytest.raises(SpposetError, match=f"cannot write element {re.escape(name)}"):
+        emit(Document((Section("poset", "p", p),)))
+
+
+@pytest.mark.parametrize("section,name", [("poset", "my poset"), ("optable", "t#1"), ("selection", "")])
+def test_emit_refuses_a_section_name_that_would_not_read_back(hexagon, section, name):
+    q = build_poset(name if section == "poset" else "hex", hexagon.elements, hexagon.covers())
+    obj = {"poset": q, "optable": star_table(q), "selection": selection_frink(q)}[section]
+    sections = [Section("poset", q.name, q)] if section != "poset" else []
+    with pytest.raises(SpposetError, match=f"cannot write {section} name {re.escape(repr(name))}"):
+        emit(Document((*sections, Section(section, name, obj))))
 
 
 def test_selection_missing_incomparable_pair():
