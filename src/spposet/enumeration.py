@@ -650,9 +650,9 @@ class _ColumnSetup:
         """Column c's one-cell masks narrowed by the two-cell instances that
         read one cell twice; per row t, the two-cell instances that link it
         to a later row k, as (k, conclusions, whether row t is read first);
-        and the position among its rows of the first row that no row from
-        there on links to a later one (_free_row).  Built on the first read
-        and kept; rows of links that every column shares are one object."""
+        and where among its rows a search walks the rest as one product
+        (_product_start).  Built on the first read and kept; rows of links
+        that every column shares are one object."""
         kept = self._kept.get(c)
         if kept is None:
             links = self._kept.get("links")
@@ -670,7 +670,7 @@ class _ColumnSetup:
                         if rows is shared:
                             rows = shared[:]
                         rows[t] += (link,)
-            kept = self._kept.setdefault(c, (dom, rows, _free_row(self.rows[c], rows)))
+            kept = self._kept.setdefault(c, (dom, rows, _product_start(self.rows[c], rows)))
         return kept
 
     def _plan_links(self, e):
@@ -742,11 +742,11 @@ class _Columns:
             for r in members(self.p.ups[c]):
                 dom[r] &= 1 << forced.cells[r][c]
         if all(dom[r] for r in rows):
-            narrowed, links, free = self.setup.column(self.e, c)
+            narrowed, links, start = self.setup.column(self.e, c)
             if forced is not None:
                 narrowed = [a & b for a, b in zip(dom, narrowed)]
             if all(narrowed[r] for r in rows):
-                return _column_search(rows, narrowed, links, self.spare, free)
+                return _column_search(rows, narrowed, links, self.spare, start)
         return iter(())
 
 
@@ -768,14 +768,15 @@ def _narrowed(dom: list[int], links: list[tuple], v: int, prune: bool = True) ->
     return dom
 
 
-def _free_row(rows, links: list[tuple]) -> int:
-    """The position in rows just after the last row that is linked to a later
-    one (0 when none is): from there on, each row's mask is final once the
-    rows before it hold their values."""
+def _product_start(rows, links: list[tuple]) -> int:
+    """The position in rows of the first free row, when two or more follow
+    the last row linked to a later one; len(rows) otherwise.  Each free row's
+    mask is final once the rows before it hold their values, so a column
+    search walks them as one product."""
     i = len(rows)
     while i and not links[rows[i - 1]]:
         i -= 1
-    return i
+    return i if len(rows) - i > 1 else len(rows)
 
 
 def _spent(spare: list[int]) -> SizeCap:
@@ -783,14 +784,13 @@ def _spent(spare: list[int]) -> SizeCap:
     return SizeCap(f"the column search tried {SEARCH_BUDGET} values that lead to no solution")
 
 
-def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int], free: int):
+def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int], start: int):
     """Every vector over rows, values ascending row by row, that takes each
     row's value from its mask; assigning a row narrows the later rows linked
-    to it, and an empty mask ends that branch.  `free` is _free_row(rows,
-    links): where two or more rows follow it, a search node that reaches it
-    walks them as one product (_product_tail).  A single free row, or free
-    rows of which one has an empty mask, are walked row by row like the
-    linked ones.
+    to it, and an empty mask ends that branch.  `start` is
+    _product_start(rows, links): a search node that reaches it walks the
+    rows from there on as one product (_product_tail), unless one of them
+    has an empty mask; those are walked row by row like the linked ones.
 
     spare[0] counts down the values tried that no solution pays for (each
     solution pays for one per row); SizeCap once it is spent.  The product
@@ -798,10 +798,9 @@ def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[i
     every solution, and SizeCap before the same solution."""
     vals = [0] * len(dom)
     depth = len(rows)
-    stop = free if depth - free > 1 else depth  # one test per node, as without the product
 
     def rec(i, dom):
-        if i == stop:
+        if i == start:  # one test per node, as without the product
             if i == depth:
                 spare[0] += depth
                 yield tuple([vals[r] for r in rows])

@@ -211,10 +211,12 @@ def _written(name: str, what: str) -> str:
 
 
 def _emit_poset(p: Poset) -> list[str]:
-    for e in p.elements:
-        if _written(e, "element") == "-":
-            raise SpposetError("cannot write element '-': '-' marks an undefined cell")
-    out = [f"poset {_written(p.name, 'poset name')}", "elements " + " ".join(p.elements)]
+    elements = " ".join(p.elements)
+    if tuple(elements.split()) != p.elements or "#" in elements or "-" in p.elements:
+        for e in p.elements:  # name the first element that cannot be written
+            if _written(e, "element") == "-":
+                raise SpposetError("cannot write element '-': '-' marks an undefined cell")
+    out = [f"poset {_written(p.name, 'poset name')}", "elements " + elements]
     out.extend(f"cover {x} {y}" for x, y in p.covers())
     out.append("end")
     return out

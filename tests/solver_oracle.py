@@ -34,7 +34,7 @@ import itertools
 import weakref
 
 from spposet.axioms import require_system, system_laws
-from spposet.enumeration import SEARCH_BUDGET, _column_laws, _column_search, _free_row, _narrowed
+from spposet.enumeration import SEARCH_BUDGET, _column_laws, _column_search, _narrowed, _product_start
 from spposet.errors import SizeCap
 from spposet.extensions import LocalSelection, require_owner
 from spposet.poset import Poset, bits, members
@@ -307,7 +307,7 @@ def models_are(columns: list[tuple], table, firsts: dict) -> bool:
     fewer), searched on the first read, for the next table."""
     for c, (rows, dom, links) in enumerate(columns):
         if c not in firsts:
-            found = (_column_search(rows, dom, links, [SEARCH_BUDGET], _free_row(rows, links))
+            found = (_column_search(rows, dom, links, [SEARCH_BUDGET], _product_start(rows, links))
                      if all(dom[r] for r in rows) else iter(()))
             firsts[c] = next(found, None), next(found, None)
         first, second = firsts[c]

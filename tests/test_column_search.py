@@ -29,7 +29,7 @@ from solver_cases import cases, selections
 from spposet import star_table
 from spposet import enumeration
 from spposet.axioms import SYSTEMS
-from spposet.enumeration import SEARCH_BUDGET, _Columns, _column_search, _free_row, enumerate_posets
+from spposet.enumeration import SEARCH_BUDGET, _Columns, _column_search, _product_start, enumerate_posets
 from spposet.errors import SizeCap
 from spposet.pseudo import MissingWitness
 
@@ -51,31 +51,31 @@ def trace(search, spare, limit=None, cut=None):
     return out
 
 
-def both(rows, dom, links, free, budget, limit=None, cut=None):
+def both(rows, dom, links, start, budget, limit=None, cut=None):
     """The traces of the product search and of the row-by-row oracle."""
-    got = trace(_column_search(rows, dom[:], links, spare := [budget], free), spare, limit, cut)
+    got = trace(_column_search(rows, dom[:], links, spare := [budget], start), spare, limit, cut)
     want = trace(solver_oracle.column_search(rows, dom[:], links, spare := [budget]), spare, limit, cut)
     return got, want
 
 
 def columns(p, system, sel, star):
-    """Per column of the system on p: its rows, masks, links and first free
-    row as the kept set-up gives them, unforced and, for a total system on a
-    poset with a star table, forced to it."""
+    """Per column of the system on p: its rows, masks, links and product
+    start as the kept set-up gives them, unforced and, for a total system on
+    a poset with a star table, forced to it."""
     cols = _Columns(p, system, sel)
     forced = SYSTEMS[system]["kind"] == "total" and not isinstance(star, MissingWitness)
     for c in range(p.n):
         rows = cols.rows(c)
         dom, links = cols.column(c)
-        free = cols.setup.column(cols.e, c)[2]
-        assert free == _free_row(rows, links)
-        yield rows, dom, links, free
+        start = cols.setup.column(cols.e, c)[2]
+        assert start == _product_start(rows, links)
+        yield rows, dom, links, start
         if forced:
             pinned = dom[:]
             for r in range(p.n):
                 if p.leq_ix(c, r):
                     pinned[r] &= 1 << star.cells[r][c]
-            yield rows, pinned, links, free
+            yield rows, pinned, links, start
 
 
 def test_the_product_search_matches_the_row_walk_on_classes():
@@ -85,12 +85,12 @@ def test_the_product_search_matches_the_row_walk_on_classes():
         for p in enumerate_posets(n, "up-to-iso"):
             star = star_table(p)
             for system, sel in cases(p, selections(p)):
-                for rows, dom, links, free in columns(p, system, sel, star):
+                for rows, dom, links, start in columns(p, system, sel, star):
                     if not all(dom[r] for r in rows):
                         continue
-                    tails += len(rows) - free >= 2
+                    tails += start < len(rows)
                     for budget in budgets:
-                        got, want = both(rows, dom, links, free, budget, CLASS_LIMIT)
+                        got, want = both(rows, dom, links, start, budget, CLASS_LIMIT)
                         assert got == want, (p.name, system, sel and sel.kind, rows, budget)
                         compared += 1
                         caps += want[-1:] == [("SizeCap", -1)]
@@ -101,8 +101,8 @@ def test_the_product_search_matches_the_row_walk_on_classes():
 def test_the_hexagon_esp_stream_matches_the_row_walk_in_full(hexagon):
     star = star_table(hexagon)
     sizes = []
-    for rows, dom, links, free in itertools.islice(columns(hexagon, "ESP", None, star), 1, None, 2):
-        got, want = both(rows, dom, links, free, SEARCH_BUDGET)
+    for rows, dom, links, start in itertools.islice(columns(hexagon, "ESP", None, star), 1, None, 2):
+        got, want = both(rows, dom, links, start, SEARCH_BUDGET)
         assert got == want
         sizes.append(len(want))
     assert sizes[-1] == 7776
@@ -133,7 +133,7 @@ def test_the_product_search_matches_the_row_walk_on_hand_built_columns():
     compared = 0
     for _ in range(300):
         rows, dom, links, linked = _hand_built(rng)
-        assert _free_row(rows, links) == linked
+        assert _product_start(rows, links) == linked
         budget = 0
         while True:
             got, want = both(rows, dom, links, linked, budget)
@@ -155,7 +155,7 @@ def test_a_budget_runs_out_on_a_product_step():
     # with two values tried, and their first product step tries three more
     rows, dom = (0, 1, 2, 3), [0b11, 0b11, 0b11, 0b11]
     links = [((1, (0b00, 0b11, 0, 0), True),), (), (), ()]
-    assert _free_row(rows, links) == 1
+    assert _product_start(rows, links) == 1
     for budget, first in [(4, ("SizeCap", -1)), (5, ((1, 0, 0, 0), 5 - 5 + 4))]:
         got, want = both(rows, dom, links, 1, budget)
         assert got == want and want[0] == first
@@ -176,7 +176,8 @@ def test_a_single_free_row_is_walked_row_by_row(monkeypatch):
     monkeypatch.setattr(enumeration.itertools, "product", no_product)
     rows, dom = (0, 1), [0b11, 0b11]
     links = [((1, (0b01, 0b11), True),), ()]
-    got, want = both(rows, dom, links, 1, SEARCH_BUDGET)
+    assert _product_start(rows, links) == 2
+    got, want = both(rows, dom, links, 2, SEARCH_BUDGET)
     assert got == want and [sol for sol, _ in want] == [(0, 0), (1, 0), (1, 1)]
 
 
