@@ -1,17 +1,20 @@
 """Deciders for the named axiom systems and law suites on concrete operation tables.
 
-Every axiom and every lettered lemma item is one entry of LAWS, the law
-table; SYSTEMS lists the laws of each axiom system and LEMMAS those of each
-lemma suite.  check_system walks the instances of each law in lexicographic
-order and reports the first witness per failed axiom, so a report is
-replayable: feeding a witness back through the law fails again.  The same
-entries drive the column solver and the ESP=>J hunt in enumeration.  Axiom
-identifiers follow the usual naming for these systems (sp1..sp3,
-esp1..esp3, nat1..nat3, nrm0..nrm3, j1..j3, the semilattice identities
-esp^1/esp^2, nrm^0..nrm^4, and the lattice identities jwv1/jwv2/jwv2')"""
+Every axiom, every lettered lemma item and the law behind each
+classification check (is_esp, implicativity, is_strong) is one entry of
+LAWS, the law table; SYSTEMS lists the laws of each axiom system and LEMMAS
+those of each lemma suite.  check_system walks the instances of each law in
+lexicographic order and reports the first witness per failed axiom, so a
+report is replayable: feeding a witness back through the law fails again.
+The same entries drive the column solver, the ESP=>J hunt and the
+T-RIGHT-IMPL check in enumeration.  Axiom identifiers follow the usual
+naming for these systems (sp1..sp3, esp1..esp3, nat1..nat3, nrm0..nrm3,
+j1..j3, the semilattice identities esp^1/esp^2, nrm^0..nrm^4, and the
+lattice identities jwv1/jwv2/jwv2')"""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InternalDisagreement, MissingSelection, NotSectionallyBounded, StructureMismatch
@@ -74,7 +77,10 @@ class SubalgebraReport:
 # makes one call per prefix and one lookup and one bit test per instance.
 # A law of one cell, or of two cells in the column of its last variable,
 # also drives the column solver (enumeration._ColumnSetup).  Both read a
-# law's instances through one walk, LawContext.prefixes.
+# law's instances through one walk, LawContext.prefixes.  A check that states
+# a law reads its entry here, not a loop of its own: is_esp reads esp,
+# implicativity and the T-RIGHT-IMPL check (enumeration) the two implicative
+# laws, and is_strong nrm^1.
 
 
 class Law:
@@ -276,6 +282,10 @@ def _only_if_below(e, x):  # per y: x <= x -> y only if x <= y
     return [full if up >> y & 1 else full & ~up for y in range(e.n)]
 
 
+def _star_row(e, x):  # per y <= x: {x * y}, read from the star table
+    return [_bit(v) for v in e.star.cells[x]]
+
+
 # name -> Law.  The comment above each entry states it; "y <= x: ..." is a
 # condition on the variables.
 LAWS = {
@@ -283,6 +293,9 @@ LAWS = {
     "sp1": Law("xyz", (_any, _above, _below), ("yz", "xz"), _ups, by="yz"),
     # y <= x:  x <= x -> y only if x <= y
     "sp2": Law("xy", (_any, _below), ("xy",), _only_if_below),
+    # y <= x:  x -> y is the sectional pseudocomplement x * y (read only
+    # where the star table exists: is_esp tests that first)
+    "esp": Law("xy", (_any, _below), ("xy",), _star_row),
     # z a maximal lower bound of x and y:  x <= y -> z
     "sp3": Law("xyz", (_any, _any, _mlbs), ("yz",), _above),
     # x <= y:  y -> z <= x -> z
@@ -543,12 +556,8 @@ def is_esp(p: Poset, t: TotalTable) -> Verdict:
     st = star_table(p)
     if isinstance(st, MissingWitness):
         return Verdict(False, (st.x, st.y))
-    for x in range(p.n):
-        for y in range(p.n):
-            v = st.cells[x][y]
-            if v is not None and v != t.cells[x][y]:
-                return Verdict(False, (p.elements[x], p.elements[y]))
-    return Verdict(True)
+    w = _witness(LAWS["esp"], p.laws, t.cells)
+    return Verdict(w is None, w)
 
 
 def implicativity(p: Poset, t: TotalTable) -> ImplicativityReport:
@@ -640,36 +649,22 @@ def lemma_items(p: Poset, op, suite: str) -> tuple[ItemResult, ...]:
 def _suite_simpl_i(p: Poset, sel: LocalSelection):
     # Each right-hand side quantifies a pointwise predicate over the z in
     # I(x, y), read from a mask of the z that satisfy it; it is never derived
-    # from the left-hand side, or the lemma would hold by construction.
-    n, els, rows = p.n, p.elements, sel.rows
-
-    def item_a():
-        disjoint = p.disjoint_over_masks
-        for u in range(n):
-            for x in range(n):
-                for y in range(n):
-                    im = rows[x][y]
-                    lhs = p.downs[u] & im & p.ups[y] & ~(1 << y) == 0
-                    rhs = im & ~disjoint[u][y] == 0
-                    if lhs != rhs:
-                        return els[u], els[x], els[y]
-
-    def item_b():
-        meets = p.meet_over_masks
-        for u in range(n):
-            for x in range(n):
-                for y in range(n):
-                    im = rows[x][y]
-                    lhs = p.downs[u] & im & p.ups[y] == 1 << y
-                    rhs = im & p.ups[y] & ~meets[u][y] == 0
-                    if lhs != rhs:
-                        return els[u], els[x], els[y]
-
-    out = []
-    for ident, fn in [("a", item_a), ("b", item_b)]:
-        w = fn()
-        out.append(ItemResult(ident, "pass" if w is None else "fail", w))
-    return out
+    # from the left-hand side, or the lemma would hold by construction.  One
+    # walk over (u, x, y) finds each item's first mismatch.
+    rows, downs, ups = sel.rows, p.downs, p.ups
+    disjoint, meets = p.disjoint_over_masks, p.meet_over_masks
+    found = {}
+    for u, x, y in itertools.product(range(p.n), repeat=3):
+        im, low = rows[x][y], 1 << y
+        below = downs[u] & im & ups[y]
+        if "a" not in found and (below & ~low == 0) != (im & ~disjoint[u][y] == 0):
+            found["a"] = u, x, y
+        if "b" not in found and (below == low) != (im & ups[y] & ~meets[u][y] == 0):
+            found["b"] = u, x, y
+        if len(found) == 2:
+            break
+    return [ItemResult(item, "fail", tuple(p.elements[v] for v in found[item])) if item in found
+            else ItemResult(item, "pass") for item in "ab"]
 
 
 LEMMA_SUITES = ("esp-prop", "jext-prop", "Inat-prop", "simplI")
@@ -712,30 +707,17 @@ def subalgebra_closed(p: Poset, op, subset) -> SubalgebraReport:
     if not members:
         raise ValueError("subset must be nonempty")
     mask = p.subset_mask(members)
-    partial = isinstance(op, PartialTable)
-    witness = None
-    for x in bits(mask):
-        for y in bits(mask):
-            v = op.cells[x][y]
-            if v is None:
-                continue
-            if not mask >> v & 1:
-                witness = (p.elements[x], p.elements[y])
-                break
-        if witness:
-            break
-    if witness:
-        return SubalgebraReport(False, False, witness)
-
-    sub = p.restrict(members)
     rows = []
     for x in bits(mask):
         row = []
         for y in bits(mask):
             v = op.cells[x][y]
+            if v is not None and not mask >> v & 1:
+                return SubalgebraReport(False, False, (p.elements[x], p.elements[y]))
             row.append(None if v is None else p.elements[v])
         rows.append(row)
-    if partial:
+    sub = p.restrict(members)
+    if isinstance(op, PartialTable):
         induced = PartialTable.from_ids(sub, rows)
         own = star_table(sub)
         same = isinstance(own, PartialTable) and own.cells == induced.cells

@@ -25,7 +25,7 @@ import sys
 import traceback
 
 from . import enumeration, extensions, fileformat, pseudo
-from .axioms import SYSTEMS, check_system, verify_lemma_suite
+from .axioms import LEMMA_SUITES, SYSTEMS, check_system, verify_lemma_suite
 from .errors import InternalDisagreement, SpposetError
 from .pseudo import MissingWitness, PartialTable
 
@@ -45,7 +45,7 @@ RULES = {
 }
 METHODS = tuple(RULES)
 STAR_KINDS = ("sp", "rp", "wrp", "clp")
-SUITES = ("sp-prop", "esp-prop", "jext-prop", "Inat-prop", "simplI")
+SUITES = ("sp-prop", *LEMMA_SUITES)
 
 
 def _resolve_selection(doc, token, p):

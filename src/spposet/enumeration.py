@@ -55,7 +55,10 @@ Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
 solution set per column.  The theorem sweeps exploit that: "the axioms have
 exactly the constructed table as model" is decided by comparing per-column
-solution sets instead of enumerating the full table space.
+solution sets instead of enumerating the full table space.  An extension
+stream is the product of the columns' solutions (_product_tables), which
+reads each column's search once and keeps what it has read for the
+column's later passes.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .axioms import (
+    LAWS,
     SYSTEMS,
     check_system,
     implicativity,
@@ -89,7 +93,7 @@ from .extensions import (
     LocalSelection,
     i_natural_extension,
     natural_extension,
-    natural_min_cells,
+    natural_forms,
     pure_extension,
     require_owner,
     selection_frink,
@@ -152,32 +156,6 @@ def _labeled_masks(n: int):
         return
     for base in _labeled_masks(n - 1):
         yield from _one_point_extensions(base)
-
-
-class _Lazy:
-    """A re-iterable produced on demand: iteration streams and keeps the items
-    of `source`, then replays them once it is spent."""
-
-    __slots__ = ("_source", "_items")
-
-    def __init__(self, source):
-        self._source = iter(source)
-        self._items: list = []
-
-    def __iter__(self):
-        return iter(self._items) if self._source is None else self._stream()
-
-    def _stream(self):
-        i = 0
-        while True:
-            if i == len(self._items):
-                item = next(self._source, self) if self._source is not None else self
-                if item is self:
-                    self._source = None
-                    return
-                self._items.append(item)
-            yield self._items[i]
-            i += 1
 
 
 def _orbit_minima(sets: list[int], perms: list[list[int]], m: int) -> list[int]:
@@ -916,28 +894,40 @@ def table_as_columns(t, rows_per_col=None) -> list[list[tuple]]:
 
 
 def _product_tables(p: Poset, cols):
-    """The cartesian product of the re-iterable column solutions `cols` as total
-    tables, rightmost column fastest.  Each column's first solution is read, in
-    column order, before the first table, and an empty column ends the product.
-    Every solution must hold n ints in range(n)."""
-    its, pick = [iter(col) for col in cols], []
+    """The cartesian product of the column solutions `cols` as total tables,
+    in the order of itertools.product over their lists: rightmost column
+    fastest.  Each column is read once, through one iterator: its first
+    solution, in column order, before the first table, and each later one
+    when the product first reaches it; what has been read is kept for the
+    column's later passes.  An empty column ends the product.  Every
+    solution must hold n ints in range(n)."""
+    its, kept = [iter(col) for col in cols], []
     for it in its:
         if (sol := next(it, None)) is None:
             return
-        pick.append(sol)
-    make = TotalTable._from_checked_rows
+        kept.append([sol])
+    pick, at = [sols[0] for sols in kept], [0] * len(kept)
+    make, last = TotalTable._from_checked_rows, kept[-1]
     while True:
-        for sol in cols[-1]:
+        for sol in last:  # the last column: what is kept, then the rest of its iterator
             pick[-1] = sol
             yield make(p, tuple(zip(*pick)))
-        k = len(cols) - 2
-        while k >= 0 and (sol := next(its[k], None)) is None:
-            its[k] = iter(cols[k])  # column k starts over, and the one to its left steps
-            pick[k] = next(its[k])
+        for sol in its[-1]:
+            last.append(sol)
+            pick[-1] = sol
+            yield make(p, tuple(zip(*pick)))
+        k = len(kept) - 2
+        while k >= 0:  # the rightmost column with a next solution steps, those to its right start over
+            sols, i = kept[k], at[k] + 1
+            if i == len(sols) and (sol := next(its[k], None)) is not None:
+                sols.append(sol)
+            if i < len(sols):
+                at[k], pick[k] = i, sols[i]
+                break
+            at[k], pick[k] = 0, sols[0]
             k -= 1
         if k < 0:
             return
-        pick[k] = sol
 
 
 def _checked(n: int, sols):
@@ -967,7 +957,7 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
         raise StructureMismatch(f"system {system} needs a partial table; extensions are total")
     p = s.owner
     cols = _Columns(p, system, sel)
-    yield from _product_tables(p, [_Lazy(_checked(p.n, cols.solutions(c, s))) for c in range(p.n)])
+    yield from _product_tables(p, [_checked(p.n, cols.solutions(c, s)) for c in range(p.n)])
 
 
 # -- verification reports ---------------------------------------------------------
@@ -1353,16 +1343,12 @@ def _check_glb(p: Poset):
 
 
 def _check_nat_eq(p: Poset):
-    star = star_table(p)
-    nat = natural_extension(star)
-    m1, m2 = natural_min_cells(star)
-    for x in range(p.n):
-        for y in range(p.n):
-            if not (nat.cells[x][y] == m1[x][y] == m2[x][y]):
-                return Counterexample(
-                    _serialize(p, {"natural": nat}),
-                    f"natural extension forms disagree at ({p.elements[x]}, {p.elements[y]})")
-    return None
+    nat, _, _, at = natural_forms(star_table(p))
+    if at is None:
+        return None
+    x, y = at
+    return Counterexample(_serialize(p, {"natural": nat}),
+                          f"natural extension forms disagree at ({p.elements[x]}, {p.elements[y]})")
 
 
 def _check_jext_fin(p: Poset):
@@ -1445,21 +1431,20 @@ def _check_right_impl(p: Poset):
     # meets the hypotheses (right-implicative law at that cell, value above the
     # column element) but breaks the left-implicative law: the remaining cells
     # can always be completed with the pure extension, which satisfies both
-    # hypotheses everywhere.
-    tops = p.tops
-    for x in range(p.n):
-        for y in range(p.n):
-            for v in bits(p.ups[y]):
-                if (v == tops[y]) != p.leq_ix(x, y):
-                    continue
-                if (v == tops[x]) != p.leq_ix(x, y):
-                    cells = [list(r) for r in pure_extension(star_table(p)).cells]
-                    cells[x][y] = v
-                    t = TotalTable(p, cells)
-                    return Counterexample(
-                        _serialize(p, {"arrow": t}),
-                        f"right-implicative table with y <= x->y is not left-implicative "
-                        f"at ({p.elements[x]}, {p.elements[y]})")
+    # hypotheses everywhere.  Per (x, y), both laws' conclusions are masks of
+    # the values of x -> y, and the first bad value is the lowest bit.
+    e, ups = p.laws, p.ups
+    for (pre, ys, right, _), (_, _, left, _) in zip(e.plan(LAWS["right-implicative"]),
+                                                    e.plan(LAWS["left-implicative"])):
+        x, = pre
+        for y in members(ys):
+            if bad := right[y] & ups[y] & ~left[y]:
+                cells = [list(r) for r in pure_extension(star_table(p)).cells]
+                cells[x][y] = (bad & -bad).bit_length() - 1
+                return Counterexample(
+                    _serialize(p, {"arrow": TotalTable(p, cells)}),
+                    f"right-implicative table with y <= x->y is not left-implicative "
+                    f"at ({p.elements[x]}, {p.elements[y]})")
     return None
 
 

@@ -160,25 +160,37 @@ def natural_min_cells(s: PartialTable) -> tuple[list, list]:
             [list(map(p.least_of, row)) for row in second])
 
 
+def natural_forms(s: PartialTable) -> tuple[TotalTable, list, list, tuple[int, int] | None]:
+    """The natural extension (its max form), the cells of its two min forms
+    (natural_min_cells), and the first pair (x, y), in row-major order, where
+    the three differ; None where they agree everywhere.  A min form without a
+    value differs from the max form, which always has one."""
+    maxform = natural_extension(s)
+    first, second = natural_min_cells(s)
+    for x, rows in enumerate(zip(maxform.cells, first, second)):
+        if not list(rows[0]) == rows[1] == rows[2]:
+            y = next(y for y, (v0, v1, v2) in enumerate(zip(*rows)) if not v0 == v1 == v2)
+            return maxform, first, second, (x, y)
+    return maxform, first, second, None
+
+
 def natural_min_form(s: PartialTable) -> TotalTable:
     """The natural extension computed as min{z*y : z in [y,x] or z = y}.
 
-    Both min formulations (natural_min_cells) are compared against the max
-    form; any mismatch means the input was not a sectional
-    pseudocomplementation table or there is a bug.
+    Both min formulations are compared against the max form (natural_forms);
+    any mismatch means the input was not a sectional pseudocomplementation
+    table or there is a bug.
     """
     p = s.owner
-    maxform = natural_extension(s)
-    first, second = natural_min_cells(s)
-    for x in range(p.n):
-        for y in range(p.n):
-            v0, v1, v2 = maxform.cells[x][y], first[x][y], second[x][y]
-            if v1 is None or v1 != v2 or v1 != v0:
-                raise InternalDisagreement(
-                    f"natural extension forms disagree at ({p.elements[x]}, {p.elements[y]}): "
-                    f"max-form {p.elements[v0]}, min-forms "
-                    f"{'none' if v1 is None else p.elements[v1]} / "
-                    f"{'none' if v2 is None else p.elements[v2]}")
+    maxform, first, second, at = natural_forms(s)
+    if at is not None:
+        x, y = at
+        v0, v1, v2 = maxform.cells[x][y], first[x][y], second[x][y]
+        raise InternalDisagreement(
+            f"natural extension forms disagree at ({p.elements[x]}, {p.elements[y]}): "
+            f"max-form {p.elements[v0]}, min-forms "
+            f"{'none' if v1 is None else p.elements[v1]} / "
+            f"{'none' if v2 is None else p.elements[v2]}")
     return TotalTable(p, first)
 
 

@@ -23,8 +23,11 @@ cells and may not name an element.
 
 emit() writes a canonical form (covers only, forced selection pairs omitted),
 so emit(parse(text)) parses back to an equal document.  It refuses, with a
-SpposetError, a name that would not read back as the one token it is: the
-empty name, a name holding whitespace or '#', and '-' as an element.
+SpposetError naming the section, a document that would read back different:
+a name that would not read back as the one token it is (the empty name, a
+name holding whitespace or '#', and '-' as an element), a repeated section
+name, a poset section named otherwise than its poset, and an optable or
+selection over a poset that no earlier poset section holds under its name.
 """
 
 from __future__ import annotations
@@ -225,7 +228,7 @@ def _emit_poset(p: Poset) -> list[str]:
 def _emit_table(name: str, t) -> list[str]:
     p = t.owner
     kind = "partial" if isinstance(t, PartialTable) else "total"
-    out = [f"optable {_written(name, 'optable name')} over {_written(p.name, 'poset name')} kind {kind}"]
+    out = [f"optable {_written(name, 'optable name')} over {p.name} kind {kind}"]
     for x in range(p.n):
         vals = []
         for y in range(p.n):
@@ -238,7 +241,7 @@ def _emit_table(name: str, t) -> list[str]:
 
 def _emit_selection(name: str, sel: LocalSelection) -> list[str]:
     p = sel.owner
-    out = [f"selection {_written(name, 'selection name')} over {_written(p.name, 'poset name')}"]
+    out = [f"selection {_written(name, 'selection name')} over {p.name}"]
     for i in range(p.n):
         for j in range(i + 1, p.n):
             if p.leq_ix(i, j) or p.leq_ix(j, i):
@@ -250,11 +253,24 @@ def _emit_selection(name: str, sel: LocalSelection) -> list[str]:
 
 
 def emit(doc: Document) -> str:
-    chunks = []
+    """The document as text that parses back to an equal one; SpposetError
+    for a document that would not (see the module notes)."""
+    chunks, names, posets = [], set(), {}
     for s in doc.sections:
+        if s.name in names:
+            raise SpposetError(f"cannot write {s.kind} {s.name!r}: duplicate section name")
+        names.add(s.name)
         if s.kind == "poset":
+            if s.obj.name != s.name:
+                raise SpposetError(f"cannot write poset {s.name!r}: its poset is named {s.obj.name!r}")
             chunks.append("\n".join(_emit_poset(s.obj)))
-        elif s.kind == "optable":
+            posets[s.name] = s.obj
+            continue
+        owner = s.obj.owner
+        if posets.get(owner.name) != owner:
+            raise SpposetError(f"cannot write {s.kind} {s.name!r}: its poset {owner.name!r} "
+                               f"is not written before it")
+        if s.kind == "optable":
             chunks.append("\n".join(_emit_table(s.name, s.obj)))
         else:
             chunks.append("\n".join(_emit_selection(s.name, s.obj)))
