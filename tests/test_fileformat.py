@@ -211,30 +211,40 @@ def test_tables_of_kind_partial_and_total_distinguished(hexagon):
 # -- emit reads back what it writes ---------------------------------------------------
 
 
-NAMES = ["0", "1", "a", "b", "c", "x1", "top", "bot", "e-2", "z.9"]
+# what a name may hold: anything but whitespace and '#', with '-' alone reserved
+ALPHABET = "ab01:-.,;()[]{}*+=<>!?@$%^&~/'\"αβ≤→"
+
+
+def legal_names(rng, count):
+    names = set()
+    while len(names) < count:
+        name = "".join(rng.choices(ALPHABET, k=rng.randint(1, 3)))
+        if name != "-":
+            names.add(name)
+    return rng.sample(sorted(names), count)
 
 
 def legal_documents(seed, count):
-    """Seeded documents that emit can write: one to three posets on distinct
-    element names, each section before the tables and selections over it,
-    with its star table where there is one, a random total table, its normal
-    table where it is total, and its union and Frink selections; some tables
-    come after a later poset."""
+    """Seeded documents that emit can write: one to three posets with legal
+    names, each section before the tables and selections over it, with its
+    star table where there is one, a random total table, its normal table
+    where it is total, and its union and Frink selections; some tables come
+    after a later poset."""
     rng = random.Random(seed)
-    for d in range(count):
-        sections, late = [], []
-        for k in range(rng.randint(1, 3)):
-            els = rng.sample(NAMES, rng.randint(1, 7))
+    for _ in range(count):
+        sections, late, names = [], [], iter(legal_names(rng, 18))
+        for _ in range(rng.randint(1, 3)):
+            els = legal_names(rng, rng.randint(1, 7))
             pairs = [(a, b) for i, a in enumerate(els) for b in els[i + 1:] if rng.random() < 0.35]
-            p = build_poset(f"p{d}-{k}", els, pairs)
+            p = build_poset(next(names), els, pairs)
             tables = [TotalTable(p, [[rng.randrange(p.n) for _ in range(p.n)] for _ in range(p.n)])]
             if isinstance(star_table(p), PartialTable):
                 tables.append(star_table(p))
             if p.normal_table is not None:
                 tables.append(p.normal_table)
-            owned = [Section("optable", f"t{k}-{j}", t) for j, t in enumerate(tables)]
-            owned += [Section("selection", f"u{k}", selection_union(p)),
-                      Section("selection", f"f{k}", selection_frink(p))]
+            owned = [Section("optable", next(names), t) for t in tables]
+            owned += [Section("selection", next(names), selection_union(p)),
+                      Section("selection", next(names), selection_frink(p))]
             rng.shuffle(owned)
             cut = rng.randint(0, len(owned))
             sections += [Section("poset", p.name, p), *owned[:cut]]
@@ -261,13 +271,16 @@ def test_emit_refuses_a_document_that_would_read_back_different():
         first = secs[0]
         p = first.obj
         # a poset section named otherwise than its poset
-        refused(Document((Section("poset", "other", p), *secs[1:])), "other")
+        other = p.name + "x"
+        while other in doc.names():
+            other += "x"
+        refused(Document((Section("poset", other, p), *secs[1:])), other)
         # a table or selection before its poset, or over a poset not written
         owned = [i for i, s in enumerate(secs) if s.kind != "poset" and s.obj.owner == p]
         tables = [secs[i].obj for i in owned if secs[i].kind == "optable"]
         i = owned[0]
         refused(Document((secs[i], *secs[:i], *secs[i + 1:])), secs[i].name)
-        refused(Document(tuple(s for s in secs if s is not first)), secs[owned[0]].name)
+        refused(Document(tuple(s for s in secs if s is not first)), secs[i].name)
         q = build_poset(p.name, p.elements, [] if p.covers() else [(p.elements[0], p.elements[-1])])
         if q != p:
             refused(Document((Section("poset", q.name, q), *secs[1:])), secs[i].name)
