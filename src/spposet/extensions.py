@@ -118,16 +118,14 @@ def pure_extension(s: PartialTable) -> TotalTable:
     """x -> y is x*y for y <= x, the top of [x) for x < y, and y otherwise."""
     p = s.owner
     tops = _bounded_tops(p)
-    n = p.n
-    cells = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if p.leq_ix(y, x):
-                cells[x][y] = s.cells[x][y]
-            elif p.leq_ix(x, y):
-                cells[x][y] = tops[x]
-            else:
-                cells[x][y] = y
+    cells = []
+    for x, (row, up, down) in enumerate(zip(s.cells, p.ups, p.downs)):
+        out, top = list(range(p.n)), tops[x]
+        for y in members(up):
+            out[y] = top
+        for y in members(down):  # y = x too, where up and down meet
+            out[y] = row[y]
+        cells.append(out)
     return TotalTable(p, cells)
 
 
@@ -140,11 +138,12 @@ def natural_extension(s: PartialTable) -> TotalTable:
     """
     p = s.owner
     tops = _bounded_tops(p)
-    n = p.n
-    cells = [
-        [s.cells[x][y] if p.leq_ix(y, x) else tops[y] for y in range(n)]
-        for x in range(n)
-    ]
+    cells = []
+    for row, down in zip(s.cells, p.downs):
+        out = list(tops)
+        for y in members(down):
+            out[y] = row[y]
+        cells.append(out)
     return TotalTable(p, cells)
 
 

@@ -88,6 +88,13 @@ class Poset:
     than once, and the column set-ups of the axiom systems it solves, which
     depend on nothing else.
 
+    greatest_of (least_of) tests the highest (lowest) index of its mask
+    first.  When the labeling is a linear extension of the order, as every
+    class representative of the enumeration's is, that one bit test is the
+    answer, hit or miss; on any other labeling a miss scans the rest of the
+    mask.  Whether the labeling is one is a derived table too, read only on
+    a miss.
+
     The constructor trusts its input; use :func:`build_poset` to validate
     declarations and take the reflexive-transitive closure.
     """
@@ -307,37 +314,80 @@ class Poset:
 
     def lower_bounds_of(self, mask: int) -> int:
         """The common lower bounds of mask, as a mask; the whole carrier for 0."""
-        m = self.full
-        for z in bits(mask):
-            m &= self.downs[z]
+        m, downs = self.full, self.downs
+        while mask:
+            low = mask & -mask
+            m &= downs[low.bit_length() - 1]
+            mask ^= low
         return m
 
     # -- extrema of subsets (mask level) -------------------------------------
 
+    @_derived
+    def _linear_labels(self) -> bool:
+        """Whether the labeling is a linear extension: no element lies below
+        one with a smaller index.  Read only when an extremum query misses."""
+        return all([d >> i == 1 for i, d in enumerate(self.downs)])
+
     def greatest_of(self, mask: int) -> int | None:
-        for u in bits(mask):
-            if mask & ~self.downs[u] == 0:
+        """The greatest element of mask, None where there is none.  The
+        highest index is tested first: on a linear-extension labeling only it
+        can be the greatest, so one test answers; other labelings test the
+        rest of mask after a miss."""
+        if not mask:
+            return None
+        downs = self.downs
+        u = mask.bit_length() - 1
+        if mask & ~downs[u] == 0:
+            return u
+        if self._linear_labels:
+            return None
+        rest = mask ^ 1 << u
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if mask & ~downs[u] == 0:
                 return u
+            rest ^= low
         return None
 
     def least_of(self, mask: int) -> int | None:
-        for u in bits(mask):
-            if mask & ~self.ups[u] == 0:
+        """The least element of mask, None where there is none; the lowest
+        index is tested first, as greatest_of tests the highest."""
+        if not mask:
+            return None
+        ups = self.ups
+        low = mask & -mask
+        u = low.bit_length() - 1
+        if mask & ~ups[u] == 0:
+            return u
+        if self._linear_labels:
+            return None
+        rest = mask ^ low
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if mask & ~ups[u] == 0:
                 return u
+            rest ^= low
         return None
 
     def maximal_of(self, mask: int) -> int:
-        out = 0
-        for u in bits(mask):
-            if self.ups[u] & mask == 1 << u:
-                out |= 1 << u
+        out, rest, ups = 0, mask, self.ups
+        while rest:
+            low = rest & -rest
+            if ups[low.bit_length() - 1] & mask == low:
+                out |= low
+            rest ^= low
         return out
 
     def minimal_of(self, mask: int) -> int:
-        out = 0
-        for u in bits(mask):
-            if self.downs[u] & mask == 1 << u:
-                out |= 1 << u
+        out, rest, downs = 0, mask, self.downs
+        while rest:
+            low = rest & -rest
+            if downs[low.bit_length() - 1] & mask == low:
+                out |= low
+            rest ^= low
         return out
 
     def greatest(self) -> str | None:

@@ -78,11 +78,32 @@ def _cells_of_ids(owner: Poset, rows, undefined: bool) -> tuple:
 
 
 _BITS = tuple(1 << y for y in range(SIZE_CAP))
+# _CELLS[n]: the cells a partial table over n elements may hold without a closer look
+_CELLS = tuple(frozenset([None, *range(n)]) for n in range(SIZE_CAP + 1))
 
 
 def _none_mask(row) -> int:
     """The indices of the cells of row that are None, as a bitmask."""
     return sum(compress(_BITS, map(is_, row, repeat(None))))
+
+
+def _check_domain(owner: Poset, cells: tuple) -> None:
+    """Check that the cells defined in each row x are those of (x], and that
+    they hold values in range(n), one row mask at a time.  The first wrong
+    cell in row-major order raises, as a cell-by-cell check would name it."""
+    els, full, n = owner.elements, owner.full, owner.n
+    for x, (row, down) in enumerate(zip(cells, owner.downs)):
+        wrong = full ^ _none_mask(row) ^ down
+        if not _CELLS[n].issuperset(row):  # a value not in range(n) somewhere
+            before = down & ((wrong & -wrong) - 1 if wrong else full)
+            for y in members(before):
+                if not 0 <= row[y] < n:
+                    raise ValueError(f"value out of range at ({x}, {y})")
+        if wrong:
+            y = (wrong & -wrong).bit_length() - 1
+            if down >> y & 1:
+                raise ValueError(f"missing value at sectioned pair ({els[x]}, {els[y]})")
+            raise ValueError(f"value outside the domain y <= x at ({els[x]}, {els[y]})")
 
 
 class PartialTable(_Table):
@@ -97,39 +118,14 @@ class PartialTable(_Table):
     def __init__(self, owner: Poset, cells):
         self.owner = owner
         self.cells = tuple(tuple(row) for row in cells)
-        n = owner.n
         _check_shape(owner, self.cells)
-        for x in range(n):
-            for y in range(n):
-                v = self.cells[x][y]
-                if owner.leq_ix(y, x):
-                    if v is None:
-                        raise ValueError(
-                            f"missing value at sectioned pair ({owner.elements[x]}, {owner.elements[y]})")
-                    if not 0 <= v < n:
-                        raise ValueError(f"value out of range at ({x}, {y})")
-                elif v is not None:
-                    raise ValueError(
-                        f"value outside the domain y <= x at ({owner.elements[x]}, {owner.elements[y]})")
+        _check_domain(owner, self.cells)
 
     @classmethod
     def from_ids(cls, owner: Poset, rows) -> "PartialTable":
-        """rows: per-element list of value identifiers in declaration order, None for undefined.
-
-        The domain is checked one row at a time, as a mask: the defined cells
-        of row x must be (x].  The first cell where they differ is the one
-        the constructor's cell-by-cell check names.
-        """
+        """rows: per-element list of value identifiers in declaration order, None for undefined."""
         cells = _cells_of_ids(owner, rows, True)
-        els, full = owner.elements, owner.full
-        for x, (row, down) in enumerate(zip(cells, owner.downs)):
-            defined = full ^ _none_mask(row)
-            wrong = defined ^ down
-            if wrong:
-                y = (wrong & -wrong).bit_length() - 1
-                if down >> y & 1:
-                    raise ValueError(f"missing value at sectioned pair ({els[x]}, {els[y]})")
-                raise ValueError(f"value outside the domain y <= x at ({els[x]}, {els[y]})")
+        _check_domain(owner, cells)
         return cls._from_checked_rows(owner, cells)
 
     def defined(self, x: str, y: str) -> bool:
@@ -162,12 +158,11 @@ class TotalTable(_Table):
     def __init__(self, owner: Poset, cells):
         self.owner = owner
         self.cells = tuple(tuple(row) for row in cells)
-        n = owner.n
         _check_shape(owner, self.cells)
+        is_int, elements = int.__instancecheck__, frozenset(range(owner.n))
         for row in self.cells:
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise ValueError("total table must map every pair to an element")
+            if not (all(map(is_int, row)) and elements.issuperset(row)):
+                raise ValueError("total table must map every pair to an element")
 
     @classmethod
     def from_ids(cls, owner: Poset, rows) -> "TotalTable":
