@@ -47,6 +47,17 @@ def _pairwise(f, masks) -> tuple[tuple, ...]:
                          for m in [a & b for b in masks]]) for a in masks])
 
 
+def _covering(rows, mask: int, rest: int) -> int | None:
+    """The lowest u in rest whose row holds all of mask, None where there is none."""
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if mask & ~rows[u] == 0:
+            return u
+        rest ^= low
+    return None
+
+
 class _derived:
     """Decorator for a table that depends only on a poset's order: the
     decorated function builds it on the first read, and the poset keeps it.
@@ -336,41 +347,20 @@ class Poset:
         rest of mask after a miss."""
         if not mask:
             return None
-        downs = self.downs
         u = mask.bit_length() - 1
-        if mask & ~downs[u] == 0:
+        if mask & ~self.downs[u] == 0:
             return u
-        if self._linear_labels:
-            return None
-        rest = mask ^ 1 << u
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            if mask & ~downs[u] == 0:
-                return u
-            rest ^= low
-        return None
+        return None if self._linear_labels else _covering(self.downs, mask, mask ^ 1 << u)
 
     def least_of(self, mask: int) -> int | None:
         """The least element of mask, None where there is none; the lowest
         index is tested first, as greatest_of tests the highest."""
         if not mask:
             return None
-        ups = self.ups
         low = mask & -mask
-        u = low.bit_length() - 1
-        if mask & ~ups[u] == 0:
-            return u
-        if self._linear_labels:
-            return None
-        rest = mask ^ low
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            if mask & ~ups[u] == 0:
-                return u
-            rest ^= low
-        return None
+        if mask & ~self.ups[low.bit_length() - 1] == 0:
+            return low.bit_length() - 1
+        return None if self._linear_labels else _covering(self.ups, mask, mask ^ low)
 
     def maximal_of(self, mask: int) -> int:
         out, rest, ups = 0, mask, self.ups

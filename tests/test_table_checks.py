@@ -8,7 +8,8 @@ oracles are the earlier cell-by-cell loops.  The checks are compared, error
 type and message, on the corpus tables, on the star tables of every class with
 up to 6 elements, and on seeded mutations of one to three cells of each: a
 missing value, a value outside the domain and a value out of range.  The rules
-are compared on every class with up to 6 elements and on the corpus.
+are compared on every class with up to 6 elements and on the corpus, on
+the star table and on a table of arbitrary values over the same domain.
 """
 
 import importlib.resources
@@ -78,9 +79,12 @@ def corpus_tables():
                     yield sec.obj
 
 
+def posets():
+    return [p for n in range(1, 7) for p in enumerate_posets(n, "up-to-iso")] + list(corpus_posets())
+
+
 def star_tables():
-    posets = [p for n in range(1, 7) for p in enumerate_posets(n, "up-to-iso")] + list(corpus_posets())
-    return [s for s in map(star_table, posets) if isinstance(s, PartialTable)]
+    return [s for s in map(star_table, posets()) if isinstance(s, PartialTable)]
 
 
 def partial_mutations(rng, s, count):
@@ -134,14 +138,20 @@ def test_total_check_matches_the_cell_loop():
 
 
 def test_pure_and_natural_rules_match_the_cell_loops():
-    seen = 0
-    for s in star_tables():
-        if None in s.owner.tops:
+    rng = random.Random(2703)
+    bounded = 0
+    for p in posets():
+        # a table of arbitrary values on the domain y <= x, and the star table
+        tables = [PartialTable(p, [[rng.randrange(p.n) if p.leq_ix(y, x) else None for y in range(p.n)]
+                                   for x in range(p.n)])]
+        tables += [s for s in [star_table(p)] if isinstance(s, PartialTable)]
+        if None in p.tops:
             for rule in (pure_extension, natural_extension):
                 with pytest.raises(NotSectionallyBounded):
-                    rule(s)
+                    rule(tables[0])
             continue
-        seen += 1
-        assert pure_extension(s) == TotalTable(s.owner, oracle_pure(s)), s.owner.name
-        assert natural_extension(s) == TotalTable(s.owner, oracle_natural(s)), s.owner.name
-    assert seen > 100
+        bounded += 1
+        for t in tables:
+            assert pure_extension(t) == TotalTable(p, oracle_pure(t)), p.name
+            assert natural_extension(t) == TotalTable(p, oracle_natural(t)), p.name
+    assert bounded == 153
