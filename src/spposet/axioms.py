@@ -220,8 +220,8 @@ _ORDER_MASKS = {_any: lambda e: (e.full,) * e.n, _above: lambda e: e.ups, _below
 
 
 def _disjoint_bases(e, x, y):  # the z <= x where [z,x] and [z,y] meet at most in z
-    ups, both = e.ups, e.downs[x] & e.downs[y]
-    return sum([1 << z for z in members(e.downs[x]) if ups[z] & both & ~(1 << z) == 0])
+    disjoint = e.disjoint_over_masks[x]
+    return sum([1 << z for z in members(e.downs[x]) if disjoint[z] >> y & 1])
 
 
 def _selected_disjoint_bases(e, x, y):  # the z <= x where [z,x] and [z,w] meet at most in z, for all w in I(y, z)

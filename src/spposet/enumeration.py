@@ -1530,8 +1530,6 @@ def _hunt_rule_to_esp(kind: str):
     sectional pseudocomplementations'."""
 
     def check(p: Poset):
-        if kind == "rp" and p.greatest() is None:
-            return None  # x -> x would need a greatest element
         t = _total_table(p, kind)
         if t is None:
             return None

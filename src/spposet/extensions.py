@@ -24,7 +24,7 @@ from .errors import (
     SelectionAxiomViolation,
     StructureMismatch,
 )
-from .poset import ElementSet, Poset, _derived, bits, members
+from .poset import ElementSet, Poset, _derived, bits, closure, members
 from .pseudo import PartialTable, TotalTable, _defining_mask
 
 
@@ -55,11 +55,10 @@ class ExtensionResult:
 def _bounded_tops(p: Poset) -> tuple[int, ...]:
     """p.tops, when every section has a greatest element."""
     if None in p.tops:
-        i = p.tops.index(None)
-        two = list(bits(p.maximal_of(p.ups[i])))[:2]
+        two = p.classify().witnesses["is_sectionally_bounded"]
         raise NotSectionallyBounded(
-            f"section [{p.elements[i]}) of {p.name!r} has maximal elements "
-            f"{p.elements[two[0]]} and {p.elements[two[1]]}")
+            f"section [{p.elements[p.tops.index(None)]}) of {p.name!r} has maximal elements "
+            f"{two[0]} and {two[1]}")
     return p.tops
 
 
@@ -273,15 +272,16 @@ class LocalSelection:
         """Raise SelectionAxiomViolation unless the rows obey the required laws.
 
         The laws are tested on whole masks: each distinct mask once for being
-        a down-set, each row's masks together for holding the row's element
-        (I0), each comparable pair's mask against the larger element's (x]
-        (I2), and growth (I3) only from an element to its upper covers, which
-        gives it along every chain of covers.  Only when a test fails does
-        the pair walk run, to name the first violation in the order it checks.
+        a down-set (equal to its down-closure), each row's masks together for
+        holding the row's element (I0), each comparable pair's mask against
+        the larger element's (x] (I2), and growth (I3) only from an element
+        to its upper covers, which gives it along every chain of covers.
+        Only when a test fails does the pair walk run, to name the first
+        violation in the order it checks.
         """
         p, rows = self.owner, self.rows
         downs = p.downs
-        if not (all([downs[u] | m == m for m in set().union(*rows) for u in members(m)])
+        if not (all([closure(downs, m) == m for m in set().union(*rows)])
                 and all([reduce(and_, row) >> i & 1 for i, row in enumerate(rows)])
                 and all([row[j] == d for row, d in zip(rows, downs) for j in members(d)])):
             self._first_violation(growth=False)

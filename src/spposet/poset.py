@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import AntisymmetryViolation, DuplicateElement, SizeCap, UnknownElement
@@ -29,6 +28,18 @@ def transpose(masks) -> list[int]:
             low = m & -m
             m ^= low
             out[low.bit_length() - 1] |= 1 << i
+    return out
+
+
+def closure(rows, mask: int) -> int:
+    """The union of rows[u] over the u in mask: over up-masks the up-closure
+    of mask, over down-masks its down-closure.  rows must be reflexive and
+    transitive, as ups and downs are, so the members a row already holds are
+    not visited again."""
+    out = 0
+    while mask:
+        out |= rows[(mask & -mask).bit_length() - 1]
+        mask &= ~out
     return out
 
 
@@ -217,45 +228,25 @@ class Poset:
     def disjoint_over_masks(self) -> tuple[tuple[int, ...], ...]:
         """disjoint_over_masks[u][b]: the z with disjoint_over_ix(u, z, b), as a bitmask.
 
-        Each z is tested on its own, with the factors of the test that do not
-        depend on z taken out, so a law over a whole set of z is one mask test.
+        [b,u] and [b,z] meet at most in b exactly when no element of the
+        strict segment (b,u] lies below z: the z outside its up-closure.  So
+        a law over a whole set of z is one mask test.
         """
-        n, ups, downs, full = self.n, self.ups, self.downs, self.full
-        out = []
-        for u in range(n):
-            row = []
-            for b in range(n):
-                between = ups[b] & downs[u] & ~(1 << b)
-                m = full
-                if between:
-                    for z in range(n):
-                        if downs[z] & between:
-                            m ^= 1 << z
-                row.append(m)
-            out.append(tuple(row))
-        return tuple(out)
+        ups, downs, full = self.ups, self.downs, self.full
+        return tuple([tuple([full & ~closure(ups, strict) if (strict := up & down & ~(1 << b)) else full
+                             for b, up in enumerate(ups)]) for down in downs])
 
     @_derived
     def meet_over_masks(self) -> tuple[tuple[int, ...], ...]:
         """meet_over_masks[u][b]: the z with meet_over_ix(u, z, b) == b, as a bitmask.
 
-        That meet is b exactly when [b,u] n [b,z] = {b}; each z is tested on
-        its own, as in disjoint_over_masks.
+        That meet is b exactly when [b,u] n [b,z] = {b}: for b <= u, the z in
+        [b) outside the up-closure of the strict segment (b,u], as in
+        disjoint_over_masks; for no z otherwise.
         """
-        n, ups, downs = self.n, self.ups, self.downs
-        out = []
-        for u in range(n):
-            row = []
-            for b in range(n):
-                between, only = ups[b] & downs[u], 1 << b
-                m = 0
-                if between & only:
-                    for z in range(n):
-                        if downs[z] & between == only:
-                            m |= 1 << z
-                row.append(m)
-            out.append(tuple(row))
-        return tuple(out)
+        ups, downs = self.ups, self.downs
+        return tuple([tuple([up & ~closure(ups, up & down & ~(1 << b)) if down >> b & 1 else 0
+                             for b, up in enumerate(ups)]) for down in downs])
 
     @_derived
     def bound_witness_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -397,15 +388,9 @@ class Poset:
 
     @_derived
     def upper_covers(self) -> tuple[int, ...]:
-        """upper_covers[i]: the elements covering i, as a bitmask: those above
-        i and above no other element above i."""
-        ups, out = self.ups, []
-        for i, up in enumerate(ups):
-            strict, higher = up & ~(1 << i), 0
-            for j in bits(strict):
-                higher |= ups[j] & ~(1 << j)
-            out.append(strict & ~higher)
-        return tuple(out)
+        """upper_covers[i]: the elements covering i, as a bitmask: the minimal
+        elements strictly above i."""
+        return tuple([self.minimal_of(up & ~(1 << i)) for i, up in enumerate(self.ups)])
 
     def covers(self) -> list[tuple[str, str]]:
         """Covering pairs (x, y) with x covered by y, in index order."""
@@ -426,8 +411,8 @@ class Poset:
         n, ups, downs, els, full = self.n, self.ups, self.downs, self.elements, self.full
         flags: dict[str, bool] = {}
         wit: dict[str, tuple[str, str]] = {}
-        # linked[i]: the j that have an upper bound in common with i
-        linked = [reduce(or_, [downs[u] for u in members(up)]) for up in ups]
+        # linked[i]: the j that have an upper bound in common with i, the down-closure of [i)
+        linked = [closure(downs, up) for up in ups]
         incomparable = [full & ~(u | d) for u, d in zip(ups, downs)]
         failing = {
             "is_chain": incomparable,
@@ -468,13 +453,10 @@ class Poset:
         if not flags["has_least"]:
             wit["has_least"] = (els[minima[0]], els[minima[1]])
 
-        flags["is_sectionally_bounded"] = True
-        for i in range(self.n):
-            tops = list(bits(self.maximal_of(self.ups[i])))
-            if len(tops) > 1:
-                flags["is_sectionally_bounded"] = False
-                wit["is_sectionally_bounded"] = (els[tops[0]], els[tops[1]])
-                break
+        flags["is_sectionally_bounded"] = None not in self.tops
+        if not flags["is_sectionally_bounded"]:
+            tops = list(bits(self.maximal_of(ups[self.tops.index(None)])))
+            wit["is_sectionally_bounded"] = (els[tops[0]], els[tops[1]])
 
         flags["is_lattice"] = flags["is_upper_semilattice"] and flags["is_lower_semilattice"]
         if not flags["is_lattice"]:

@@ -7,12 +7,16 @@ Four local notions are computed, all as the greatest element of a defining set:
   wrp(x, y) = max {u : (u] n (x] = (y]}
   clp(x, y) = max {u : L([x) n [y)) n (u] = (y]}
 
-Each defining set is {u : (u] n A = B} for two masks A and B fixed by the
-pair, so one evaluator serves all four, and one builder (complement_table)
-makes the table of each.  When the set has several maximal elements there is
-no maximum and the complement does not exist; the builder then returns that
-antichain and its pair as a MissingWitness instead of raising.  The star
-table is complement_table(p, "sp"), built once per poset.
+Each defining set is {u in W : (u] n A = B} for masks W, A and B fixed by
+the pair, where B lies in (u] for every u in W: W is [y) with B = {y} or
+(y], or W is P with B empty.  Such a set is empty when B is not inside A,
+and is otherwise W minus the up-closure of A minus B.  So one mask
+expression (_defining_mask) serves all four and the i-natural rule of
+extensions, and one builder (complement_table) makes the table of each.
+When the set has several maximal elements there is no maximum and the
+complement does not exist; the builder then returns that antichain and its
+pair as a MissingWitness instead of raising.  The star table is
+complement_table(p, "sp"), built once per poset.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from itertools import compress, repeat
 from operator import is_
 
 from .errors import NotInSection
-from .poset import SIZE_CAP, Poset, bits, members
+from .poset import SIZE_CAP, Poset, bits, closure, members
 
 
 class _Table:
@@ -89,15 +93,19 @@ def _none_mask(row) -> int:
 
 def _check_domain(owner: Poset, cells: tuple) -> None:
     """Check that the cells defined in each row x are those of (x], and that
-    they hold values in range(n), one row mask at a time.  The first wrong
-    cell in row-major order raises, as a cell-by-cell check would name it."""
+    they hold int values in range(n), as a TotalTable's do, one row mask at
+    a time.  The first wrong cell in row-major order raises, as a
+    cell-by-cell check would name it."""
     els, full, n = owner.elements, owner.full, owner.n
+    is_int = int.__instancecheck__
     for x, (row, down) in enumerate(zip(cells, owner.downs)):
-        wrong = full ^ _none_mask(row) ^ down
-        if not _CELLS[n].issuperset(row):  # a value not in range(n) somewhere
+        none = _none_mask(row)
+        wrong = full ^ none ^ down
+        # a value not in range(n), or equal to one but not an int, somewhere
+        if not (_CELLS[n].issuperset(row) and sum(map(is_int, row)) + none.bit_count() == n):
             before = down & ((wrong & -wrong) - 1 if wrong else full)
             for y in members(before):
-                if not 0 <= row[y] < n:
+                if not (is_int(row[y]) and 0 <= row[y] < n):
                     raise ValueError(f"value out of range at ({x}, {y})")
         if wrong:
             y = (wrong & -wrong).bit_length() - 1
@@ -185,14 +193,14 @@ class MissingWitness:
 
 
 def _defining_mask(p: Poset, a: int, b: int, within: int) -> int:
-    """The u with (u] n A = B, as a mask; every defining set has this form.
-    Only the u in `within` are tested: it must hold every such u, as [y)
-    does when B holds y."""
-    downs, m = p.downs, 0
-    for u in members(within):
-        if downs[u] & a == b:
-            m |= 1 << u
-    return m
+    """The u in `within` with (u] n A = B, as a mask; every defining set has
+    this form.  B must lie in (u] for every u in `within`, as it does in [y)
+    when B is {y} or (y], and in P when B is empty.  Then (u] n A holds B
+    exactly when A does, and holds no more exactly when u is outside the
+    up-closure of A minus B."""
+    if b & ~a:
+        return 0
+    return within & ~closure(p.ups, a & ~b)
 
 
 def _sp_mask(p: Poset, xi: int, yi: int) -> int:

@@ -31,7 +31,7 @@ from spposet.axioms import LawContext
 from spposet.enumeration import enumerate_posets
 from spposet.poset import Poset
 
-# _structure reads meets and joins, bound_witness_masks reads meet_over_masks,
+# _structure reads tops, bound_witness_masks reads meet_over_masks,
 # normal_table reads star, and the selections' validation reads upper_covers,
 # so each comes after the tables it reads: each table is built on its own first read
 TABLES = ("meets", "joins", "meet_masks", "mlbs", "tops", "upper_covers", "disjoint_over_masks",

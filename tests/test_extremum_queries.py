@@ -14,10 +14,10 @@ building a poset never computes.
 
 import random
 
-from conftest import corpus_posets
+from conftest import corpus_posets, linear, nonlinear_relabeling, relabeled, sixteen
 from spposet import build_poset
 from spposet.enumeration import enumerate_posets
-from spposet.poset import Poset, bits
+from spposet.poset import bits
 
 FLAG = "_linear_labels"
 
@@ -74,28 +74,6 @@ def assert_queries_agree(p, masks):
             assert getattr(p, name)(mask) == oracle(p, mask), (p.name, p.ups, name, mask)
 
 
-def linear(p):
-    """Whether no element lies below one with a smaller index, pair by pair."""
-    return not any(p.leq_ix(j, i) for i in range(p.n) for j in range(i + 1, p.n))
-
-
-def relabeled(p, perm):
-    """p with element perm[k] of p at index k."""
-    pos = {old: new for new, old in enumerate(perm)}
-    ups = [sum(1 << pos[j] for j in bits(p.ups[i])) for i in perm]
-    return Poset(f"{p.name}~", tuple(p.elements[i] for i in perm), tuple(ups))
-
-
-def nonlinear_relabeling(rng, p):
-    """p under a seeded permutation that is not a linear extension; None for an antichain."""
-    if all(up.bit_count() == 1 for up in p.ups):
-        return None
-    while True:
-        q = relabeled(p, rng.sample(range(p.n), p.n))
-        if not linear(q):
-            return q
-
-
 def classes():
     return [p for n in range(1, 6) for p in enumerate_posets(n, "up-to-iso")]
 
@@ -119,16 +97,6 @@ def test_every_mask_under_a_labeling_that_is_not_a_linear_extension():
         assert q._linear_labels is False
         assert_queries_agree(q, range(q.full + 1))
     assert seen == 1 + 2 + 5 + 16 + 63 - 5  # all but the five antichains
-
-
-def sixteen():
-    names = [f"e{k}" for k in range(16)]
-    chain = build_poset("chain16", names, list(zip(names, names[1:])))
-    antichain = build_poset("antichain16", names, [])
-    # element k is the subset k of four atoms, below the subsets that hold it
-    cube = build_poset("2^4", names, [(names[k], names[m]) for k in range(16) for m in range(16)
-                                      if k & ~m == 0])
-    return chain, antichain, cube
 
 
 def test_seeded_masks_on_sixteen_elements():

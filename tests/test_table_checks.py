@@ -4,7 +4,8 @@ cell loops they replaced.
 PartialTable checks its domain one row mask at a time (pseudo._check_domain,
 shared with from_ids), TotalTable checks each row with two C-level tests, and
 pure_extension and natural_extension fill each row from the order masks.  The
-oracles are the earlier cell-by-cell loops.  The checks are compared, error
+oracles are the earlier cell-by-cell loops; the partial one admits only int
+cells in range(n), as TotalTable does.  The checks are compared, error
 type and message, on the corpus tables, on the star tables of every class with
 up to 6 elements, and on seeded mutations of one to three cells of each: a
 missing value, a value outside the domain and a value out of range.  The rules
@@ -18,7 +19,15 @@ import random
 import pytest
 
 from conftest import corpus_posets
-from spposet import PartialTable, TotalTable, natural_extension, pure_extension, parse_path, star_table
+from spposet import (
+    PartialTable,
+    TotalTable,
+    build_poset,
+    natural_extension,
+    parse_path,
+    pure_extension,
+    star_table,
+)
 from spposet.enumeration import enumerate_posets
 from spposet.errors import NotSectionallyBounded
 
@@ -32,7 +41,7 @@ def oracle_partial(owner, cells):
                 if v is None:
                     raise ValueError(
                         f"missing value at sectioned pair ({owner.elements[x]}, {owner.elements[y]})")
-                if not 0 <= v < n:
+                if not (isinstance(v, int) and 0 <= v < n):
                     raise ValueError(f"value out of range at ({x}, {y})")
             elif v is not None:
                 raise ValueError(
@@ -89,7 +98,7 @@ def star_tables():
 
 def partial_mutations(rng, s, count):
     p, n = s.owner, s.owner.n
-    bad = [n, n + 3, -1, 2 ** 70, 1.5, "a"]  # the cell loop admits 1.5 and cannot compare "a"
+    bad = [n, n + 3, -1, 2 ** 70, 1.5, "a"]
     for _ in range(count):
         cells = [list(row) for row in s.cells]
         for _ in range(rng.randint(1, 3)):
@@ -122,6 +131,19 @@ def test_partial_check_matches_the_cell_loop():
             if expected:
                 raised.add(expected[1].split(" at ")[0])
     assert raised >= {"missing value", "value outside the domain y <= x", "value out of range"}
+
+
+def test_partial_cells_are_ints_as_total_cells_are():
+    p = build_poset("c2", ["0", "1"], [("0", "1")])
+    for bad in (1.5, "a", 1.0):  # none an int, though 1.0 == 1
+        with pytest.raises(ValueError, match=r"^value out of range at \(1, 1\)$"):
+            PartialTable(p, [[0, None], [0, bad]])
+    # bools are ints, as TotalTable admits them
+    assert PartialTable(p, [[False, None], [True, True]]).value("1", "1") == "1"
+    assert PartialTable(p, [[0, None], [0, True]]) == PartialTable(p, [[0, None], [0, 1]])
+    # an earlier missing cell in row-major order is named first
+    with pytest.raises(ValueError, match=r"^missing value at sectioned pair \(1, 0\)$"):
+        PartialTable(p, [[0, None], [None, 1.5]])
 
 
 def test_total_check_matches_the_cell_loop():
