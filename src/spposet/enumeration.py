@@ -70,6 +70,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import getitem
 
 from .axioms import (
     LAWS,
@@ -769,6 +770,8 @@ def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[i
     _product_start(rows, links): a search node that reaches it walks the
     rows from there on as one product (_product_tail), unless one of them
     has an empty mask; those are walked row by row like the linked ones.
+    The walk is one generator over a stack of the rows assigned so far,
+    each with its values left, the masks they came from and its links.
 
     spare[0] counts down the values tried that no solution pays for (each
     solution pays for one per row); SizeCap once it is spent.  The product
@@ -776,31 +779,36 @@ def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[i
     every solution, and SizeCap before the same solution."""
     vals = [0] * len(dom)
     depth = len(rows)
-
-    def rec(i, dom):
-        if i == start:  # one test per node, as without the product
+    stack: list[tuple] = []
+    while True:
+        i = len(stack)
+        # one test per node, as without the product; below a free row with no value
+        # the walk reaches no solution (nor depth), and tries what the row walk tries
+        if i == start and (i == depth or all(lists := [members(dom[r]) for r in rows[i:]])):
             if i == depth:
                 spare[0] += depth
                 yield tuple([vals[r] for r in rows])
-                return
-            lists = [members(dom[r]) for r in rows[i:]]
-            if all(lists):
+            else:
                 yield from _product_tail(tuple([vals[r] for r in rows[:i]]), lists, depth, spare)
-                return
-            # a free row with no value: the walk below reaches no solution
-            # (nor depth), and tries what the row-by-row walk tries
-        k = rows[i]
-        out = links[k]
-        for v in members(dom[k]):
-            spare[0] -= 1
-            if spare[0] < 0:
-                raise _spent(spare)
-            narrowed = _narrowed(dom, out, v) if out else dom
-            if narrowed is not None:
-                vals[k] = v
-                yield from rec(i + 1, narrowed)
-
-    return rec(0, dom)
+        else:
+            k = rows[i]
+            stack.append((iter(members(dom[k])), dom, links[k], k))
+        while stack:  # the deepest row with a value left that the links allow takes it
+            left, dom, out, k = stack[-1]
+            for v in left:
+                spare[0] -= 1
+                if spare[0] < 0:
+                    raise _spent(spare)
+                narrowed = _narrowed(dom, out, v) if out else dom
+                if narrowed is not None:
+                    break
+            else:
+                stack.pop()
+                continue
+            vals[k], dom = v, narrowed
+            break
+        else:
+            return
 
 
 def _product_tail(head: tuple, lists: list[tuple], depth: int, spare: list[int]):
@@ -900,23 +908,36 @@ def _product_tables(p: Poset, cols):
     solution, in column order, before the first table, and each later one
     when the product first reaches it; what has been read is kept for the
     column's later passes.  An empty column ends the product.  Every
-    solution must hold n ints in range(n)."""
+    solution must hold n ints in range(n).
+
+    In a pass over the last column the other columns are fixed, so row r of
+    each table is row r of the others and one of n values: a pass of more
+    than n tables builds those n * n rows once and shares them, one new
+    tuple per table; a shorter pass, and the first n tables of the first
+    (its length still unknown), build each table's rows whole."""
     its, kept = [iter(col) for col in cols], []
     for it in its:
         if (sol := next(it, None)) is None:
             return
         kept.append([sol])
-    pick, at = [sols[0] for sols in kept], [0] * len(kept)
-    make, last = TotalTable._from_checked_rows, kept[-1]
+    # tables of long passes are built inline: _from_checked_rows is an eighth of their cost
+    n, make, new = len(kept), TotalTable._from_checked_rows, object.__new__
+    pick, at, last, rest = [sols[0] for sols in kept], [0] * n, kept[-1], its[-1]
+    yield make(p, tuple(zip(*pick)))
+    for sol in itertools.islice(rest, n - 1 if n > 1 else None):  # a single column keeps no rows
+        last.append(sol)
+        pick[-1] = sol
+        yield make(p, tuple(zip(*pick)))
+    cache = None
+    for sol in rest:  # more than n: the rest of the first pass from rows kept for it
+        if cache is None:
+            cache = [[head + (v,) for v in range(n)] for head in zip(*pick[:-1])]
+        last.append(sol)
+        t = new(TotalTable)
+        t.owner, t.cells = p, tuple(map(getitem, cache, sol))
+        yield t
     while True:
-        for sol in last:  # the last column: what is kept, then the rest of its iterator
-            pick[-1] = sol
-            yield make(p, tuple(zip(*pick)))
-        for sol in its[-1]:
-            last.append(sol)
-            pick[-1] = sol
-            yield make(p, tuple(zip(*pick)))
-        k = len(kept) - 2
+        k = n - 2
         while k >= 0:  # the rightmost column with a next solution steps, those to its right start over
             sols, i = kept[k], at[k] + 1
             if i == len(sols) and (sol := next(its[k], None)) is not None:
@@ -928,6 +949,16 @@ def _product_tables(p: Poset, cols):
             k -= 1
         if k < 0:
             return
+        if len(last) > n:
+            cache = [[head + (v,) for v in range(n)] for head in zip(*pick[:-1])]
+            for sol in last:
+                t = new(TotalTable)
+                t.owner, t.cells = p, tuple(map(getitem, cache, sol))
+                yield t
+        else:
+            for sol in last:
+                pick[-1] = sol
+                yield make(p, tuple(zip(*pick)))
 
 
 def _checked(n: int, sols):
@@ -948,6 +979,7 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
     solutions in lexicographic order.  Each column is searched only as far as
     the stream reads it, and each solution is checked once, when first
     reached: a bad one raises ValueError before any table that holds it.
+    Tables in one pass over the last column may share row tuples.
     Raises SizeCap when the column searches spend their shared SEARCH_BUDGET,
     StructureMismatch for the partial-table system SP, a selection over
     another poset or a poset without the structure the system needs, and

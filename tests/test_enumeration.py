@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tables_data as td
-from conftest import rows_in_order
+from conftest import relabeled, rows_in_order
 from spposet import (
     MissingWitness,
     TotalTable,
@@ -220,18 +220,36 @@ def _corpus_posets():
     return [out[name] for name in sorted(out)]
 
 
-def test_enumerate_extensions_matches_reference_on_corpus():
+def _assert_same_streams(posets, cap):
+    """_assert_same_stream for every total system on each poset, NATI under
+    both built-in selections; the number of tables compared."""
     streamed = 0
-    for p in _corpus_posets():
+    for p in posets:
         st = star_table(p)
         for system in sorted(set(SYSTEMS) - {"SP"}):
             sels = [selection_frink(p), selection_union(p)] if system == "NATI" else [None]
             for sel in sels:
-                streamed += _assert_same_stream(st, system, sel, 3000)
+                streamed += _assert_same_stream(st, system, sel, cap)
         # SP is the partial-table system, so it has no total extensions
         with pytest.raises(StructureMismatch, match="system SP needs a partial table"):
             next(enumerate_extensions(st, "SP"))
-    assert streamed > 5 * 3000
+    return streamed
+
+
+def test_enumerate_extensions_matches_reference_on_corpus():
+    assert _assert_same_streams(_corpus_posets(), 3000) > 5 * 3000
+
+
+def test_enumerate_extensions_matches_reference_on_the_reversed_corpus():
+    # declared top-down, the last column belongs to a minimal element; it is
+    # fully pinned, so every pass holds one table, on all but twochains
+    reversed_posets = [relabeled(p, range(p.n - 1, -1, -1)) for p in _corpus_posets()]
+    assert _assert_same_streams(reversed_posets, 3000) > 5 * 3000
+
+
+def test_the_hexagon_esp_stream_matches_reference_past_its_first_pass(hexagon_star):
+    # the last column holds 7776 solutions: the second pass reads kept rows
+    assert _assert_same_stream(hexagon_star, "ESP", None, 2 * 7776 + 1) == 2 * 7776 + 1
 
 
 def test_enumerate_extensions_matches_reference_on_small_posets():

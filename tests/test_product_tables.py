@@ -6,6 +6,9 @@ solution it hands out and can raise at a given one, so the tests see when
 each solution is read: each once, every column's first before the first
 table, in column order, and an error before any table that would hold its
 solution.  The tables come in the order of itertools.product over the lists.
+A pass over a last column of more than n solutions shares its rows among its
+tables, so the shapes include last columns of n + 1, 2n and n * n + 1
+solutions, and a one-solution last column after a long earlier one.
 """
 
 import itertools
@@ -39,18 +42,28 @@ class Column:
 
 
 def shapes():
-    """Seeded column counts and sizes, with empty columns among them."""
+    """Seeded column counts and sizes, with empty columns among them; and
+    long last columns, or a long column before a last one of one solution,
+    each at most n ** n long so that its solutions are distinct."""
     rng = random.Random(26)
     for n in range(1, 5):
         yield n, [1] * n
         yield n, [n] * n
         for _ in range(6):
             yield n, [rng.randint(0, n) for _ in range(n)]
+    for n in range(2, 7):
+        for size in (n + 1, 2 * n, n * n + 1):
+            if size <= n ** n:
+                yield n, [rng.randint(1, 3) for _ in range(n - 1)] + [size]
+                yield n, [1] * (n - 2) + [size, 1]
 
 
 def solutions(n, sizes):
-    """Column k's solution i: n distinct values per row, distinct per column."""
-    return [[tuple((i + k + r) % n for r in range(n)) for i in range(size)] for k, size in enumerate(sizes)]
+    """Column k's solution i: row 0 holds i + k and row r > 0 holds i + k + r
+    plus the r-th base-n digit of i, modulo n.  For i < n each row holds n
+    distinct values, and for i < n ** n the solutions are distinct."""
+    return [[tuple((i + k + r + (r and i // n ** r)) % n for r in range(n)) for i in range(size)]
+            for k, size in enumerate(sizes)]
 
 
 def drained(p, cols, log):
