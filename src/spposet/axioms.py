@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InternalDisagreement, MissingSelection, NotSectionallyBounded, StructureMismatch
-from .extensions import LocalSelection, require_owner
+from .errors import InternalDisagreement, MissingSelection, StructureMismatch
+from .extensions import LocalSelection, _bounded_tops, require_owner
 from .pseudo import (
     ItemResult,
     MissingWitness,
@@ -424,6 +424,9 @@ SYSTEMS = {
     "JWV2": dict(kind="total", structure="lattice", laws={"jwv1": "jwv1", "jwv2'": "jwv2'"}),
 }
 
+# how check_system reads an instance that mentions an undefined meet or join
+READINGS = ("existential", "both-defined", "one-defined")
+
 
 def system_laws(system: str) -> list[Law]:
     """The laws of a known system, in the order its axioms are reported."""
@@ -535,7 +538,7 @@ def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
     if not want_partial and not isinstance(op, TotalTable):
         raise StructureMismatch(f"system {system} needs a total table")
     _own_table(p, op)
-    if reading not in ("existential", "both-defined", "one-defined"):
+    if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}")
 
     e = (p if sel is None else sel).laws
@@ -566,8 +569,7 @@ def implicativity(p: Poset, t: TotalTable) -> ImplicativityReport:
     Left: x <= y iff x -> y is the top of [x); right: the same with [y).
     """
     _own_table(p, t)
-    if None in p.tops:
-        raise NotSectionallyBounded(f"{p.name!r} is not sectionally bounded")
+    _bounded_tops(p)
     left, right = (_witness(LAWS[law], p.laws, t.cells) for law in ("left-implicative", "right-implicative"))
     return ImplicativityReport(Verdict(left is None, left), Verdict(right is None, right))
 
@@ -667,16 +669,18 @@ def _suite_simpl_i(p: Poset, sel: LocalSelection):
             else ItemResult(item, "pass") for item in "ab"]
 
 
-LEMMA_SUITES = ("esp-prop", "jext-prop", "Inat-prop", "simplI")
+LEMMA_SUITES = ("sp-prop", "esp-prop", "jext-prop", "Inat-prop", "simplI")
 
 
 def verify_lemma_suite(p: Poset, op, suite: str, sel: LocalSelection | None = None) -> PropertyReport:
-    """Run one of the lettered law suites against a total table.
+    """Run one of the lettered law suites against a table over p.
 
-    Items whose stated hypotheses the table does not meet are reported as
-    skipped (e.g. the greatest-element items of jext-prop on an unbounded
-    poset).  The simplI suite, the one that needs a selection, is a pure
-    poset/selection statement and ignores the table; a given one must be over p.
+    sp-prop, the laws of a star table, reads a partial table, and the other
+    table suites a total one.  Items whose stated hypotheses the table does
+    not meet are reported as skipped (e.g. the greatest-element items of
+    jext-prop on an unbounded poset).  The simplI suite, the one that needs a
+    selection, is a pure poset/selection statement and ignores the table; a
+    given selection must be over p.
     """
     if suite not in LEMMA_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {LEMMA_SUITES}")
@@ -685,8 +689,9 @@ def verify_lemma_suite(p: Poset, op, suite: str, sel: LocalSelection | None = No
     require_owner(p, sel)
     if suite == "simplI":
         return PropertyReport(suite, tuple(_suite_simpl_i(p, sel)))
-    if not isinstance(op, TotalTable):
-        raise StructureMismatch(f"suite {suite} needs a total table")
+    kind = "partial" if suite == "sp-prop" else "total"
+    if not isinstance(op, PartialTable if kind == "partial" else TotalTable):
+        raise StructureMismatch(f"suite {suite} needs a {kind} table")
     _own_table(p, op)
     return PropertyReport(suite, lemma_items(p, op, suite))
 

@@ -25,9 +25,9 @@ import sys
 import traceback
 
 from . import enumeration, extensions, fileformat, pseudo
-from .axioms import LEMMA_SUITES, SYSTEMS, check_system, verify_lemma_suite
+from .axioms import LEMMA_SUITES, READINGS, SYSTEMS, check_system, verify_lemma_suite
 from .errors import InternalDisagreement, SpposetError
-from .pseudo import MissingWitness, PartialTable
+from .pseudo import MissingWitness
 
 # method -> its rule, given the poset, its star table and the selection; the
 # rules are looked up in `extensions` on each call, so a wrapper installed
@@ -45,7 +45,6 @@ RULES = {
 }
 METHODS = tuple(RULES)
 STAR_KINDS = ("sp", "rp", "wrp", "clp")
-SUITES = ("sp-prop", *LEMMA_SUITES)
 
 
 def _resolve_selection(doc, token, p):
@@ -57,14 +56,6 @@ def _resolve_selection(doc, token, p):
     if sel.owner != p:
         raise SpposetError(f"selection {token!r} is over poset {sel.owner.name!r}, not {p.name!r}")
     return sel
-
-
-def _emit_result(p, name, table) -> str:
-    doc = fileformat.Document((
-        fileformat.Section("poset", p.name, p),
-        fileformat.Section("optable", name, table),
-    ))
-    return fileformat.emit(doc)
 
 
 def cmd_validate(args) -> int:
@@ -107,7 +98,7 @@ def cmd_star(args) -> int:
         else:
             print(f"no {kind} complement at ({table.x}, {table.y})")
         return 1
-    sys.stdout.write(_emit_result(p, "star" if kind == "sp" else kind, table))
+    sys.stdout.write(enumeration._serialize(p, {"star" if kind == "sp" else kind: table}))
     return 0
 
 
@@ -134,7 +125,7 @@ def cmd_extend(args) -> int:
                 print(f"undefined at ({u.x}, {u.y}): {u.reason}, candidates: {cand}")
             return 1
         result = result.table
-    sys.stdout.write(_emit_result(p, name, result))
+    sys.stdout.write(enumeration._serialize(p, {name: result}))
     return 0
 
 
@@ -157,12 +148,7 @@ def cmd_props(args) -> int:
     table = doc.table(args.table)
     p = table.owner
     sel = _resolve_selection(doc, args.selection, p) if args.selection else None
-    if args.suite == "sp-prop":
-        if not isinstance(table, PartialTable):
-            raise SpposetError("suite sp-prop needs a partial table")
-        report = pseudo.verify_sp_properties(p, table)
-    else:
-        report = verify_lemma_suite(p, table, args.suite, sel=sel)
+    report = verify_lemma_suite(p, table, args.suite, sel=sel)
     for item in report.items:
         line = f"{item.item}: {item.status}"
         if item.witness:
@@ -229,14 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--table", required=True)
     s.add_argument("--system", choices=sorted(SYSTEMS), required=True)
     s.add_argument("--selection")
-    s.add_argument("--reading", choices=("existential", "both-defined", "one-defined"),
-                   default="existential")
+    s.add_argument("--reading", choices=READINGS, default="existential")
     s.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("props", help="run a lemma property suite against a table")
     s.add_argument("file")
     s.add_argument("--table", required=True)
-    s.add_argument("--suite", choices=SUITES, required=True)
+    s.add_argument("--suite", choices=LEMMA_SUITES, required=True)
     s.add_argument("--selection")
     s.set_defaults(fn=cmd_props)
 

@@ -102,7 +102,7 @@ from .extensions import (
 )
 from .fileformat import Document, Section, emit
 from .poset import Poset, bits, members, transpose
-from .pseudo import PartialTable, TotalTable, _total_table, is_sp, star_table, wrp_value_ix
+from .pseudo import PartialTable, TotalTable, _total_table, is_sp, star_table, value_ix
 
 LABELED_CAP = 7
 ISO_CAP = 8
@@ -1573,7 +1573,7 @@ def _hunt_rule_to_esp(kind: str):
         verdict = is_esp(p, t)
         if verdict.holds:
             return None
-        wrp_agrees = all(t.cells[x][y] == wrp_value_ix(p, x, y)
+        wrp_agrees = all(t.cells[x][y] == value_ix(p, "wrp", x, y)
                          for x in range(p.n) for y in range(p.n) if p.leq_ix(y, x))
         return Counterexample(
             _serialize(p, {kind: t}),

@@ -213,15 +213,23 @@ class LocalSelection:
     growth in x up to z, since I(z, y) = (z].
     ``rows[i][j]`` is the mask of I(i, j), for both orders of every pair;
     the constructor reads it from `masks`, keyed by (min(i,j), max(i,j)), and
-    validates it.  A selection keeps its i-natural cells and its law context
-    the same way a poset keeps its derived tables.
+    validates it: first that every such pair has a mask, then that each mask
+    lies in the carrier, each time naming the first failing pair (i <= j,
+    row-major), and then the laws.  A selection keeps its i-natural cells and
+    its law context the same way a poset keeps its derived tables.
     """
 
     __slots__ = ("owner", "kind", "rows", "_tables")
 
     def __init__(self, owner: Poset, kind: str, masks: dict):
-        r = range(owner.n)
-        self._start(owner, kind, tuple(tuple(masks[(i, j) if i <= j else (j, i)] for j in r) for i in r))
+        n, els = owner.n, owner.elements
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        for law, fails in (("missing-pair", lambda m: m is None), ("carrier", lambda m: m >> n)):
+            for i, j in pairs:
+                if fails(masks.get((i, j))):
+                    raise SelectionAxiomViolation(law, (els[i], els[j]))
+        self._start(owner, kind, tuple(tuple(masks[(i, j) if i <= j else (j, i)] for j in range(n))
+                                       for i in range(n)))
 
     @classmethod
     def _of_rows(cls, owner: Poset, kind: str, rows: tuple) -> "LocalSelection":

@@ -26,8 +26,9 @@ so emit(parse(text)) parses back to an equal document.  It refuses, with a
 SpposetError naming the section, a document that would read back different:
 a name that would not read back as the one token it is (the empty name, a
 name holding whitespace or '#', and '-' as an element), a repeated section
-name, a poset section named otherwise than its poset, and an optable or
-selection over a poset that no earlier poset section holds under its name.
+name, a poset section named otherwise than its poset, an optable or
+selection over a poset that no earlier poset section holds under its name,
+and a section of any other kind.
 """
 
 from __future__ import annotations
@@ -257,6 +258,8 @@ def emit(doc: Document) -> str:
     for a document that would not (see the module notes)."""
     chunks, names, posets = [], set(), {}
     for s in doc.sections:
+        if s.kind not in ("poset", "optable", "selection"):
+            raise SpposetError(f"cannot write {s.kind} {s.name!r}: not a poset, optable or selection")
         if s.name in names:
             raise SpposetError(f"cannot write {s.kind} {s.name!r}: duplicate section name")
         names.add(s.name)

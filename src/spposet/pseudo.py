@@ -12,11 +12,13 @@ the pair, where B lies in (u] for every u in W: W is [y) with B = {y} or
 (y], or W is P with B empty.  Such a set is empty when B is not inside A,
 and is otherwise W minus the up-closure of A minus B.  So one mask
 expression (_defining_mask) serves all four and the i-natural rule of
-extensions, and one builder (complement_table) makes the table of each.
-When the set has several maximal elements there is no maximum and the
+extensions, one function (value_ix) gives any kind's complement of one
+pair, and one builder (complement_table) makes the table of each.  When
+the set has several maximal elements there is no maximum and the
 complement does not exist; the builder then returns that antichain and its
 pair as a MissingWitness instead of raising.  The star table is
-complement_table(p, "sp"), built once per poset.
+complement_table(p, "sp"), built once per poset; its laws
+(verify_sp_properties) are the sp-prop suite of axioms.verify_lemma_suite.
 """
 
 from __future__ import annotations
@@ -224,28 +226,14 @@ _KINDS = {"sp": (_sp_mask, True), "rp": (_rp_mask, False),
           "wrp": (_wrp_mask, True), "clp": (_clp_mask, False)}
 
 
-def sp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
-    """Index form of sp_complement; assumes yi <= xi."""
-    return p.greatest_of(_sp_mask(p, xi, yi))
+def value_ix(p: Poset, kind: str, xi: int, yi: int) -> int | None:
+    """The sp, rp, wrp or clp complement of the pair (xi, yi) of indices, None
+    where its defining set has no greatest element; sp assumes yi <= xi."""
+    return p.greatest_of(_KINDS[kind][0](p, xi, yi))
 
 
-def rp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
-    """Index form of rp_complement."""
-    return p.greatest_of(_rp_mask(p, xi, yi))
-
-
-def wrp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
-    """Index form of wrp_complement."""
-    return p.greatest_of(_wrp_mask(p, xi, yi))
-
-
-def clp_value_ix(p: Poset, xi: int, yi: int) -> int | None:
-    """Index form of clp_complement."""
-    return p.greatest_of(_clp_mask(p, xi, yi))
-
-
-def _by_name(p: Poset, value_ix, x: str, y: str) -> str | None:
-    v = value_ix(p, p.index(x), p.index(y))
+def _by_name(p: Poset, kind: str, x: str, y: str) -> str | None:
+    v = value_ix(p, kind, p.index(x), p.index(y))
     return None if v is None else p.elements[v]
 
 
@@ -254,23 +242,23 @@ def sp_complement(p: Poset, x: str, y: str) -> str | None:
     xi, yi = p.index(x), p.index(y)
     if not p.leq_ix(yi, xi):
         raise NotInSection(f"({x}, {y}) requires {y} <= {x}")
-    v = sp_value_ix(p, xi, yi)
+    v = value_ix(p, "sp", xi, yi)
     return None if v is None else p.elements[v]
 
 
 def rp_complement(p: Poset, x: str, y: str) -> str | None:
     """Relative pseudocomplement: greatest u with (u] n (x] inside (y]."""
-    return _by_name(p, rp_value_ix, x, y)
+    return _by_name(p, "rp", x, y)
 
 
 def wrp_complement(p: Poset, x: str, y: str) -> str | None:
     """Weak relative pseudocomplement: greatest u with (u] n (x] = (y]."""
-    return _by_name(p, wrp_value_ix, x, y)
+    return _by_name(p, "wrp", x, y)
 
 
 def clp_complement(p: Poset, x: str, y: str) -> str | None:
     """Greatest u with L([x) n [y)) n (u] = (y]."""
-    return _by_name(p, clp_value_ix, x, y)
+    return _by_name(p, "clp", x, y)
 
 
 def section_top(p: Poset, x: str) -> str | None:
@@ -373,12 +361,12 @@ class PropertyReport:
 
 
 def verify_sp_properties(p: Poset, s: PartialTable) -> PropertyReport:
-    """Check the elementary laws of sectional pseudocomplementation on a star table.
+    """The elementary laws of sectional pseudocomplementation on a partial
+    table over p: axioms.verify_lemma_suite(p, s, "sp-prop").
 
     Every law is swept universally; an instance only counts when all values it
     mentions are defined.  The first failing witness per item is reported, in
-    lexicographic declaration order of the quantified tuple.  The laws are
-    entries of the law table in axioms.
+    lexicographic declaration order of the quantified tuple.
     """
-    from .axioms import lemma_items  # axioms builds on this module
-    return PropertyReport("sp-prop", lemma_items(p, s, "sp-prop"))
+    from .axioms import verify_lemma_suite  # axioms builds on this module
+    return verify_lemma_suite(p, s, "sp-prop")

@@ -25,6 +25,7 @@ from spposet import (
     star_table,
     subalgebra_closed,
     verify_lemma_suite,
+    verify_sp_properties,
 )
 from spposet.enumeration import enumerate_posets, system_column_solutions
 from spposet.errors import MissingSelection, StructureMismatch
@@ -307,25 +308,35 @@ def _chain(name, n):
     return build_poset(name, els, list(zip(els, els[1:])))
 
 
+# name -> the decider, and the poset attribute holding a table it reads
 TABLE_DECIDERS = {
-    "check_system": lambda p, t: check_system(p, t, "ESP"),
-    "is_esp": is_esp,
-    "implicativity": implicativity,
-    "is_strong": is_strong,
-    "is_normal": is_normal,
-    "verify_lemma_suite": lambda p, t: verify_lemma_suite(p, t, "esp-prop"),
-    "subalgebra_closed": lambda p, t: subalgebra_closed(p, t, p.elements),
+    "check_system": (lambda p, t: check_system(p, t, "ESP"), "normal_table"),
+    "is_esp": (is_esp, "normal_table"),
+    "implicativity": (implicativity, "normal_table"),
+    "is_strong": (is_strong, "normal_table"),
+    "is_normal": (is_normal, "normal_table"),
+    "verify_lemma_suite": (lambda p, t: verify_lemma_suite(p, t, "esp-prop"), "normal_table"),
+    "verify_sp_properties": (verify_sp_properties, "star"),
+    "subalgebra_closed": (lambda p, t: subalgebra_closed(p, t, p.elements), "normal_table"),
 }
 
 
 @pytest.mark.parametrize("decider", TABLE_DECIDERS)
 def test_table_deciders_reject_a_table_over_another_poset(decider):
-    decide, p = TABLE_DECIDERS[decider], _chain("C3", 3)
-    decide(p, p.normal_table)
+    (decide, table), p = TABLE_DECIDERS[decider], _chain("C3", 3)
+    decide(p, getattr(p, table))
     # a shorter chain, and the same order under another name
     for other in (_chain("C2", 2), _chain("D3", 3)):
         with pytest.raises(StructureMismatch, match="^table does not belong to the given poset$"):
-            decide(p, other.normal_table)
+            decide(p, getattr(other, table))
+
+
+def test_sp_prop_needs_a_partial_table(hexagon, hexagon_rp):
+    for run in (verify_sp_properties, lambda p, t: verify_lemma_suite(p, t, "sp-prop")):
+        with pytest.raises(StructureMismatch, match="^suite sp-prop needs a partial table$"):
+            run(hexagon, hexagon_rp)
+    with pytest.raises(StructureMismatch, match="^suite esp-prop needs a total table$"):
+        verify_lemma_suite(hexagon, restrict(hexagon_rp), "esp-prop")
 
 
 # -- lemma suites -------------------------------------------------------------------

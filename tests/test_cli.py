@@ -222,6 +222,17 @@ def test_props_failures_reported(tmp_path, capsys):
     assert "m: fail at (c, d, a)" in out
 
 
+def test_props_sp_prop_on_a_total_table_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "props", corpus_path("hexagon-rp.sp"), "--table", "rp", "--suite", "sp-prop")
+    assert (code, out, err) == (2, "", "error: suite sp-prop needs a partial table\n")
+
+
+def test_props_help_lists_the_suites_in_order(capsys):
+    code, out, _ = run(capsys, "props", "--help")
+    assert code == 0
+    assert re.findall(r"--suite\s+\{([^}]*)\}", out) == ["sp-prop,esp-prop,jext-prop,Inat-prop,simplI"] * 2
+
+
 def test_props_inat_with_selection(capsys):
     code, out, _ = run(capsys, "props", corpus_path("hexagon-fnat.sp"),
                        "--table", "i-natural-frink", "--suite", "Inat-prop",

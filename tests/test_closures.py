@@ -23,6 +23,8 @@ from conftest import corpus_posets, nonlinear_relabeling, relabeled, sixteen
 from spposet import (
     LocalSelection,
     PartialTable,
+    TotalTable,
+    implicativity,
     pure_extension,
     selection_frink,
     selection_union,
@@ -216,10 +218,14 @@ def test_sectional_boundedness_matches_the_section_loop():
         if not flag:
             unbounded += 1
             r = range(p.n)
-            with pytest.raises(NotSectionallyBounded) as err:
-                pure_extension(PartialTable(p, [[y if p.leq_ix(y, x) else None for y in r] for x in r]))
-            assert str(err.value) == (f"section [{p.elements[i]}) of {p.name!r} has maximal elements "
-                                      f"{witness[0]} and {witness[1]}")
+            partial = PartialTable(p, [[y if p.leq_ix(y, x) else None for y in r] for x in r])
+            total = TotalTable(p, [list(r)] * p.n)
+            # a rule and a table decider refuse with the same message
+            for refuse in (lambda: pure_extension(partial), lambda: implicativity(p, total)):
+                with pytest.raises(NotSectionallyBounded) as err:
+                    refuse()
+                assert str(err.value) == (f"section [{p.elements[i]}) of {p.name!r} has maximal elements "
+                                          f"{witness[0]} and {witness[1]}")
     assert unbounded > 0
 
 

@@ -45,7 +45,7 @@ from spposet.extensions import (
     natural_min_cells,
 )
 from spposet.poset import bits
-from spposet.pseudo import clp_value_ix, complement_table, rp_value_ix, sp_value_ix, wrp_value_ix
+from spposet.pseudo import complement_table, value_ix
 
 
 def total_from(p, d):
@@ -174,6 +174,25 @@ def test_selection_custom_validation(hexagon):
     with pytest.raises(SelectionAxiomViolation):
         # grows under union but shrinks under a larger first argument: violates I3
         selection_custom(hexagon, {**table, ("c", "d"): ["0", "a", "c", "d"]})
+
+
+def test_local_selection_names_a_missing_pair_and_a_mask_outside_the_carrier(hexagon):
+    union = selection_union(hexagon)
+    r = range(hexagon.n)
+    masks = {(i, j): union.rows[i][j] for i in r for j in r if i <= j}
+    assert LocalSelection(hexagon, "custom", masks) == union
+    els = hexagon.elements
+    late, early = (els.index("c"), els.index("d")), (els.index("a"), els.index("b"))
+    # the first missing pair with i <= j is named, before any mask is read
+    with pytest.raises(SelectionAxiomViolation) as err:
+        LocalSelection(hexagon, "custom", {k: m for k, m in masks.items() if k not in (late, early)})
+    assert (err.value.axiom, err.value.witness) == ("missing-pair", ("a", "b"))
+    # so is the first pair, in the pair walk's order, with a bit outside the carrier
+    outside = 1 << hexagon.n
+    for pairs, named in (((late,), ("c", "d")), ((late, early), ("a", "b")), (((0, 0),), ("0", "0"))):
+        with pytest.raises(SelectionAxiomViolation) as err:
+            LocalSelection(hexagon, "custom", {**masks, **{k: masks[k] | outside for k in pairs}})
+        assert (err.value.axiom, err.value.witness) == ("carrier", named)
 
 
 def _chain(n):
@@ -664,7 +683,7 @@ def _complement_oracles(p):
     }
 
 
-def _expected_complement_table(p, kind, value_ix, defining, le):
+def _expected_complement_table(p, kind, defining, le):
     els, r = p.elements, range(p.n)
     sectional = kind in ("sp", "wrp")
     cells = [[None] * p.n for _ in r]
@@ -674,7 +693,7 @@ def _expected_complement_table(p, kind, value_ix, defining, le):
                 continue
             members = defining(x, y)
             greatest = next((u for u in members if all(le[v][u] for v in members)), None)
-            assert value_ix(p, x, y) == greatest, (p.name, kind, x, y)
+            assert value_ix(p, kind, x, y) == greatest, (p.name, kind, x, y)
             if greatest is None:
                 maximal = [u for u in members if not any(v != u and le[u][v] for v in members)]
                 return MissingWitness(els[x], els[y], tuple(els[u] for u in maximal))
@@ -683,18 +702,16 @@ def _expected_complement_table(p, kind, value_ix, defining, le):
 
 
 def test_complement_tables_equal_their_value_functions(oracle_posets):
-    value_ix = {"sp": sp_value_ix, "rp": rp_value_ix, "wrp": wrp_value_ix, "clp": clp_value_ix}
-    missing = set()
+    kinds, missing = ("sp", "rp", "wrp", "clp"), set()
     for p in oracle_posets:
         le, defining = _complement_oracles(p)
-        for kind in value_ix:
+        for kind in kinds:
             got = complement_table(p, kind)
-            assert got == _expected_complement_table(p, kind, value_ix[kind], defining[kind], le), (
-                p.name, kind)
+            assert got == _expected_complement_table(p, kind, defining[kind], le), (p.name, kind)
             if isinstance(got, MissingWitness):
                 missing.add(kind)
         assert star_table(p) == complement_table(p, "sp")
-    assert missing == set(value_ix)
+    assert missing == set(kinds)
 
 
 # -- rules without an empty-candidate reason ------------------------------------------

@@ -189,6 +189,15 @@ def test_unknown_poset_reference():
         parse("optable t over nowhere kind total\nend")
 
 
+@pytest.mark.parametrize("kind", ["table", "Poset", ""])
+def test_emit_refuses_a_section_of_another_kind(hexagon, hexagon_star, kind):
+    # an object with an owner, and one without
+    for obj in (hexagon_star, hexagon):
+        doc = Document((Section("poset", "hex", hexagon), Section(kind, "odd", obj)))
+        with pytest.raises(SpposetError, match=f"^cannot write {kind} 'odd': not a poset, optable or selection$"):
+            emit(doc)
+
+
 def test_emit_builtin_selections(hexagon):
     doc = Document((
         Section("poset", "hex", hexagon),

@@ -1,7 +1,7 @@
 import pytest
 
 import tables_data as td
-from conftest import rows_in_order
+from conftest import corpus_posets, rows_in_order
 from spposet import (
     MissingWitness,
     PartialTable,
@@ -16,10 +16,11 @@ from spposet import (
     verify_sp_properties,
     wrp_complement,
 )
+from spposet.axioms import lemma_items, verify_lemma_suite
 from spposet.enumeration import enumerate_posets
 from spposet.errors import NotInSection
 from spposet.poset import bits
-from spposet.pseudo import _total_table, complement_table
+from spposet.pseudo import PropertyReport, _total_table, complement_table
 
 
 def test_sp_complement_hexagon(hexagon):
@@ -155,6 +156,22 @@ def test_sp_properties_vacuous_on_singleton():
     p = build_poset("one", ["x"], [])
     report = verify_sp_properties(p, star_table(p))
     assert report.passed
+
+
+def test_sp_prop_suite_reports_the_law_items():
+    # the star table of every class with n <= 6 and of every corpus poset,
+    # and the restriction of each of their total rp tables
+    posets = [*(p for n in range(1, 7) for p in enumerate_posets(n, "up-to-iso")), *corpus_posets()]
+    tables = [star_table(p) for p in posets]
+    tables += [restrict(t) for t in (complement_table(p, "rp") for p in posets) if isinstance(t, TotalTable)]
+    tables = [t for t in tables if isinstance(t, PartialTable)]
+    failing = 0
+    for t in tables:
+        want = PropertyReport("sp-prop", lemma_items(t.owner, t, "sp-prop"))
+        assert verify_lemma_suite(t.owner, t, "sp-prop") == want, t.owner.name
+        assert verify_sp_properties(t.owner, t) == want, t.owner.name
+        failing += not want.passed
+    assert failing > 0
 
 
 def _sp_clauses(p, xi, yi, v):
