@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InternalDisagreement, MissingSelection, StructureMismatch
+from .errors import InternalDisagreement, MissingSelection, StructureMismatch, UnknownOption
 from .extensions import LocalSelection, _bounded_tops, require_owner
 from .pseudo import (
     ItemResult,
@@ -539,7 +539,7 @@ def check_system(p: Poset, op, system: str, sel: LocalSelection | None = None,
         raise StructureMismatch(f"system {system} needs a total table")
     _own_table(p, op)
     if reading not in READINGS:
-        raise ValueError(f"unknown reading {reading!r}")
+        raise UnknownOption(f"unknown reading {reading!r}")
 
     e = (p if sel is None else sel).laws
     violations = []
@@ -683,7 +683,7 @@ def verify_lemma_suite(p: Poset, op, suite: str, sel: LocalSelection | None = No
     given selection must be over p.
     """
     if suite not in LEMMA_SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {LEMMA_SUITES}")
+        raise UnknownOption(f"unknown suite {suite!r}; choose from {LEMMA_SUITES}")
     if suite == "simplI" and sel is None:
         raise MissingSelection(f"suite {suite} needs a local selection")
     require_owner(p, sel)

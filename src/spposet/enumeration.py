@@ -58,7 +58,10 @@ exactly the constructed table as model" is decided by comparing per-column
 solution sets instead of enumerating the full table space.  An extension
 stream is the product of the columns' solutions (_product_tables), which
 reads each column's search once and keeps what it has read for the
-column's later passes.
+column's later passes.  The passes run over the rightmost column with more
+than one solution; the columns after it are constants.  The first pass
+reads its column one solution per table, and each later pass is built as
+columns: one map per row through that row's templates, one zip per pass.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from .errors import (
     InternalDisagreement,
     SizeCap,
     StructureMismatch,
+    UnknownOption,
     UnknownPredicate,
     UnknownTheorem,
 )
@@ -102,7 +106,7 @@ from .extensions import (
 )
 from .fileformat import Document, Section, emit
 from .poset import Poset, bits, members, transpose
-from .pseudo import PartialTable, TotalTable, _total_table, is_sp, star_table, value_ix
+from .pseudo import PartialTable, TotalTable, _star_owner, _total_table, is_sp, star_table, value_ix
 
 LABELED_CAP = 7
 ISO_CAP = 8
@@ -482,7 +486,7 @@ def enumerate_posets(n: int, dedup: str = "labeled"):
     out a sweep's kept posets.
     """
     if dedup not in ("labeled", "up-to-iso"):
-        raise ValueError(f"dedup must be 'labeled' or 'up-to-iso', got {dedup!r}")
+        raise UnknownOption(f"dedup must be 'labeled' or 'up-to-iso', got {dedup!r}")
     cap = LABELED_CAP if dedup == "labeled" else ISO_CAP
     if not 1 <= n <= cap:
         raise SizeCap(f"{dedup} enumeration supports 1 <= n <= {cap}, got {n}")
@@ -910,34 +914,50 @@ def _product_tables(p: Poset, cols):
     column's later passes.  An empty column ends the product.  Every
     solution must hold n ints in range(n).
 
-    In a pass over the last column the other columns are fixed, so row r of
-    each table is row r of the others and one of n values: a pass of more
-    than n tables builds those n * n rows once and shares them, one new
-    tuple per table; a shorter pass, and the first n tables of the first
-    (its length still unknown), build each table's rows whole."""
+    The passes run over the pass column, the rightmost column with a second
+    solution: the product reads it one solution per table once every column
+    after it has run out at its first, and those columns stay fixed.  In a
+    pass all columns but the pass column are fixed, so row r of each table
+    is one of n templates, row r of the fixed columns with each value in the
+    pass column.  The first pass reads its column one solution at a time and
+    builds its first n tables' rows whole, the rest from the templates, one
+    table at a time.  A later pass of more than n tables is built as columns:
+    the pass column's solutions are kept as one value tuple per row, each
+    row maps its values through its templates, and one zip over the rows
+    gives every table's cells.  The maps are lazy, so a pass builds no table
+    that the stream does not yield.  A later pass of at most n tables builds
+    each table's rows whole."""
     its, kept = [iter(col) for col in cols], []
     for it in its:
         if (sol := next(it, None)) is None:
             return
         kept.append([sol])
-    # tables of long passes are built inline: _from_checked_rows is an eighth of their cost
+    # tables from templates are built inline: _from_checked_rows is an eighth of their cost
     n, make, new = len(kept), TotalTable._from_checked_rows, object.__new__
-    pick, at, last, rest = [sols[0] for sols in kept], [0] * n, kept[-1], its[-1]
+    pick, at = [sols[0] for sols in kept], [0] * n
     yield make(p, tuple(zip(*pick)))
-    for sol in itertools.islice(rest, n - 1 if n > 1 else None):  # a single column keeps no rows
-        last.append(sol)
-        pick[-1] = sol
-        yield make(p, tuple(zip(*pick)))
-    cache = None
-    for sol in rest:  # more than n: the rest of the first pass from rows kept for it
-        if cache is None:
-            cache = [[head + (v,) for v in range(n)] for head in zip(*pick[:-1])]
-        last.append(sol)
-        t = new(TotalTable)
-        t.owner, t.cells = p, tuple(map(getitem, cache, sol))
-        yield t
+    for c in range(n - 1, -1, -1):  # the first pass: every column after c has one solution
+        last, rest = kept[c], its[c]
+        for sol in itertools.islice(rest, n - 1):
+            last.append(sol)
+            pick[c] = sol
+            yield make(p, tuple(zip(*pick)))
+        templates = None
+        for sol in rest:  # more than n: the rest of the first pass from the templates
+            if templates is None:
+                ends = [[(v,) + row[c + 1:] for v in range(n)] for row in zip(*pick)]
+                templates = _templates(pick, c, ends)
+            last.append(sol)
+            t = new(TotalTable)
+            t.owner, t.cells = p, tuple(map(getitem, templates, sol))
+            yield t
+        if len(last) > 1:
+            break
+    else:
+        return
+    values = list(zip(*last)) if len(last) > n else None
     while True:
-        k = n - 2
+        k = c - 1
         while k >= 0:  # the rightmost column with a next solution steps, those to its right start over
             sols, i = kept[k], at[k] + 1
             if i == len(sols) and (sol := next(its[k], None)) is not None:
@@ -949,16 +969,23 @@ def _product_tables(p: Poset, cols):
             k -= 1
         if k < 0:
             return
-        if len(last) > n:
-            cache = [[head + (v,) for v in range(n)] for head in zip(*pick[:-1])]
-            for sol in last:
+        if values:
+            rows = [map(row.__getitem__, vals) for row, vals in zip(_templates(pick, c, ends), values)]
+            for cells in zip(*rows):
                 t = new(TotalTable)
-                t.owner, t.cells = p, tuple(map(getitem, cache, sol))
+                t.owner, t.cells = p, cells
                 yield t
         else:
             for sol in last:
-                pick[-1] = sol
+                pick[c] = sol
                 yield make(p, tuple(zip(*pick)))
+
+
+def _templates(pick: list[tuple], c: int, ends: list[list[tuple]]) -> list[list[tuple]]:
+    """Row r's n templates: row r of the columns before c followed by each
+    of ends[r], the value v in column c and row r of the columns after it."""
+    heads = zip(*pick[:c]) if c else itertools.repeat((), len(pick))
+    return [[head + end for end in row_ends] for head, row_ends in zip(heads, ends)]
 
 
 def _checked(n: int, sols):
@@ -979,15 +1006,19 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
     solutions in lexicographic order.  Each column is searched only as far as
     the stream reads it, and each solution is checked once, when first
     reached: a bad one raises ValueError before any table that holds it.
-    Tables in one pass over the last column may share row tuples.
+    The passes run over the rightmost column with more than one solution:
+    after its first pass, each pass is built as columns, one map per row
+    through the row's templates and one zip over the rows, and tables in one
+    pass may share row tuples (_product_tables).
     Raises SizeCap when the column searches spend their shared SEARCH_BUDGET,
-    StructureMismatch for the partial-table system SP, a selection over
-    another poset or a poset without the structure the system needs, and
-    MissingSelection when the system needs a selection and none is given.
+    StructureMismatch for the partial-table system SP, a MissingWitness in
+    place of s, a selection over another poset or a poset without the
+    structure the system needs, and MissingSelection when the system needs a
+    selection and none is given.
     """
     if SYSTEMS.get(system, {}).get("kind") == "partial":
         raise StructureMismatch(f"system {system} needs a partial table; extensions are total")
-    p = s.owner
+    p = _star_owner(s)
     cols = _Columns(p, system, sel)
     yield from _product_tables(p, [_checked(p.n, cols.solutions(c, s)) for c in range(p.n)])
 
@@ -1719,7 +1750,7 @@ def probe_sinat_variants(max_n: int, selection: str = "frink") -> dict:
     first poset with more than 100000 models.
     """
     if selection not in PROBES:
-        raise ValueError(f"selection must be 'frink' or 'union', got {selection!r}")
+        raise UnknownOption(f"selection must be 'frink' or 'union', got {selection!r}")
     claim = PROBES[selection]
     *_, found = _sweep(max_n, claim)
     return {variant: found[variant].witness if variant in found else "verified"

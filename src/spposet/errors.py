@@ -56,6 +56,10 @@ class StructureMismatch(SpposetError):
     pass
 
 
+class UnknownOption(SpposetError, ValueError):
+    """An option given by name, such as a reading, suite or dedup mode, names no known choice."""
+
+
 class MissingSelection(SpposetError):
     pass
 

@@ -25,7 +25,7 @@ from .errors import (
     StructureMismatch,
 )
 from .poset import ElementSet, Poset, _derived, bits, closure, members
-from .pseudo import PartialTable, TotalTable, _defining_mask
+from .pseudo import PartialTable, TotalTable, _defining_mask, _star_owner
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _star_values(s: PartialTable, zmasks) -> list:
 
 def pure_extension(s: PartialTable) -> TotalTable:
     """x -> y is x*y for y <= x, the top of [x) for x < y, and y otherwise."""
-    p = s.owner
+    p = _star_owner(s)
     tops = _bounded_tops(p)
     cells = []
     for x, (row, up, down) in enumerate(zip(s.cells, p.ups, p.downs)):
@@ -135,7 +135,7 @@ def natural_extension(s: PartialTable) -> TotalTable:
     defining set as the sectional pseudocomplement with the restriction
     y <= x dropped.
     """
-    p = s.owner
+    p = _star_owner(s)
     tops = _bounded_tops(p)
     cells = []
     for row, down in zip(s.cells, p.downs):
@@ -179,7 +179,7 @@ def natural_min_form(s: PartialTable) -> TotalTable:
     any mismatch means the input was not a sectional pseudocomplementation
     table or there is a bug.
     """
-    p = s.owner
+    p = _star_owner(s)
     maxform, first, second, at = natural_forms(s)
     if at is not None:
         x, y = at
@@ -197,7 +197,7 @@ def natural_min_form(s: PartialTable) -> TotalTable:
 
 def normal_extension(s: PartialTable) -> ExtensionResult:
     """x -> y as max{z*y : z a common upper bound of x and y}, where that max exists."""
-    p = s.owner
+    p = _star_owner(s)
     ups = p.ups
     values = _star_values(s, [[a & b for b in ups] for a in ups])
     return _extremum_table(p, values, True, "no-common-upper-bound")
@@ -213,10 +213,11 @@ class LocalSelection:
     growth in x up to z, since I(z, y) = (z].
     ``rows[i][j]`` is the mask of I(i, j), for both orders of every pair;
     the constructor reads it from `masks`, keyed by (min(i,j), max(i,j)), and
-    validates it: first that every such pair has a mask, then that each mask
-    lies in the carrier, each time naming the first failing pair (i <= j,
-    row-major), and then the laws.  A selection keeps its i-natural cells and
-    its law context the same way a poset keeps its derived tables.
+    validates it: first that every such pair has a mask, then that a key
+    (max(i,j), min(i,j)), where given, holds the same mask (I1), then that
+    each mask lies in the carrier, each time naming the first failing pair
+    (i <= j, row-major), and then the laws.  A selection keeps its i-natural
+    cells and its law context the same way a poset keeps its derived tables.
     """
 
     __slots__ = ("owner", "kind", "rows", "_tables")
@@ -224,9 +225,11 @@ class LocalSelection:
     def __init__(self, owner: Poset, kind: str, masks: dict):
         n, els = owner.n, owner.elements
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        for law, fails in (("missing-pair", lambda m: m is None), ("carrier", lambda m: m >> n)):
+        for law, fails in (("missing-pair", lambda i, j: masks.get((i, j)) is None),
+                           ("I1", lambda i, j: masks.get((j, i), masks[i, j]) != masks[i, j]),
+                           ("carrier", lambda i, j: masks[i, j] >> n)):
             for i, j in pairs:
-                if fails(masks.get((i, j))):
+                if fails(i, j):
                     raise SelectionAxiomViolation(law, (els[i], els[j]))
         self._start(owner, kind, tuple(tuple(masks[(i, j) if i <= j else (j, i)] for j in range(n))
                                        for i in range(n)))
@@ -397,7 +400,7 @@ def i_natural_extension(p: Poset, sel: LocalSelection) -> ExtensionResult:
 
 def i_min_extension(s: PartialTable, sel: LocalSelection) -> ExtensionResult:
     """x -> y as min{z*y : z in I(x,y) n [y)} for a local selection I over s's poset."""
-    p = s.owner
+    p = _star_owner(s)
     require_owner(p, sel)
     ups = p.ups
     values = _star_values(s, [[m & ups[y] for y, m in enumerate(row)] for row in sel.rows])
@@ -411,7 +414,7 @@ def dual_j_extension(s: PartialTable) -> ExtensionResult:
     result must coincide with i_min_extension under the Frink selection; both
     are computed and compared.
     """
-    p = s.owner
+    p = _star_owner(s)
     n, ups = p.n, p.ups
     values = [[0] * n for _ in range(n)]
     for x in range(n):
@@ -435,7 +438,7 @@ def m_extension(s: PartialTable) -> TotalTable:
     Cross-checked against the equivalent form max{u : u meet x = x meet y};
     they must agree cell by cell.
     """
-    p = s.owner
+    p = _star_owner(s)
     meets, meet_masks = p.meets, p.meet_masks
     for x, row in enumerate(meets):
         if None in row:
@@ -477,7 +480,7 @@ def lb_min_extension(s: PartialTable) -> ExtensionResult:
     (that needs the star operation antitone in its second argument), so no
     totality or extension property is claimed.
     """
-    p = s.owner
+    p = _star_owner(s)
     n, downs = p.n, p.downs
     values = [[0] * n for _ in range(n)]
     for x in range(n):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import AntisymmetryViolation, DuplicateElement, SizeCap, UnknownElement
+from .errors import AntisymmetryViolation, DuplicateElement, SizeCap, UnknownElement, UnknownOption
 
 SIZE_CAP = 16  # the most elements build_poset accepts
 
@@ -193,7 +193,7 @@ class Poset:
     def bounds(self, members, direction: str) -> "ElementSet":
         """Common upper or lower bounds of a subset; the whole carrier for the empty set."""
         if direction not in ("upper", "lower"):
-            raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
+            raise UnknownOption(f"direction must be 'upper' or 'lower', got {direction!r}")
         rows = self.ups if direction == "upper" else self.downs
         m = self.full
         for x in members:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_
 
-from .errors import NotInSection
+from .errors import NotInSection, StructureMismatch
 from .poset import SIZE_CAP, Poset, bits, closure, members
 
 
@@ -321,6 +321,16 @@ def star_table(p: Poset):
     once per poset (Poset.star), and every call returns that one value.
     """
     return p.star
+
+
+def _star_owner(s) -> Poset:
+    """The poset of s, a star table given to a rule or to the extension
+    stream; a MissingWitness in its place raises StructureMismatch naming
+    its pair."""
+    if isinstance(s, MissingWitness):
+        raise StructureMismatch(f"no star table: the sectioned pair ({s.x}, {s.y}) has no sectional "
+                                f"pseudocomplement, maximal candidates {' '.join(s.candidates) or '(none)'}")
+    return s.owner
 
 
 def is_sp(p: Poset) -> bool:

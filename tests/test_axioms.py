@@ -27,8 +27,8 @@ from spposet import (
     verify_lemma_suite,
     verify_sp_properties,
 )
-from spposet.enumeration import enumerate_posets, system_column_solutions
-from spposet.errors import MissingSelection, StructureMismatch
+from spposet.enumeration import enumerate_posets, probe_sinat_variants, system_column_solutions
+from spposet.errors import MissingSelection, SpposetError, StructureMismatch, UnknownOption
 
 
 def total_from(p, d):
@@ -329,6 +329,30 @@ def test_table_deciders_reject_a_table_over_another_poset(decider):
     for other in (_chain("C2", 2), _chain("D3", 3)):
         with pytest.raises(StructureMismatch, match="^table does not belong to the given poset$"):
             decide(p, getattr(other, table))
+
+
+# name -> a call with an option name that names no choice, and its message
+BAD_OPTIONS = {
+    "check_system reading": (lambda p: check_system(p, p.normal_table, "ESP", reading="bogus"),
+                             "unknown reading 'bogus'"),
+    "verify_lemma_suite suite": (lambda p: verify_lemma_suite(p, p.normal_table, "bogus"),
+                                 "unknown suite 'bogus'; choose from"),
+    "enumerate_posets dedup": (lambda p: next(enumerate_posets(3, "bogus")),
+                               "dedup must be 'labeled' or 'up-to-iso', got 'bogus'"),
+    "Poset.bounds direction": (lambda p: p.bounds(p.elements, "bogus"),
+                               "direction must be 'upper' or 'lower', got 'bogus'"),
+    "probe_sinat_variants selection": (lambda p: probe_sinat_variants(3, "bogus"),
+                                       "selection must be 'frink' or 'union', got 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("option", BAD_OPTIONS)
+def test_a_bad_option_name_is_a_toolkit_error(option):
+    call, message = BAD_OPTIONS[option]
+    with pytest.raises(UnknownOption, match=f"^{message}") as err:
+        call(_chain("C3", 3))
+    # a SpposetError that callers who catch ValueError still catch
+    assert isinstance(err.value, SpposetError) and isinstance(err.value, ValueError)
 
 
 def test_sp_prop_needs_a_partial_table(hexagon, hexagon_rp):

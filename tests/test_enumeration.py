@@ -247,6 +247,21 @@ def test_enumerate_extensions_matches_reference_on_the_reversed_corpus():
     assert _assert_same_streams(reversed_posets, 3000) > 5 * 3000
 
 
+@pytest.mark.parametrize("name", ["hex", "q"])
+def test_a_reversed_stream_matches_reference_past_the_second_sweep_of_its_pass_column(name):
+    # declared top-down, the last column holds one solution; the pass column
+    # is the rightmost with more than n, and a sweep of the column before it
+    # runs one pass per solution of that column, all but the first built as columns
+    declared = next(q for q in _corpus_posets() if q.name == name)
+    p = relabeled(declared, range(declared.n - 1, -1, -1))
+    st = star_table(p)
+    sizes = [len(col) for col in system_column_solutions(p, "ESP", forced=st)]
+    c = max(k for k, size in enumerate(sizes) if size > 1)
+    assert c < p.n - 1 and sizes[c] > p.n and sizes[c - 1] > 1
+    sweep = sizes[c - 1] * sizes[c]
+    assert _assert_same_stream(st, "ESP", None, 2 * sweep + 1) == 2 * sweep + 1
+
+
 def test_the_hexagon_esp_stream_matches_reference_past_its_first_pass(hexagon_star):
     # the last column holds 7776 solutions: the second pass reads kept rows
     assert _assert_same_stream(hexagon_star, "ESP", None, 2 * 7776 + 1) == 2 * 7776 + 1

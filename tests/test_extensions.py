@@ -195,9 +195,52 @@ def test_local_selection_names_a_missing_pair_and_a_mask_outside_the_carrier(hex
         assert (err.value.axiom, err.value.witness) == ("carrier", named)
 
 
+def test_local_selection_refuses_an_asymmetric_key(vee):
+    union = selection_union(vee)
+    r = range(vee.n)
+    masks = {(i, j): union.rows[i][j] for i in r for j in r if i <= j}
+    # a key (j, i) with the mask of (i, j) is accepted
+    assert LocalSelection(vee, "custom", {**masks, (1, 0): masks[0, 1]}) == union
+    els = vee.elements
+    # one with another mask breaks symmetry, as selection_custom reports it
+    with pytest.raises(SelectionAxiomViolation) as err:
+        LocalSelection(vee, "custom", {**masks, (1, 0): vee.full})
+    assert (err.value.axiom, err.value.witness) == ("I1", (els[0], els[1]))
+    with pytest.raises(SelectionAxiomViolation) as err:
+        selection_custom(vee, {(els[0], els[1]): [els[0], els[1]], (els[1], els[0]): list(els)})
+    assert err.value.axiom == "I1"
+
+
 def _chain(n):
     els = [str(i) for i in range(n)]
     return build_poset(f"chain{n}", els, list(zip(els, els[1:])))
+
+
+# every public entry that reads a star table, given the one of p
+STAR_ENTRIES = {
+    "pure_extension": lambda p, st: pure_extension(st),
+    "natural_extension": lambda p, st: natural_extension(st),
+    "natural_min_form": lambda p, st: natural_min_form(st),
+    "normal_extension": lambda p, st: normal_extension(st),
+    "i_min_extension": lambda p, st: i_min_extension(st, selection_frink(p)),
+    "dual_j_extension": lambda p, st: dual_j_extension(st),
+    "m_extension": lambda p, st: m_extension(st),
+    "lb_min_extension": lambda p, st: lb_min_extension(st),
+    "enumerate_extensions": lambda p, st: next(enumerate_extensions(st, "ESP")),
+}
+
+
+@pytest.mark.parametrize("entry", STAR_ENTRIES)
+def test_a_missing_witness_in_place_of_the_star_table_is_refused(entry):
+    # M3 is not sp: the section [0) of the atom a has maximal elements b and c
+    m3 = build_poset("M3", ["0", "a", "b", "c", "1"],
+                     [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+    st = star_table(m3)
+    assert isinstance(st, MissingWitness)
+    with pytest.raises(StructureMismatch, match=r"^no star table: the sectioned pair \(a, 0\) has no "
+                                                r"sectional pseudocomplement, maximal candidates b c$"):
+        STAR_ENTRIES[entry](m3, st)
+    STAR_ENTRIES[entry](_chain(3), star_table(_chain(3)))  # a star table is read
 
 
 # every public entry that takes a local selection, called on the 3-chain
