@@ -4,11 +4,11 @@ enumeration._product_tables runs its passes over the rightmost column with
 more than one solution, and holds every column after it, each of one
 solution, as constants in the row templates.  These shapes put a long pass
 column (more than n solutions, so that later passes are built as columns)
-before several one-solution columns, and check the same contract as
-test_product_tables: the tables in the order of itertools.product, each
-solution read once, every column's first before the first table, and an
-error before any table that holds it, also one raised in an earlier column
-while the product steps it between later passes.
+before several one-solution columns, and run test_product_tables' checks
+on them: the tables in the order of itertools.product, each solution read
+once, every column's first before the first table, and an error before any
+table that holds it, also one raised in an earlier column while the product
+steps it between later passes.
 """
 
 import itertools
@@ -17,6 +17,8 @@ import pytest
 
 from spposet.enumeration import _product_tables
 from test_product_tables import Boom, Column, antichain, drained, solutions
+from test_product_tables import test_an_error_surfaces_before_any_table_that_holds_it as errors_before_their_tables
+from test_product_tables import test_the_product_reads_each_solution_once as product_order_and_reads
 
 
 def shapes():
@@ -31,33 +33,14 @@ def shapes():
 
 
 @pytest.mark.parametrize("n,sizes", list(shapes()))
-def test_a_middle_pass_column_keeps_the_product_order_and_reads(n, sizes):
+def test_a_middle_pass_column_keeps_the_product_contract(n, sizes):
+    product_order_and_reads(n, sizes)
+    errors_before_their_tables(n, sizes)
+    # the first pass reads the pass column one solution per table
     p, log, lists = antichain(n), [], solutions(n, sizes)
-    cols = [Column(k, sols, log) for k, sols in enumerate(lists)]
-    got = drained(p, cols, log)
-    assert got == [tuple(zip(*pick)) for pick in itertools.product(*lists)]
-    reads = [entry for entry in log if entry[0] != "table"]
-    assert sorted(reads) == [(k, i) for k, sols in enumerate(lists) for i in range(len(sols))]
-    assert [col.iterators for col in cols] == [1] * n
-    assert log[:n + 1] == [(k, 0) for k in range(n)] + [("table", 0)]
-    # the pass column is read one solution per table in the first pass
+    drained(p, [Column(k, sols, log) for k, sols in enumerate(lists)], log)
     c = max(k for k, size in enumerate(sizes) if size > 1)
     assert log[n + 1:n - 1 + 2 * sizes[c]] == [e for i in range(1, sizes[c]) for e in ((c, i), ("table", i))]
-
-
-@pytest.mark.parametrize("n,sizes", list(shapes()))
-def test_an_error_in_any_column_surfaces_before_any_table_that_holds_it(n, sizes):
-    p, lists = antichain(n), solutions(n, sizes)
-    expected = list(itertools.product(*[range(len(sols)) for sols in lists]))
-    for k, sols in enumerate(lists):
-        for fail_at in range(len(sols)):
-            log = []
-            cols = [Column(c, s, log, fail_at if c == k else None) for c, s in enumerate(lists)]
-            with pytest.raises(Boom):
-                drained(p, cols, log)
-            before = next(j for j, pick in enumerate(expected) if pick[k] == fail_at)
-            assert len([entry for entry in log if entry[0] == "table"]) == before
-            assert all((k, i) not in log for i in range(fail_at, len(sols)))
 
 
 def test_an_earlier_column_fails_between_later_passes():
