@@ -249,9 +249,10 @@ def test_enumerate_extensions_matches_reference_on_the_reversed_corpus():
 
 @pytest.mark.parametrize("name", ["hex", "q"])
 def test_a_reversed_stream_matches_reference_past_the_second_sweep_of_its_pass_column(name):
-    # declared top-down, the last column holds one solution; the pass column
-    # is the rightmost with more than n, and a sweep of the column before it
-    # runs one pass per solution of that column, all but the first built as columns
+    # declared top-down, the last column holds one solution; the pass column,
+    # the rightmost with more than one, holds more than n here, and a sweep of
+    # the column before it runs one pass per solution of that column, all but
+    # the first built as columns
     declared = next(q for q in _corpus_posets() if q.name == name)
     p = relabeled(declared, range(declared.n - 1, -1, -1))
     st = star_table(p)
