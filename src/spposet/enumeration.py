@@ -55,13 +55,17 @@ Axiom systems on total tables only couple cells that share their second
 argument, so the set of all tables satisfying a system factors into one
 solution set per column.  The theorem sweeps exploit that: "the axioms have
 exactly the constructed table as model" is decided by comparing per-column
-solution sets instead of enumerating the full table space.  An extension
-stream is the product of the columns' solutions (_product_tables), which
-reads each column's search once and keeps what it has read for the
-column's later passes.  The passes run over the rightmost column with more
-than one solution; the columns after it are constants.  The first pass
-reads its column one solution per table, and each later pass is built as
-columns: one map per row through that row's templates, one zip per pass.
+solution sets instead of enumerating the full table space.  A column
+search hands out blocks (_column_blocks): a solution reached row by row, or
+a free tail, the product of the values of the rows after the last one
+linked to a later row.  An extension stream is the product of the columns'
+solutions (_product_tables), which reads each column's blocks once and
+keeps what it has read for the column's later passes.  The passes run over
+the rightmost column with more than one solution; the columns after it are
+constants.  Each block of that column gives its tables through one
+iterator over per-row templates: a free tail through itertools.product,
+paid from the search budget at once (_tail_payment), and a long run of
+other solutions through one zip of per-row maps.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import add
 
 from .axioms import (
     LAWS,
@@ -719,17 +723,22 @@ class _Columns:
     def solutions(self, c: int, forced: PartialTable | None = None):
         """The solutions of column c, as tuples over its rows, in lexicographic
         order; with `forced`, sectioned cells are pinned to the given star table."""
+        return self.blocks(c, forced, _column_search)
+
+    def blocks(self, c: int, forced: PartialTable | None = None, search=None):
+        """The solutions of column c as blocks (_column_blocks), in the order
+        of `solutions`; `search` may give them otherwise (_column_search)."""
         rows, dom = self.setup.rows[c], self.setup.doms[c]
         if forced is not None:
             dom = dom[:]
             for r in members(self.p.ups[c]):
                 dom[r] &= 1 << forced.cells[r][c]
-        if all(dom[r] for r in rows):
+        if all(map(dom.__getitem__, rows)):
             narrowed, links, start = self.setup.column(self.e, c)
             if forced is not None:
                 narrowed = [a & b for a, b in zip(dom, narrowed)]
-            if all(narrowed[r] for r in rows):
-                return _column_search(rows, narrowed, links, self.spare, start)
+            if all(map(narrowed.__getitem__, rows)):
+                return (search or _column_blocks)(rows, narrowed, links, self.spare, start)
         return iter(())
 
 
@@ -767,20 +776,27 @@ def _spent(spare: list[int]) -> SizeCap:
     return SizeCap(f"the column search tried {SEARCH_BUDGET} values that lead to no solution")
 
 
-def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int], start: int):
-    """Every vector over rows, values ascending row by row, that takes each
-    row's value from its mask; assigning a row narrows the later rows linked
-    to it, and an empty mask ends that branch.  `start` is
-    _product_start(rows, links): a search node that reaches it walks the
-    rows from there on as one product (_product_tail), unless one of them
-    has an empty mask; those are walked row by row like the linked ones.
-    The walk is one generator over a stack of the rows assigned so far,
-    each with its values left, the masks they came from and its links.
+def _column_blocks(rows, dom: list[int], links: list[list[tuple]], spare: list[int], start: int,
+                   expand: bool = False):
+    """The solutions of a column search as blocks, values ascending row by
+    row: each row takes its value from its mask, assigning a row narrows the
+    later rows linked to it, and an empty mask ends that branch.  A solution
+    reached row by row is the block (sol, ()).  `start` is
+    _product_start(rows, links): a search node that reaches it, with a value
+    in every free row and two in some, is the block (head, lists), head the
+    values of the rows before start and lists the value tuples of the free
+    rows; it holds head + v for every v in the product of lists, the last
+    list fastest.  A node there with one value in every free row is the
+    solution it holds.  With `expand`, the walk yields each solution
+    instead, a free tail walked by _product_tail (_column_search).  The walk
+    is one generator over a stack of the rows assigned so far, each with
+    its values left, the masks they came from and its links.
 
     spare[0] counts down the values tried that no solution pays for (each
-    solution pays for one per row); SizeCap once it is spent.  The product
-    keeps that count as the row-by-row walk keeps it: the same spare[0] at
-    every solution, and SizeCap before the same solution."""
+    solution pays for one per row); SizeCap once it is spent.  A block of
+    one solution is paid for when it is handed out, as the row-by-row walk
+    pays it; a free tail is handed out unpaid, and its reader pays for its
+    solutions (_product_tail, or _tail_payment at once)."""
     vals = [0] * len(dom)
     depth = len(rows)
     stack: list[tuple] = []
@@ -788,12 +804,21 @@ def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[i
         i = len(stack)
         # one test per node, as without the product; below a free row with no value
         # the walk reaches no solution (nor depth), and tries what the row walk tries
-        if i == start and (i == depth or all(lists := [members(dom[r]) for r in rows[i:]])):
-            if i == depth:
-                spare[0] += depth
-                yield tuple([vals[r] for r in rows])
-            else:
-                yield from _product_tail(tuple([vals[r] for r in rows[:i]]), lists, depth, spare)
+        if i == start and (i == depth or all(lists := list(map(members, map(dom.__getitem__, rows[i:]))))):
+            if i < depth and max(map(len, lists)) > 1:
+                head = tuple(map(vals.__getitem__, rows[:i]))
+                if expand:
+                    yield from _product_tail(head, lists, depth, spare)
+                else:
+                    yield head, lists
+            else:  # one solution; the free rows, if any, hold a value each, tried as the row walk tries it
+                if spare[0] < depth - i:
+                    raise _spent(spare)
+                spare[0] += i
+                sol = tuple(map(vals.__getitem__, rows))
+                if i < depth:
+                    sol = sum(lists, sol[:i])
+                yield sol if expand else (sol, ())
         else:
             k = rows[i]
             stack.append((iter(members(dom[k])), dom, links[k], k))
@@ -813,6 +838,16 @@ def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[i
             break
         else:
             return
+
+
+def _column_search(rows, dom: list[int], links: list[list[tuple]], spare: list[int], start: int):
+    """Every vector over rows, values ascending row by row, that takes each
+    row's value from its mask: the solutions of the blocks of
+    _column_blocks, one at a time, each free tail walked by _product_tail.
+
+    spare[0] is kept as a row-by-row walk keeps it: the same spare[0] at
+    every solution, and SizeCap before the same solution."""
+    return _column_blocks(rows, dom, links, spare, start, True)
 
 
 def _product_tail(head: tuple, lists: list[tuple], depth: int, spare: list[int]):
@@ -847,6 +882,21 @@ def _product_tail(head: tuple, lists: list[tuple], depth: int, spare: list[int])
                 raise _spent(spare)
             spare[0] = s + depth
             yield pre + (v,)
+
+
+def _tail_payment(lists: list[tuple], depth: int) -> int:
+    """What a full walk of a free tail over the value tuples `lists`
+    (_product_tail) adds to spare[0] when nothing else reads the budget
+    while it walks: depth for each of its solutions, less the values it
+    tries, one for each prefix of the product, sum over i < m of the
+    product of |lists[t]| for t <= i.  The walk raises SizeCap exactly when
+    it starts with spare[0] < len(lists), before its first solution; after
+    that solution spare[0] stays at least depth, which no step exceeds."""
+    size, tried = 1, 0
+    for vals in lists:
+        size *= len(vals)
+        tried += size
+    return size * depth - tried
 
 
 def system_column_solutions(p: Poset, system: str, sel: LocalSelection | None = None,
@@ -905,63 +955,122 @@ def table_as_columns(t, rows_per_col=None) -> list[list[tuple]]:
     return [[tuple(t.cells[r][c] for r in rows[c])] for c in range(n)]
 
 
-def _product_tables(p: Poset, cols):
-    """The cartesian product of the column solutions `cols` as total tables,
-    in the order of itertools.product over their lists: rightmost column
-    fastest.  Each column is read once, through one iterator: its first
-    solution, in column order, before the first table, and each later one
-    when the product first reaches it; what has been read is kept for the
-    column's later passes.  An empty column ends the product.  Every
-    solution must hold n ints in range(n).
+def _product_tables(p: Poset, cols, spare: list[int] | None = None):
+    """The cartesian product of the column solutions as total tables, in the
+    order of itertools.product over the solutions: rightmost column fastest.
+    Each column is read as blocks (_column_blocks) through one iterator:
+    its first block, in column order, before the first table, and each
+    later one when the product first reaches it.  An empty column ends the
+    product.  Every block must hold n values in all, each an int in
+    range(n), and a free tail two solutions at least, as _column_blocks
+    hands them out.  `spare` is the budget of the search that the columns
+    read, from which the solutions of a free tail are paid; without a free
+    tail it is not read.
 
     The passes run over the pass column, the rightmost column with a second
-    solution: the product reads it one solution per table once every column
-    after it has run out at its first, and those columns stay fixed.  In a
-    pass all columns but the pass column are fixed, so row r of each table
-    is one of n templates, row r of the fixed columns with each value in the
-    pass column.  The first pass reads its column one solution at a time and
-    builds its first n tables' rows whole, the rest from the templates, one
-    table at a time.  A later pass of more than n tables is built as columns:
-    the pass column's solutions are kept as one value tuple per row, each
-    row maps its values through its templates, and one zip over the rows
-    gives every table's cells.  The maps are lazy, so a pass builds no table
-    that the stream does not yield.  A later pass of at most n tables builds
-    each table's rows whole."""
-    its, kept = [iter(col) for col in cols], []
-    for it in its:
-        if (sol := next(it, None)) is None:
+    solution: the product reads it once every column after it has run out
+    at its first, and those columns stay fixed.  The first pass reads the
+    pass column block by block, and every block gives its tables through
+    one iterator.  A free tail of more than n solutions is paid whole
+    (_tail_payment), since nothing else reads the budget while its tables
+    are built, and gives them through itertools.product over the rows: in
+    a pass the other columns are fixed, so row r of a table is one of row
+    r's templates, row r of the fixed columns with a value of the pass
+    column (_cells).  Every other solution is kept in a run: a solution
+    reached row by row, or one of a free tail of at most n, paid whole too;
+    its table is built whole, one zip over its columns.  The pass column
+    keeps only its blocks: a free tail and a run of more than n solutions
+    as their values per row (_ends), which every later pass maps through
+    that pass's templates (a product, or one zip over per-row maps), and a
+    shorter run as its solutions, built whole.  The iterators are lazy, so
+    a pass builds no table that the stream does not yield.  The columns
+    before the pass column step one solution at a time, a free tail paid
+    per solution (_product_tail), since between their solutions the other
+    columns read the budget."""
+    n, new, product = p.n, object.__new__, itertools.product
+    # per column: its blocks, its first block, its current solution, and the
+    # walk (_product_tail) of the free tail that holds that solution, if any
+    its, firsts, pick, walks = [], [], [], []
+    for col in cols:
+        it = iter(col)
+        if (block := next(it, None)) is None:
             return
-        kept.append([sol])
-    # tables from templates are built inline: _from_checked_rows is an eighth of their cost
-    n, make, new = len(kept), TotalTable._from_checked_rows, object.__new__
-    pick, at = [sols[0] for sols in kept], [0] * n
-    yield make(p, tuple(zip(*pick)))
-    for c in range(n - 1, -1, -1):  # the first pass: every column after c has one solution
-        last, rest = kept[c], its[c]
-        for sol in itertools.islice(rest, n - 1):
-            last.append(sol)
-            pick[c] = sol
-            yield make(p, tuple(zip(*pick)))
-        templates = None
-        for sol in rest:  # more than n: the rest of the first pass from the templates
-            if templates is None:
-                ends = [[(v,) + row[c + 1:] for v in range(n)] for row in zip(*pick)]
-                templates = _templates(pick, c, ends)
-            last.append(sol)
-            t = new(TotalTable)
-            t.owner, t.cells = p, tuple(map(getitem, templates, sol))
-            yield t
-        if len(last) > 1:
+        head, lists = block
+        walk = _product_tail(head, lists, n, spare) if lists else None
+        its.append(it)
+        firsts.append(block)
+        pick.append(next(walk) if lists else head)
+        walks.append(walk)
+    yield TotalTable._from_checked_rows(p, tuple(zip(*pick)))
+    for c in range(n - 1, -1, -1):  # every column after the pass column has one solution
+        if (more := walks[c] is not None) or (block := next(its[c], None)) is not None:
             break
     else:
         return
-    values = list(zip(*last)) if len(last) > n else None
+    # the first pass, block by block.  blocks keeps the pass column: a free tail
+    # of more than n solutions as (itertools.product, ends), and the other
+    # solutions in runs between those, each a list until it is whole (_run)
+    blocks, run, first = [], [], more  # the first table holds the first block's first solution
+    if more:
+        head, lists = firsts[c]
+    else:
+        run.append(pick[c])
+        head, lists = block
+    while True:
+        if lists:
+            if first:
+                # the first block's solutions after its first: the walk's next step tries
+                # the rows from the last one with a second value on, and the rest is paid whole
+                j = max(t for t, vals in enumerate(lists) if len(vals) > 1)
+                need, gain = len(lists) - j, _tail_payment(lists, n) - (n - len(lists))
+            else:
+                need, gain = len(lists), _tail_payment(lists, n)
+            if spare[0] < need:
+                raise _spent(spare)
+            spare[0] += gain
+        if not lists:
+            run.append(head)
+            pick[c] = head
+            cells_of = (tuple(zip(*pick)),)
+        elif math.prod(map(len, lists)) <= n:
+            sols = list(map(head.__add__, product(*lists)))
+            run += sols
+            cells_of = _whole(pick, c, sols[1:] if first else sols)
+        else:
+            if run:
+                blocks.append(_run(run, pick, c))
+                run = []
+            blocks.append((product, _ends((*zip(head), *lists), _rows_of(pick[c + 1:], n))))
+            cells_of = _cells(*blocks[-1], _rows_of(pick[:c], n))
+            if first:
+                cells_of = itertools.islice(cells_of, 1, None)
+        for cells in cells_of:
+            t = new(TotalTable)
+            t.owner, t.cells = p, cells
+            yield t
+        if (block := next(its[c], None)) is None:
+            break
+        head, lists = block
+        first = False
+    if not c:
+        return
+    if run:
+        blocks.append(_run(run, pick, c))
+    # the later passes
+    seen, at = list(map(list, zip(pick[:c]))), [0] * c
     while True:
         k = c - 1
         while k >= 0:  # the rightmost column with a next solution steps, those to its right start over
-            sols, i = kept[k], at[k] + 1
-            if i == len(sols) and (sol := next(its[k], None)) is not None:
-                sols.append(sol)
+            sols, i = seen[k], at[k] + 1
+            if i == len(sols):  # read on: the walk of its free tail, or its next block
+                sol = walks[k] and next(walks[k], None)
+                while sol is None and (block := next(its[k], None)) is not None:
+                    sol, lists = block
+                    if lists:
+                        walks[k] = _product_tail(sol, lists, n, spare)
+                        sol = next(walks[k])
+                if sol is not None:
+                    sols.append(sol)
             if i < len(sols):
                 at[k], pick[k] = i, sols[i]
                 break
@@ -969,33 +1078,77 @@ def _product_tables(p: Poset, cols):
             k -= 1
         if k < 0:
             return
-        if values:
-            rows = [map(row.__getitem__, vals) for row, vals in zip(_templates(pick, c, ends), values)]
-            for cells in zip(*rows):
+        heads = None
+        for combine, data in blocks:
+            if combine is None:  # each table's rows zipped whole, its solution in column c
+                for pick[c] in data:
+                    t = new(TotalTable)
+                    t.owner, t.cells = p, tuple(zip(*pick))
+                    yield t
+                continue
+            heads = heads or list(zip(*pick[:c]))
+            for cells in _cells(combine, data, heads):
                 t = new(TotalTable)
                 t.owner, t.cells = p, cells
                 yield t
-        else:
-            for sol in last:
-                pick[c] = sol
-                yield make(p, tuple(zip(*pick)))
 
 
-def _templates(pick: list[tuple], c: int, ends: list[list[tuple]]) -> list[list[tuple]]:
-    """Row r's n templates: row r of the columns before c followed by each
-    of ends[r], the value v in column c and row r of the columns after it."""
-    heads = zip(*pick[:c]) if c else itertools.repeat((), len(pick))
-    return [[head + end for end in row_ends] for head, row_ends in zip(heads, ends)]
+def _whole(pick: list[tuple], c: int, sols):
+    """The cells of the tables with each of sols in column c and pick's
+    solutions in the others, each table's rows zipped from its columns."""
+    for pick[c] in sols:
+        yield tuple(zip(*pick))
+
+
+def _run(run: list[tuple], pick: list[tuple], c: int) -> tuple:
+    """The pass column's solutions `run`, c the pass column, as a block of
+    the later passes: (None, run) for at most n of them, whose tables are
+    built whole (_whole); else (zip, ends), their values per row as ends
+    (_ends), whose tables are built as columns (_cells)."""
+    n = len(pick)
+    return (None, run) if len(run) <= n else (zip, _ends(tuple(zip(*run)), _rows_of(pick[c + 1:], n)))
+
+
+def _rows_of(cols: list[tuple], n: int) -> list[tuple]:
+    """Per row, its values in the columns `cols`, in column order."""
+    return list(zip(*cols)) if cols else [()] * n
+
+
+def _ends(values, afters: list[tuple]) -> list[tuple]:
+    """Per row r, each value v of values[r] as the end (v,) + afters[r] of
+    a row of a table, one tuple for each distinct value."""
+    out = []
+    for vals, after in zip(values, afters):
+        ends = {v: (v,) + after for v in set(vals)}
+        out.append(tuple(map(ends.__getitem__, vals)))
+    return out
+
+
+def _cells(combine, ends: list[tuple], heads: list[tuple]):
+    """The cells of a block's tables: combine (itertools.product, or zip)
+    over the rows, row r's templates heads[r] followed by each of ends[r]."""
+    return combine(*map(map, itertools.repeat(add), map(itertools.repeat, heads), ends))
+
+
+def _checked_blocks(n: int, blocks):
+    """The column blocks `blocks` (_column_blocks), each checked once, when
+    read: its head and lists hold n values in all, and each value is an int
+    in range(n).  So a bad value anywhere in a free tail raises ValueError
+    before any table of the block."""
+    is_int, elements = int.__instancecheck__, frozenset(range(n))
+    for block in blocks:
+        head, lists = block
+        if len(head) + len(lists) != n:
+            raise ValueError(f"table must be {n}x{n}")
+        vals = head + sum(lists, ()) if lists else head
+        if not (all(map(is_int, vals)) and elements.issuperset(vals)):
+            raise ValueError("total table must map every pair to an element")
+        yield block
 
 
 def _checked(n: int, sols):
-    """The column solutions `sols`, each checked once to hold n ints in range(n)."""
-    is_int, elements = int.__instancecheck__, frozenset(range(n))
-    for sol in sols:
-        if len(sol) != n:
-            raise ValueError(f"table must be {n}x{n}")
-        if not (all(map(is_int, sol)) and elements.issuperset(sol)):
-            raise ValueError("total table must map every pair to an element")
+    """The column solutions `sols`, each checked once as the block (sol, ())."""
+    for sol, _ in _checked_blocks(n, zip(sols, itertools.repeat(()))):
         yield sol
 
 
@@ -1004,12 +1157,15 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
 
     Streamed deterministically: rightmost column fastest, each column's
     solutions in lexicographic order.  Each column is searched only as far as
-    the stream reads it, and each solution is checked once, when first
-    reached: a bad one raises ValueError before any table that holds it.
-    The passes run over the rightmost column with more than one solution:
-    after its first pass, each pass is built as columns, one map per row
-    through the row's templates and one zip over the rows, and tables in one
-    pass may share row tuples (_product_tables).
+    the stream reads it, as blocks: a solution reached row by row, or a free
+    tail that holds the product of its rows' values (_column_blocks).  Each
+    block is checked once, when first read: a bad value raises ValueError
+    before any table that holds it.  The passes run over the rightmost
+    column with more than one solution, and every pass builds the tables of
+    each block of more than n solutions through one iterator over per-row
+    templates, a product for a free tail and a zip of per-row maps for a
+    run of other solutions, so tables in one pass may share row tuples; a
+    shorter block builds its tables' rows whole (_product_tables).
     Raises SizeCap when the column searches spend their shared SEARCH_BUDGET,
     StructureMismatch for the partial-table system SP, a MissingWitness in
     place of s, a selection over another poset or a poset without the
@@ -1020,7 +1176,7 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
         raise StructureMismatch(f"system {system} needs a partial table; extensions are total")
     p = _star_owner(s)
     cols = _Columns(p, system, sel)
-    yield from _product_tables(p, [_checked(p.n, cols.solutions(c, s)) for c in range(p.n)])
+    yield from _product_tables(p, [_checked_blocks(p.n, cols.blocks(c, s)) for c in range(p.n)], cols.spare)
 
 
 # -- verification reports ---------------------------------------------------------
@@ -1722,7 +1878,8 @@ def _sinat_check(make):
         if size > 100_000:
             found["strong"] = f"inconclusive at n={p.n}: {p.name} ({size} models)"
         else:
-            strong_sols = {t for t in _product_tables(p, sols) if is_strong(p, t).holds}
+            blocks = [[(sol, ()) for sol in col] for col in sols]
+            strong_sols = {t for t in _product_tables(p, blocks) if is_strong(p, t).holds}
             want = {ext.table} if ext.is_total and is_strong(p, ext.table).holds else set()
             if strong_sols != want:
                 found["strong"] = f"counterexample at n={p.n}: {p.name}"

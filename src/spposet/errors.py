@@ -56,6 +56,11 @@ class StructureMismatch(SpposetError):
     pass
 
 
+class MalformedTable(SpposetError, ValueError):
+    """A table given to a constructor has the wrong shape, a cell outside the
+    elements, or defined cells other than its sectioned pairs."""
+
+
 class UnknownOption(SpposetError, ValueError):
     """An option given by name, such as a reading, suite or dedup mode, names no known choice."""
 

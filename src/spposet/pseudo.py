@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_
 
-from .errors import NotInSection, StructureMismatch
+from .errors import MalformedTable, NotInSection, StructureMismatch
 from .poset import SIZE_CAP, Poset, bits, closure, members
 
 
@@ -59,7 +59,7 @@ class _Table:
 def _check_shape(owner: Poset, cells: tuple) -> None:
     n = owner.n
     if len(cells) != n or any(len(r) != n for r in cells):
-        raise ValueError(f"table must be {n}x{n}")
+        raise MalformedTable(f"table must be {n}x{n}")
 
 
 def _cells_of_ids(owner: Poset, rows, undefined: bool) -> tuple:
@@ -108,12 +108,12 @@ def _check_domain(owner: Poset, cells: tuple) -> None:
             before = down & ((wrong & -wrong) - 1 if wrong else full)
             for y in members(before):
                 if not (is_int(row[y]) and 0 <= row[y] < n):
-                    raise ValueError(f"value out of range at ({x}, {y})")
+                    raise MalformedTable(f"value out of range at ({x}, {y})")
         if wrong:
             y = (wrong & -wrong).bit_length() - 1
             if down >> y & 1:
-                raise ValueError(f"missing value at sectioned pair ({els[x]}, {els[y]})")
-            raise ValueError(f"value outside the domain y <= x at ({els[x]}, {els[y]})")
+                raise MalformedTable(f"missing value at sectioned pair ({els[x]}, {els[y]})")
+            raise MalformedTable(f"value outside the domain y <= x at ({els[x]}, {els[y]})")
 
 
 class PartialTable(_Table):
@@ -172,7 +172,7 @@ class TotalTable(_Table):
         is_int, elements = int.__instancecheck__, frozenset(range(owner.n))
         for row in self.cells:
             if not (all(map(is_int, row)) and elements.issuperset(row)):
-                raise ValueError("total table must map every pair to an element")
+                raise MalformedTable("total table must map every pair to an element")
 
     @classmethod
     def from_ids(cls, owner: Poset, rows) -> "TotalTable":

@@ -279,7 +279,9 @@ def test_enumerate_extensions_matches_reference_on_small_posets():
 
 
 def _patch_columns(monkeypatch, cols):
-    monkeypatch.setattr(enumeration._Columns, "solutions", lambda self, c, forced=None: iter(cols[c]))
+    # each solution as the block (sol, ()), as the column search hands out one reached row by row
+    monkeypatch.setattr(enumeration._Columns, "blocks",
+                        lambda self, c, forced=None: iter([(sol, ()) for sol in cols[c]]))
 
 
 @pytest.mark.parametrize("bad", [(1, 2), (1, "1"), (1,)],

@@ -25,8 +25,9 @@ class Boom(Exception):
 
 
 class Column:
-    """The solutions `sols` of column k, each logged as (k, i) when read;
-    Boom in place of solution `fail_at`."""
+    """The solutions `sols` of column k, each handed out as the block
+    (sol, ()) and logged as (k, i) when read; Boom in place of solution
+    `fail_at`."""
 
     def __init__(self, k, sols, log, fail_at=None):
         self.k, self.sols, self.log, self.fail_at = k, sols, log, fail_at
@@ -38,7 +39,7 @@ class Column:
             if i == self.fail_at:
                 raise Boom(self.k, i)
             self.log.append((self.k, i))
-            yield sol
+            yield sol, ()
 
 
 def shapes():

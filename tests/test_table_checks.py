@@ -5,7 +5,8 @@ PartialTable checks its domain one row mask at a time (pseudo._check_domain,
 shared with from_ids), TotalTable checks each row with two C-level tests, and
 pure_extension and natural_extension fill each row from the order masks.  The
 oracles are the earlier cell-by-cell loops; the partial one admits only int
-cells in range(n), as TotalTable does.  The checks are compared, error
+cells in range(n), as TotalTable does, and both raise MalformedTable, a
+toolkit error that is also a ValueError.  The checks are compared, error
 type and message, on the corpus tables, on the star tables of every class with
 up to 6 elements, and on seeded mutations of one to three cells of each: a
 missing value, a value outside the domain and a value out of range.  The rules
@@ -29,7 +30,7 @@ from spposet import (
     star_table,
 )
 from spposet.enumeration import enumerate_posets
-from spposet.errors import NotSectionallyBounded
+from spposet.errors import MalformedTable, NotSectionallyBounded, SpposetError
 
 
 def oracle_partial(owner, cells):
@@ -39,12 +40,12 @@ def oracle_partial(owner, cells):
             v = cells[x][y]
             if owner.leq_ix(y, x):
                 if v is None:
-                    raise ValueError(
+                    raise MalformedTable(
                         f"missing value at sectioned pair ({owner.elements[x]}, {owner.elements[y]})")
                 if not (isinstance(v, int) and 0 <= v < n):
-                    raise ValueError(f"value out of range at ({x}, {y})")
+                    raise MalformedTable(f"value out of range at ({x}, {y})")
             elif v is not None:
-                raise ValueError(
+                raise MalformedTable(
                     f"value outside the domain y <= x at ({owner.elements[x]}, {owner.elements[y]})")
 
 
@@ -53,7 +54,7 @@ def oracle_total(owner, cells):
     for row in cells:
         for v in row:
             if not isinstance(v, int) or not 0 <= v < n:
-                raise ValueError("total table must map every pair to an element")
+                raise MalformedTable("total table must map every pair to an element")
 
 
 def oracle_pure(s):
@@ -144,6 +145,26 @@ def test_partial_cells_are_ints_as_total_cells_are():
     # an earlier missing cell in row-major order is named first
     with pytest.raises(ValueError, match=r"^missing value at sectioned pair \(1, 0\)$"):
         PartialTable(p, [[0, None], [None, 1.5]])
+
+
+@pytest.mark.parametrize("make,cells,message", [
+    (TotalTable, [[0, 1]], r"^table must be 2x2$"),
+    (TotalTable, [[0, 1], [1]], r"^table must be 2x2$"),
+    (PartialTable, [[0, None]], r"^table must be 2x2$"),
+    (PartialTable.from_ids, [["0", None], ["0", "1", "1"]], r"^table must be 2x2$"),
+    (PartialTable, [[0, None], [0, 2]], r"^value out of range at \(1, 1\)$"),
+    (PartialTable, [[0, None], [None, 1]], r"^missing value at sectioned pair \(1, 0\)$"),
+    (PartialTable, [[0, 0], [0, 1]], r"^value outside the domain y <= x at \(0, 1\)$"),
+    (TotalTable, [[0, 1], [1, 2]], r"^total table must map every pair to an element$"),
+    (TotalTable, [[0, 1], [1, 1.0]], r"^total table must map every pair to an element$"),
+], ids=["total-short", "total-ragged", "partial-short", "from-ids-ragged", "out-of-range",
+        "missing", "outside-domain", "total-out-of-range", "total-float"])
+def test_a_malformed_table_is_a_toolkit_error(make, cells, message):
+    # a user error, which the CLI reports as one; still a ValueError, as before
+    p = build_poset("c2", ["0", "1"], [("0", "1")])
+    with pytest.raises(MalformedTable, match=message) as info:
+        make(p, cells)
+    assert isinstance(info.value, SpposetError) and isinstance(info.value, ValueError)
 
 
 def test_total_check_matches_the_cell_loop():
