@@ -63,9 +63,10 @@ solutions (_product_tables), which reads each column's blocks once and
 keeps what it has read for the column's later passes.  The passes run over
 the rightmost column with more than one solution; the columns after it are
 constants.  Each block of that column gives its tables through one
-iterator over per-row templates: a free tail through itertools.product,
-paid from the search budget at once (_tail_payment), and a long run of
-other solutions through one zip of per-row maps.
+iterator, whatever its length: a free tail through itertools.product over
+per-row templates, paid from the search budget at once (_tail_payment),
+and a run of other solutions through one zip that takes its rows n at a
+time.
 """
 
 from __future__ import annotations
@@ -723,11 +724,11 @@ class _Columns:
     def solutions(self, c: int, forced: PartialTable | None = None):
         """The solutions of column c, as tuples over its rows, in lexicographic
         order; with `forced`, sectioned cells are pinned to the given star table."""
-        return self.blocks(c, forced, _column_search)
+        return self.blocks(c, forced, True)
 
-    def blocks(self, c: int, forced: PartialTable | None = None, search=None):
+    def blocks(self, c: int, forced: PartialTable | None = None, expand: bool = False):
         """The solutions of column c as blocks (_column_blocks), in the order
-        of `solutions`; `search` may give them otherwise (_column_search)."""
+        of `solutions`; with `expand`, its solutions one at a time."""
         rows, dom = self.setup.rows[c], self.setup.doms[c]
         if forced is not None:
             dom = dom[:]
@@ -738,7 +739,7 @@ class _Columns:
             if forced is not None:
                 narrowed = [a & b for a, b in zip(dom, narrowed)]
             if all(map(narrowed.__getitem__, rows)):
-                return (search or _column_blocks)(rows, narrowed, links, self.spare, start)
+                return _column_blocks(rows, narrowed, links, self.spare, start, expand)
         return iter(())
 
 
@@ -969,25 +970,27 @@ def _product_tables(p: Poset, cols, spare: list[int] | None = None):
 
     The passes run over the pass column, the rightmost column with a second
     solution: the product reads it once every column after it has run out
-    at its first, and those columns stay fixed.  The first pass reads the
-    pass column block by block, and every block gives its tables through
-    one iterator.  A free tail of more than n solutions is paid whole
-    (_tail_payment), since nothing else reads the budget while its tables
-    are built, and gives them through itertools.product over the rows: in
-    a pass the other columns are fixed, so row r of a table is one of row
-    r's templates, row r of the fixed columns with a value of the pass
-    column (_cells).  Every other solution is kept in a run: a solution
-    reached row by row, or one of a free tail of at most n, paid whole too;
-    its table is built whole, one zip over its columns.  The pass column
-    keeps only its blocks: a free tail and a run of more than n solutions
-    as their values per row (_ends), which every later pass maps through
-    that pass's templates (a product, or one zip over per-row maps), and a
-    shorter run as its solutions, built whole.  The iterators are lazy, so
-    a pass builds no table that the stream does not yield.  The columns
-    before the pass column step one solution at a time, a free tail paid
-    per solution (_product_tail), since between their solutions the other
-    columns read the budget."""
-    n, new, product = p.n, object.__new__, itertools.product
+    at its first, and those columns stay fixed.  In a pass the other
+    columns are fixed too, so row r of a table is heads[r], row r of the
+    columns before the pass column, followed by an end (v,) + afters[r], v
+    the pass column's value in row r and afters[r] row r of the columns
+    after it.  The pass column keeps only its blocks, each as its ends:
+    a free tail as the ends of each row's values (_tail), and a run, the
+    solutions between two free tails, as the ends of each solution's rows
+    (_run).  Every block gives the tables of a pass through one iterator,
+    whatever its length (_cells): itertools.product over the rows'
+    templates for a free tail, heads[r] with each of row r's ends, built
+    once a pass, so its tables share row tuples; and one zip that takes a
+    run's rows n at a time, each row built for its table.  The first pass
+    reads the pass column block by block: a solution reached row by row is
+    a table of its own, its rows zipped from the columns, and a free tail
+    is paid whole (_tail_payment), since nothing else reads the budget
+    while its tables are built.  The iterators are lazy, so a pass builds
+    no table that the stream does not yield.  The columns before the pass
+    column step one solution at a time, a free tail paid per solution
+    (_product_tail), since between their solutions the other columns read
+    the budget."""
+    n, new = p.n, object.__new__
     # per column: its blocks, its first block, its current solution, and the
     # walk (_product_tail) of the free tail that holds that solution, if any
     its, firsts, pick, walks = [], [], [], []
@@ -1007,10 +1010,11 @@ def _product_tables(p: Poset, cols, spare: list[int] | None = None):
             break
     else:
         return
-    # the first pass, block by block.  blocks keeps the pass column: a free tail
-    # of more than n solutions as (itertools.product, ends), and the other
-    # solutions in runs between those, each a list until it is whole (_run)
+    # the first pass, block by block.  blocks keeps the pass column: each free tail
+    # (_tail) and each run of the solutions between them (_run), a list until it
+    # is whole.  heads and afters are the rows of the columns before and after it
     blocks, run, first = [], [], more  # the first table holds the first block's first solution
+    heads = afters = None
     if more:
         head, lists = firsts[c]
     else:
@@ -1028,22 +1032,19 @@ def _product_tables(p: Poset, cols, spare: list[int] | None = None):
             if spare[0] < need:
                 raise _spent(spare)
             spare[0] += gain
-        if not lists:
+            if heads is None:
+                heads, afters = _rows_of(pick[:c], n), _rows_of(pick[c + 1:], n)
+            if run:
+                blocks.append(_run(run, afters))
+                run = []
+            blocks.append(_tail(head, lists, afters))
+            cells_of = _cells(*blocks[-1], heads)
+            if first:
+                cells_of = itertools.islice(cells_of, 1, None)
+        else:  # one solution, one table: its rows zipped from the columns
             run.append(head)
             pick[c] = head
             cells_of = (tuple(zip(*pick)),)
-        elif math.prod(map(len, lists)) <= n:
-            sols = list(map(head.__add__, product(*lists)))
-            run += sols
-            cells_of = _whole(pick, c, sols[1:] if first else sols)
-        else:
-            if run:
-                blocks.append(_run(run, pick, c))
-                run = []
-            blocks.append((product, _ends((*zip(head), *lists), _rows_of(pick[c + 1:], n))))
-            cells_of = _cells(*blocks[-1], _rows_of(pick[:c], n))
-            if first:
-                cells_of = itertools.islice(cells_of, 1, None)
         for cells in cells_of:
             t = new(TotalTable)
             t.owner, t.cells = p, cells
@@ -1055,7 +1056,7 @@ def _product_tables(p: Poset, cols, spare: list[int] | None = None):
     if not c:
         return
     if run:
-        blocks.append(_run(run, pick, c))
+        blocks.append(_run(run, afters or _rows_of(pick[c + 1:], n)))
     # the later passes
     seen, at = list(map(list, zip(pick[:c]))), [0] * c
     while True:
@@ -1078,35 +1079,12 @@ def _product_tables(p: Poset, cols, spare: list[int] | None = None):
             k -= 1
         if k < 0:
             return
-        heads = None
-        for combine, data in blocks:
-            if combine is None:  # each table's rows zipped whole, its solution in column c
-                for pick[c] in data:
-                    t = new(TotalTable)
-                    t.owner, t.cells = p, tuple(zip(*pick))
-                    yield t
-                continue
-            heads = heads or list(zip(*pick[:c]))
-            for cells in _cells(combine, data, heads):
+        heads = list(zip(*pick[:c]))
+        for combine, ends in blocks:
+            for cells in _cells(combine, ends, heads):
                 t = new(TotalTable)
                 t.owner, t.cells = p, cells
                 yield t
-
-
-def _whole(pick: list[tuple], c: int, sols):
-    """The cells of the tables with each of sols in column c and pick's
-    solutions in the others, each table's rows zipped from its columns."""
-    for pick[c] in sols:
-        yield tuple(zip(*pick))
-
-
-def _run(run: list[tuple], pick: list[tuple], c: int) -> tuple:
-    """The pass column's solutions `run`, c the pass column, as a block of
-    the later passes: (None, run) for at most n of them, whose tables are
-    built whole (_whole); else (zip, ends), their values per row as ends
-    (_ends), whose tables are built as columns (_cells)."""
-    n = len(pick)
-    return (None, run) if len(run) <= n else (zip, _ends(tuple(zip(*run)), _rows_of(pick[c + 1:], n)))
 
 
 def _rows_of(cols: list[tuple], n: int) -> list[tuple]:
@@ -1114,19 +1092,32 @@ def _rows_of(cols: list[tuple], n: int) -> list[tuple]:
     return list(zip(*cols)) if cols else [()] * n
 
 
-def _ends(values, afters: list[tuple]) -> list[tuple]:
-    """Per row r, each value v of values[r] as the end (v,) + afters[r] of
-    a row of a table, one tuple for each distinct value."""
-    out = []
-    for vals, after in zip(values, afters):
-        ends = {v: (v,) + after for v in set(vals)}
-        out.append(tuple(map(ends.__getitem__, vals)))
-    return out
+def _tail(head: tuple, lists: list[tuple], afters: list[tuple]) -> tuple:
+    """The free tail (head, lists) of the pass column as a block of a pass:
+    (itertools.product, ends), ends[r] the end (v,) + afters[r] of a row of
+    a table for each value v that the tail holds in row r, afters[r] row r
+    of the columns after the pass column."""
+    values = (*zip(head), *lists)
+    return itertools.product, list(map(tuple, map(map, itertools.repeat(add), map(zip, values),
+                                                  map(itertools.repeat, afters))))
 
 
-def _cells(combine, ends: list[tuple], heads: list[tuple]):
-    """The cells of a block's tables: combine (itertools.product, or zip)
-    over the rows, row r's templates heads[r] followed by each of ends[r]."""
+def _run(run: list[tuple], afters: list[tuple]) -> tuple:
+    """The pass column's solutions `run` as a block of a pass: (zip, ends),
+    the end (v,) + afters[r] of each row r of each solution's table, v the
+    solution's value in row r, one tuple for all equal ends."""
+    ends = map(add, zip(itertools.chain.from_iterable(run)), itertools.cycle(afters))
+    return zip, list(map({}.setdefault, *itertools.tee(ends)))
+
+
+def _cells(combine, ends: list, heads: list[tuple]):
+    """The cells of the tables of a block (_tail or _run) in a pass, heads[r]
+    row r of the columns before the pass column: for a free tail,
+    itertools.product over the rows, row r's templates heads[r] + e for each
+    end e of ends[r]; for a run, one zip that takes its rows n at a time,
+    heads[r] + e for the end e of row r of each solution."""
+    if combine is zip:
+        return zip(*[map(add, itertools.cycle(heads), ends)] * len(heads))
     return combine(*map(map, itertools.repeat(add), map(itertools.repeat, heads), ends))
 
 
@@ -1162,10 +1153,9 @@ def enumerate_extensions(s: PartialTable, system: str, sel: LocalSelection | Non
     block is checked once, when first read: a bad value raises ValueError
     before any table that holds it.  The passes run over the rightmost
     column with more than one solution, and every pass builds the tables of
-    each block of more than n solutions through one iterator over per-row
-    templates, a product for a free tail and a zip of per-row maps for a
-    run of other solutions, so tables in one pass may share row tuples; a
-    shorter block builds its tables' rows whole (_product_tables).
+    each block through one iterator (_product_tables): a product over
+    per-row templates for a free tail, whose tables in one pass share row
+    tuples, and a zip that builds a run's rows n at a time.
     Raises SizeCap when the column searches spend their shared SEARCH_BUDGET,
     StructureMismatch for the partial-table system SP, a MissingWitness in
     place of s, a selection over another poset or a poset without the
