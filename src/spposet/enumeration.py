@@ -1107,7 +1107,7 @@ def _run(run: list[tuple], afters: list[tuple]) -> tuple:
     the end (v,) + afters[r] of each row r of each solution's table, v the
     solution's value in row r, one tuple for all equal ends."""
     ends = map(add, zip(itertools.chain.from_iterable(run)), itertools.cycle(afters))
-    return zip, list(map({}.setdefault, *itertools.tee(ends)))
+    return zip, list(map({}.setdefault, *itertools.tee(ends)))  # setdefault(e, e): the first equal end
 
 
 def _cells(combine, ends: list, heads: list[tuple]):
@@ -1116,7 +1116,7 @@ def _cells(combine, ends: list, heads: list[tuple]):
     itertools.product over the rows, row r's templates heads[r] + e for each
     end e of ends[r]; for a run, one zip that takes its rows n at a time,
     heads[r] + e for the end e of row r of each solution."""
-    if combine is zip:
+    if combine is zip:  # n references to one iterator of rows: each table takes the next n
         return zip(*[map(add, itertools.cycle(heads), ends)] * len(heads))
     return combine(*map(map, itertools.repeat(add), map(itertools.repeat, heads), ends))
 

@@ -6,9 +6,9 @@ solution it hands out and can raise at a given one, so the tests see when
 each solution is read: each once, every column's first before the first
 table, in column order, and an error before any table that would hold its
 solution.  The tables come in the order of itertools.product over the lists.
-A pass over a last column of more than n solutions shares its rows among its
-tables, so the shapes include last columns of n + 1, 2n and n * n + 1
-solutions, and a one-solution last column after a long earlier one.
+The shapes include last columns of n + 1, 2n and n * n + 1 solutions, around
+the lengths at which a pass's tables could be built in different ways, and a
+one-solution last column after a long earlier one.
 """
 
 import itertools
